@@ -54,14 +54,17 @@ class VerificationReport:
 
 
 def _report(name: str, statement: str, margins, details=None) -> VerificationReport:
+    """A non-finite margin is a violation, and makes the worst margin NaN."""
     margins = [float(m) for m in margins]
-    violations = sum(1 for m in margins if m < 0)
+    violations = sum(1 for m in margins if not (math.isfinite(m) and m >= 0))
+    finite = all(math.isfinite(m) for m in margins)
+    worst = min(margins, default=float("inf")) if finite else float("nan")
     return VerificationReport(
         name=name,
         statement=statement,
         trials=len(margins),
         violations=violations,
-        worst_margin=min(margins) if margins else float("inf"),
+        worst_margin=worst,
         passed=violations == 0,
         details=details or {},
     )

@@ -227,11 +227,10 @@ def section_radius(body: Body, target: Body, subspace: Subspace,
         quad = half @ half.T
         lam_min = float(np.linalg.eigvalsh(quad)[0])
         return 1.0 / math.sqrt(lam_min)
-    value, _ = _optim.ratio_ascent(SectionBody(target, subspace),
-                                   SectionBody(body, subspace),
-                                   subspace.dim, restarts=restarts, seed=seed,
-                                   polish=polish)
-    return float(value)
+    starts = as_generator(seed).standard_normal((1, restarts, subspace.dim))
+    values, _ = _optim.ratio_ascent(SectionBody(target, subspace),
+                                    SectionBody(body, subspace), starts, polish=polish)
+    return float(values[0])
 
 
 def _body_cloud(body: Body, count: int, rng) -> np.ndarray:

@@ -59,8 +59,8 @@ class CalibrationConstant:
     trials: int
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise BadDimensions("calibrated constants must be positive")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise BadDimensions("calibrated constants must be finite and positive")
 
 
 def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
@@ -164,9 +164,9 @@ def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int
         num = _ProjectedEuclidean(comp)
     else:
         num = _QuotientNorm(target, frame)
-    val, _ = _optim.ratio_ascent(num, body, n, restarts=restarts,
-                                 seed=_frame_seed(frame, seed), polish=True)
-    return float(val)
+    starts = as_generator(_frame_seed(frame, seed)).standard_normal((1, restarts, n))
+    values, _ = _optim.ratio_ascent(num, body, starts, polish=True)
+    return float(values[0])
 
 
 def _search_frames(objective, rows: int, n: int, restarts: int, seed,
@@ -312,7 +312,7 @@ def _cached_expectation(system, p: float, samples: int) -> float:
 
 
 def l1_section_radius_bound(matrix, system, p: float, const: float = 1.0,
-                            samples: int = 40_000, seed=0) -> float:
+                            samples: int = 40_000) -> float:
     """Lower-bound value for the radius of high-dimensional sections of the
     image body, measured in the induced 1-norm: const * (smallest singular
     value) * E[induced p-gauge]^{-3/2}, for p >= 2.
@@ -328,7 +328,7 @@ def l1_section_radius_bound(matrix, system, p: float, const: float = 1.0,
 
 
 def lq_section_radius_bound(matrix, system, p: float, q: float, s: int,
-                            const: float = 1.0, samples: int = 40_000, seed=0) -> float:
+                            const: float = 1.0, samples: int = 40_000) -> float:
     """Lower-bound value for the radius of proportional sections measured in
     the induced q-norm, 1 < q <= 2 <= p: const * rho * (E_q' * E_p)^(-n/s)
     with 1/q + 1/q' = 1."""
@@ -359,43 +359,51 @@ def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
     ``kind`` is "l1" (sections of dimension ceil(2n/3), radius in the induced
     1-norm) or "lq" (sections of dimension ceil(n/2), radius in the induced
     q-norm).  The minimum of these ratios over a training seed set is the
-    calibrated constant.
+    calibrated constant.  All (seed, subspace) problems of one cell (n, p, q)
+    go to one ascent call: the section of A*B_p by span(F) has q-norm radius
+    max g_q(y F) / g_p(y F A^{-T}).  Ratios come seed-major, as drawn.
     """
     if kind not in ("l1", "lq"):
         raise BadDimensions("kind must be 'l1' or 'lq'")
-    ratios = []
-    for seed in seeds:
-        for n in dims:
-            system = trig_prefix_system(n)
-            for p in ps:
-                for q in (qs if kind == "lq" else (None,)):
-                    rng = as_generator([int(seed), n, int(p * 4),
-                                        0 if q is None else int(q * 4)])
-                    a = _trial_matrix(rng, n)
-                    body = linear_image(induced_ball(system, p), a)
-                    if kind == "l1":
-                        r = math.ceil(2 * n / 3)
-                        gauge = induced_ball(system, 1.0)
-                        factor = l1_section_radius_bound(a, system, p, 1.0, e_samples)
-                    else:
-                        r = math.ceil(n / 2)
-                        gauge = induced_ball(system, q)
-                        factor = lq_section_radius_bound(a, system, p, q, r, 1.0, e_samples)
-                    for j in range(subspaces):
-                        sub = random_subspace(n, r, rng)
-                        rad = section_radius(body, gauge, sub, restarts=restarts,
-                                             seed=rng.integers(2**31), polish=False)
-                        ratios.append(rad / factor)
-    return ratios
+    if restarts < 8:
+        raise BadDimensions("need at least 8 restarts")
+    seeds = [int(seed) for seed in seeds]
+    cells = [(n, p, q) for n in dims for p in ps
+             for q in (qs if kind == "lq" else (None,))]
+    ratios = np.empty((len(seeds), len(cells), subspaces))
+    for c, (n, p, q) in enumerate(cells):
+        system = trig_prefix_system(n)
+        r = math.ceil(2 * n / 3) if kind == "l1" else math.ceil(n / 2)
+        factors, num_maps, den_maps, starts = [], [], [], []
+        for seed in seeds:
+            rng = as_generator([seed, n, int(p * 4), 0 if q is None else int(q * 4)])
+            a = _trial_matrix(rng, n)
+            if kind == "l1":
+                factors.append(l1_section_radius_bound(a, system, p, 1.0, e_samples))
+            else:
+                factors.append(lq_section_radius_bound(a, system, p, q, r, 1.0, e_samples))
+            inv_t = np.linalg.inv(a).T
+            for _ in range(subspaces):
+                frame = random_subspace(n, r, rng).frame
+                num_maps.append(frame)
+                den_maps.append(frame @ inv_t)
+                starts.append(as_generator(rng.integers(2**31)).standard_normal((restarts, r)))
+        gauge = induced_ball(system, 1.0 if q is None else q)
+        radii, _ = _optim.ratio_ascent(gauge, induced_ball(system, p), np.array(starts),
+                                       num_maps=np.array(num_maps),
+                                       den_maps=np.array(den_maps))
+        ratios[:, c, :] = radii.reshape(len(seeds), subspaces) / np.array(factors)[:, None]
+    return ratios.ravel().tolist()
 
 
 def calibrate_radius_constant(kind: str, seeds, margin: float = CALIBRATION_MARGIN,
                               **grid) -> CalibrationConstant:
     """Fit the universal constant as the smallest training ratio, shrunk by
-    ``margin`` for out-of-sample headroom, then freeze it."""
+    ``margin`` for out-of-sample headroom, then freeze it.  A non-finite or
+    non-positive smallest ratio raises ``BadDimensions``."""
     ratios = radius_ratio_samples(kind, seeds, **grid)
     return CalibrationConstant(context=f"radius-{kind}",
-                               value=margin * min(ratios), trials=len(ratios))
+                               value=margin * float(np.min(ratios)), trials=len(ratios))
 
 
 def radius_bound_violations(kind: str, constant: CalibrationConstant, seeds,
@@ -403,11 +411,13 @@ def radius_bound_violations(kind: str, constant: CalibrationConstant, seeds,
     """Validation pass: (trials, violations, worst relative margin).
 
     A violation is a sampled section whose found radius falls below the
-    calibrated bound; the margin is min(ratio/const - 1).
+    calibrated bound, or whose ratio is not finite; the margin is
+    min(ratio/const - 1), NaN when a ratio is NaN.
     """
     ratios = radius_ratio_samples(kind, seeds, **grid)
     arr = np.asarray(ratios) / constant.value
-    return len(arr), int(np.sum(arr < 1.0)), float(arr.min() - 1.0)
+    violations = int(np.sum(~(np.isfinite(arr) & (arr >= 1.0))))
+    return len(arr), violations, float(arr.min() - 1.0)
 
 
 # --------------------------------------------------------------------------

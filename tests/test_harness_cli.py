@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from widthlab.errors import ConfigError
-from widthlab.harness import (CHECKS, ExperimentConfig, check_radius_l1,
+from widthlab.harness import (CHECKS, ExperimentConfig, _report, check_radius_l1,
                               check_santalo, check_seed, run, verify_all)
 
 
@@ -115,6 +115,18 @@ class TestVerify:
         report = check_santalo(seed=7, mc_seeds=1, samples=1500)
         assert report.passed
         assert report.details["exact-2d"] == pytest.approx(np.pi**2 - 8.0)
+
+    @pytest.mark.parametrize("margins", [[float("nan"), 1.0], [1.0, float("nan")]])
+    def test_nan_margin_fails_in_any_order(self, margins):
+        report = _report("x", "statement", margins)
+        assert not report.passed
+        assert report.violations == 1
+        assert np.isnan(report.worst_margin)
+
+    def test_infinite_margin_is_a_violation(self):
+        report = _report("x", "statement", [float("inf"), 1.0])
+        assert not report.passed
+        assert report.violations == 1
 
     def test_inflated_constant_breaks_radius_check(self):
         report = check_radius_l1(seed=7, constant_scale=10.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from widthlab import widths
 from widthlab.bodies import LpBall, euclidean_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder, NotMonotone
 from widthlab.manifolds import sphere
@@ -12,7 +13,26 @@ from widthlab.widths import (CalibrationConstant, _QuotientNorm,
                              calibrate_radius_constant, ellipsoid_kolmogorov_exact,
                              fourier_tail_sup, l1_section_radius_bound,
                              lq_section_radius_bound, radius_bound_violations,
-                             sobolev_width_order, width_duality_check)
+                             radius_ratio_samples, sobolev_width_order,
+                             width_duality_check)
+
+# radius_ratio_samples("lq", range(2), dims=(3, 4), ps=(2.0,)) as computed by
+# one independent ascent per section (fixed 300 iterations, no early stop);
+# the batched kernel must reproduce the same problems in the same order
+PINNED_LQ_RATIOS = [
+    3.1517279339905078, 1.5051148509508165, 2.353179337039914,
+    5.744633368637994, 4.915634381572366, 5.623513408205495,
+    3.0246747712218225, 2.3164677180106423, 4.822196864353626,
+    2.4101247198164373, 2.859418381856741, 3.092629369121024,
+    3.180821743106089, 2.702698787662015, 1.5887968051919208,
+    1.1815952409431443, 1.2250847157038522, 1.3656350499226155,
+    1.425104565329911, 1.4092211756880235, 1.275188084878683,
+    2.9426692097346505, 2.6494394785175395, 3.0417986738665386,
+    2.5027237892353678, 3.4073262962675104, 5.442559598219765,
+    3.527638889337325, 4.992649718266947, 3.8866885542076495,
+    2.6574152759472622, 1.9401543008431967, 4.7260701321185765,
+    2.6812312516191845, 2.0177788637820395, 3.458995989985518,
+]
 
 
 class TestExactOracle:
@@ -204,6 +224,27 @@ class TestRadiusBounds:
     def test_constant_validation(self):
         with pytest.raises(BadDimensions):
             CalibrationConstant("x", 0.0, 1)
+        with pytest.raises(BadDimensions):
+            CalibrationConstant("x", float("nan"), 1)
+
+    def test_batched_ratios_match_pinned_values(self):
+        ratios = radius_ratio_samples("lq", range(0, 2), dims=(3, 4), ps=(2.0,))
+        assert ratios == pytest.approx(PINNED_LQ_RATIOS, rel=1e-6)
+
+    @pytest.mark.parametrize("ratios", [[1.0, float("nan")], [float("nan"), 1.0],
+                                        [0.0, 1.0], [-float("inf"), 1.0]])
+    def test_calibration_rejects_bad_minimum(self, monkeypatch, ratios):
+        monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
+        with pytest.raises(BadDimensions):
+            calibrate_radius_constant("l1", range(2))
+
+    def test_non_finite_ratio_is_a_violation(self, monkeypatch):
+        const = CalibrationConstant("radius-l1", 1.0, 3)
+        for bad in (float("nan"), float("inf")):
+            monkeypatch.setattr(widths, "radius_ratio_samples",
+                                lambda *a, **k: [2.0, bad, 3.0])
+            trials, violations, _ = radius_bound_violations("l1", const, range(3))
+            assert (trials, violations) == (3, 1)
 
 
 class TestSobolevOrder:
