@@ -29,7 +29,6 @@ from .linalg import (
     orthonormalize,
     project,
     random_subspace,
-    singular_values,
 )
 from .manifolds import (
     TwoPointSpace,

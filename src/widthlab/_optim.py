@@ -1,8 +1,9 @@
 """Batched first-order ascent for gauge-ratio maximization.
 
 Everything that needs "maximize one norm over the unit ball of another"
-funnels through ``ratio_ascent``: support functions, section radii, and the
-inner loops of the brute-force width searches.  A problem k maximizes
+funnels through ``ratio_ascent``: support functions, section radii,
+projection and quotient gauges (``offset_minima``), and the inner loops of
+the brute-force width searches.  A problem k maximizes
 g_num(y @ N_k) / g_den(y @ D_k) for two base bodies and a linear map each
 (none is the identity); every iteration stacks the rows of all live
 problems into one ``gauge_grad_many`` call per base body.  The objective is
@@ -11,8 +12,8 @@ problems into one ``gauge_grad_many`` call per base body.  The objective is
 ``iters`` is a cap: a problem freezes once its best value has not risen by
 more than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive
 iterations, judged on that problem's own rows.  Values returned are
-achieved values, hence certified lower bounds on the true maxima; every
-caller uses them in the direction where that is safe.
+achieved values, hence certified lower bounds on the true maxima (and
+upper bounds on the minima of ``offset_minima``).
 """
 
 from __future__ import annotations
@@ -125,6 +126,29 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
 
     gd, _ = _gauge_grad(denominator, den_maps, top_y[:, None, :])
     return values, top_y / np.maximum(gd, _EPS)
+
+
+def offset_minima(body, anchors, directions):
+    """min over z of gauge(x + z @ D) for every anchor row x, in one ascent call.
+
+    Lifted, its reciprocal is the maximum of |t| / gauge(t x + z D) over
+    (t, z): the 1-D ball |t| under the map e_1 over the body under the row's
+    map [x; D].  The starts (1, 0) and (1, +-e_j) make a row's value depend
+    on that row alone.  Returns the achieved minima (upper bounds on the
+    true ones) and the offsets z achieving them.
+    """
+    from .bodies import LpBall
+
+    x = np.atleast_2d(np.asarray(anchors, dtype=float))
+    d = np.asarray(directions, dtype=float)
+    k, m = len(x), len(d)
+    lift = np.eye(1 + m)
+    starts = np.concatenate([lift[:1], lift[:1] + lift[1:], lift[:1] - lift[1:]])
+    values, points = ratio_ascent(
+        LpBall(1, 1.0), body, np.broadcast_to(starts, (k,) + starts.shape),
+        num_maps=np.broadcast_to(lift[:, :1], (k, 1 + m, 1)),
+        den_maps=np.concatenate([x[:, None, :], np.broadcast_to(d, (k, m, x.shape[1]))], axis=1))
+    return 1.0 / values, points[:, 1:] / points[:, :1]
 
 
 def support_values(body, targets: np.ndarray, restarts: int = 6,

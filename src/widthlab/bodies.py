@@ -200,8 +200,9 @@ class ProjectionBody(Body):
     """Orthogonal projection of a body onto a subspace, in frame coordinates.
 
     The gauge at u is min over the orthogonal complement z of
-    base.gauge(u + z); each evaluation is a small convex minimization, so
-    keep sample counts moderate.
+    base.gauge(u + z).  All rows of a call are one batched ascent call,
+    ``_optim.offset_minima``; the values are achieved ones, so they bound the
+    gauge from above and the projection volume from below.
     """
 
     def __init__(self, base: Body, subspace: Subspace):
@@ -217,22 +218,7 @@ class ProjectionBody(Body):
 
     def gauge_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        frame = self.subspace.frame
-        comp = self.comp.frame
-        out = np.empty(len(pts))
-
-        def objective(z, u_amb):
-            x = u_amb + z @ comp
-            g, grad = self.base.gauge_grad_many(x[None, :])
-            return g[0], grad[0] @ comp.T
-
-        for i, u in enumerate(pts):
-            u_amb = u @ frame
-            res = minimize(objective, np.zeros(comp.shape[0]), args=(u_amb,),
-                           jac=True, method="L-BFGS-B",
-                           options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-10})
-            out[i] = res.fun
-        return out
+        return _optim.offset_minima(self.base, pts @ self.subspace.frame, self.comp.frame)[0]
 
 
 class PolarBody(Body):

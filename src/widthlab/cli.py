@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, WidthLabError
-from .harness import _TASKS, ExperimentConfig, run
+from .harness import _TASKS, ExperimentConfig, _json_ready, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
                   f"worst_margin={report['worst_margin']:.6g}")
         print("all checks passed" if summary["all_pass"] else "FAILURES present")
     else:
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        print(json.dumps(_json_ready(summary), sort_keys=True, indent=2))
     return code
 
 

@@ -70,6 +70,11 @@ def _report(name: str, statement: str, margins, details=None) -> VerificationRep
     )
 
 
+def _json_ready(obj):
+    """``obj`` as plain JSON data with every non-finite float turned into None."""
+    return json.loads(json.dumps(obj), parse_constant=lambda _: None)
+
+
 def check_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:4], "big") % (2**31)
@@ -194,17 +199,10 @@ def check_brunn_sections(seed: int, samples: int = 12_000) -> VerificationReport
     from .linalg import orthonormalize
 
     for tag, body, frame_rows, offsets in cases:
-        sub = orthonormalize(frame_rows)
-        rng = as_generator(s)
-        central = stochastic._offset_section_volume(body, sub, np.zeros(body.dim),
-                                                    samples, rng)
-        worst = math.inf
-        for z in offsets:
-            off = stochastic._offset_section_volume(body, sub, z, samples, rng)
-            slack = 2.0 * (central.half_width + off.half_width)
-            worst = min(worst, central.value - off.value + slack)
+        central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets,
+                                                  samples, s)
         margins.append(worst)
-        details[tag] = {"central": central.value, "worst_margin": worst}
+        details[tag] = {"central": central, "worst_margin": worst}
     return _report("brunn-sections",
                    "the central slice of a symmetric convex body has maximal volume "
                    "among parallel slices",
@@ -466,13 +464,21 @@ class ExperimentConfig:
             seed = seed_override
         if seed is None:
             raise ConfigError("field 'seed': a seed is mandatory for reproducibility")
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(f"field 'seed': expected an integer, got {seed!r}")
         extra = set(data) - _ALLOWED_FIELDS[task]
         if extra:
             raise ConfigError(
                 f"task {task!r}: unknown fields {sorted(extra)}; "
                 f"allowed: {sorted(_ALLOWED_FIELDS[task])}")
+        missing = {"volume": {"body"}, "widths": {"semiaxes"}}.get(task, set()) - set(data)
+        if missing:
+            raise ConfigError(f"task {task!r}: missing fields {sorted(missing)}")
+        levels = data.get("levels")
+        if levels is not None and not (isinstance(levels, list) and len(levels) == 2 and all(
+                type(v) is int for v in levels) and 1 <= levels[0] < levels[1]):
+            raise ConfigError(f"field 'levels': expected [lo, hi] with integers "
+                              f"1 <= lo < hi, got {levels!r}")
         return ExperimentConfig(task=task, seed=seed, params=data)
 
 
@@ -516,7 +522,7 @@ def _task_expect(config: ExperimentConfig):
     samples = int(config.params.get("samples", 200_000))
     system = _build_system(config.params.get("system", {"kind": "trig", "max_degree": 1}))
     est = expectation_norm(induced_ball(system, p), samples=samples, seed=config.seed)
-    bound = expected_norm_bound(p) if p >= 2 else None
+    bound = expected_norm_bound(p) if 2 <= p < math.inf else None
     row = {"system": system.name, "n": system.n, "p": p, "value": est.value,
            "half_width": est.half_width,
            "bound": "" if bound is None else bound}
@@ -621,8 +627,9 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
     """Execute a configured task; returns (exit_code, outputs).
 
-    Writes <task>.csv and <task>_summary.json under ``out_dir`` when given.
-    Exit code 0 means every checked property passed.
+    Writes <task>.csv and <task>_summary.json under ``out_dir`` when given;
+    the JSON holds every non-finite float as null.  Exit code 0 means every
+    checked property passed.
     """
     if config.task == "verify":
         checks = config.params.get("checks", "all")
@@ -647,7 +654,7 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / f"{config.task}.csv", rows)
         with open(out / f"{config.task}_summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
+            json.dump(_json_ready(summary), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
         outputs["csv"] = str(out / f"{config.task}.csv")
         outputs["json"] = str(out / f"{config.task}_summary.json")

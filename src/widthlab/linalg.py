@@ -74,11 +74,6 @@ def jacobi_singular_values(a) -> np.ndarray:
     return np.sort(sv)[::-1]
 
 
-def singular_values(a) -> np.ndarray:
-    """Alias for :func:`jacobi_singular_values` (descending order)."""
-    return jacobi_singular_values(a)
-
-
 def min_singular_value(a) -> float:
     """Smallest singular value of an invertible matrix.
 

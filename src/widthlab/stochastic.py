@@ -42,11 +42,10 @@ class EstimateWithCI:
             raise BadDimensions("half width cannot be negative")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "half_width": self.half_width,
-             "samples": self.samples, "seed": self.seed},
-            sort_keys=True,
-        )
+        """JSON record; a seed JSON cannot represent (a Generator) is null."""
+        return json.dumps({"value": self.value, "half_width": self.half_width,
+                           "samples": self.samples, "seed": self.seed},
+                          sort_keys=True, default=lambda _: None)
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,12 @@ def expected_norm_bound(p: float) -> float:
     """Closed-form upper bound for the sphere expectation of an induced
     p-norm gauge, p >= 2: the L_p moment of a standard Gaussian.
 
-    Equals 1 at p=2 and grows like sqrt(p).
+    Equals 1 at p=2 and grows like sqrt(p), so it is infinite at p=inf.
     """
     if p < 2:
         raise BadDimensions("the bound holds for p >= 2")
+    if math.isinf(p):
+        return math.inf
     return float(2.0 ** 0.5 * math.pi ** (-0.5 / p)
                  * math.exp(math.lgamma((p + 1.0) / 2.0) / p))
 
@@ -188,10 +189,10 @@ def projection_volume_ratio(body: Body, subspace: Subspace,
     """Volume of the orthogonal projection of ``body`` onto ``subspace``,
     relative to the unit ball of the subspace.
 
-    Radial distances to the projection boundary come from one convex
-    minimization per direction (the gauge of the projection is the infimum
-    of the base gauge over the orthogonal complement), so the sample budget
-    should stay modest.
+    The gauge of the projection is the infimum of the base gauge over the
+    orthogonal complement; every sample chunk is one batched ascent call
+    (``ProjectionBody``).  Achieved infima bound the gauge from above, so
+    the estimate errs low.
     """
     from .bodies import ProjectionBody
 
@@ -328,18 +329,22 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
     return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total), 0)
 
 
-def brunn_section_check(body: Body, subspace: Subspace, offsets,
-                        samples: int = 20_000, seed=0) -> bool:
-    """Check that the central section has the largest slice volume.
-
-    True when the central estimate exceeds every offset estimate minus twice
-    the combined half widths.
-    """
+def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):
+    """Central slice volume, and the smallest central - offset volume plus
+    twice the combined half widths over the offsets."""
     rng = as_generator(seed)
     central = _offset_section_volume(body, subspace, np.zeros(body.dim), samples, rng)
+    worst = math.inf
     for z in offsets:
         off = _offset_section_volume(body, subspace, z, samples, rng)
         slack = 2.0 * (central.half_width + off.half_width)
-        if central.value < off.value - slack:
-            return False
-    return True
+        worst = min(worst, central.value - off.value + slack)
+    return central.value, worst
+
+
+def brunn_section_check(body: Body, subspace: Subspace, offsets,
+                        samples: int = 20_000, seed=0) -> bool:
+    """Check that the central section has the largest slice volume: the
+    central estimate exceeds every offset estimate minus twice the combined
+    half widths."""
+    return _brunn_margin(body, subspace, offsets, samples, seed)[1] >= 0

@@ -111,30 +111,14 @@ class _QuotientNorm(Body):
         self.dim = self.frame.shape[1]
         self.label = f"dist-to-span[{target.label}]"
 
-    def _solve(self, x):
-        def objective(c):
-            g, grad = self.target.gauge_grad_many((x - c @ self.frame)[None, :])
-            return g[0], -grad[0] @ self.frame.T
-
-        res = minimize(objective, np.zeros(self.frame.shape[0]), jac=True,
-                       method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-12})
-        return res.fun, x - res.x @ self.frame
-
     def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self._solve(x)[0] for x in pts])
+        return self.gauge_grad_many(points)[0]
 
     def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g = np.empty(len(pts))
-        grad = np.empty_like(pts)
-        for i, x in enumerate(pts):
-            val, residual = self._solve(x)
-            g[i] = val
-            # envelope: the distance gradient is the gauge gradient at the residual
-            _, gr = self.target.gauge_grad_many(residual[None, :])
-            grad[i] = gr[0]
-        return g, grad
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        g, offsets = _optim.offset_minima(self.target, x, -self.frame)
+        # envelope: the distance gradient is the gauge gradient at the residual
+        return g, self.target.gauge_grad_many(x - offsets @ self.frame)[1]
 
 
 def _frame_from_params(params: np.ndarray, rows: int, n: int) -> np.ndarray:

@@ -10,6 +10,10 @@ from widthlab.harness import (CHECKS, ExperimentConfig, _report, check_radius_l1
                               check_santalo, check_seed, run, verify_all)
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON output")
+
+
 def run_cli(args, env=None):
     import os
 
@@ -51,6 +55,18 @@ class TestTasks:
         row = outputs["rows"][0]
         assert row["value"] <= row["bound"] + row["half_width"] + 1e-6
         assert (tmp_path / "expect.csv").exists()
+
+    def test_expect_at_p_inf_has_no_bound(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "task": "expect", "seed": 3, "p": "inf",
+            "system": {"kind": "trig", "max_degree": 1}, "samples": 2000,
+        })
+        code, outputs = run(cfg, out_dir=tmp_path)
+        assert code == 0
+        assert outputs["rows"][0]["bound"] == ""
+        summary = json.loads((tmp_path / "expect_summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["all_pass"] is True
 
     def test_volume_task(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
@@ -128,6 +144,27 @@ class TestVerify:
         assert not report.passed
         assert report.violations == 1
 
+    def test_summary_json_has_no_bare_constants(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(CHECKS, "nan-check",
+                            lambda seed: _report("nan-check", "s", [float("nan"), 1.0]))
+        monkeypatch.setitem(CHECKS, "empty-check", lambda seed: _report("empty-check", "s", []))
+        cfg = ExperimentConfig.from_dict({"task": "verify", "seed": 0,
+                                          "checks": ["nan-check", "empty-check"]})
+        code, _ = run(cfg, out_dir=tmp_path)
+        assert code == 1
+        summary = json.loads((tmp_path / "verify_summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert [r["worst_margin"] for r in summary["reports"]] == [None, None]
+        assert [r["passed"] for r in summary["reports"]] == [False, True]
+
+    def test_cli_prints_nan_margin(self, tmp_path, monkeypatch, capsys):
+        from widthlab.cli import main
+
+        monkeypatch.setitem(CHECKS, "nan-check",
+                            lambda seed: _report("nan-check", "s", [float("nan")]))
+        assert main(["verify", "--checks", "nan-check", "--out", str(tmp_path)]) == 1
+        assert "FAIL nan-check: trials=1 violations=1 worst_margin=nan" in capsys.readouterr().out
+
     def test_inflated_constant_breaks_radius_check(self):
         report = check_radius_l1(seed=7, constant_scale=10.0)
         assert not report.passed
@@ -167,6 +204,19 @@ class TestCli:
         res = run_cli(["expect", "--config", str(cfg)])
         assert res.returncode == 1
         assert "bogus" in res.stderr
+
+    @pytest.mark.parametrize("task, raw", [
+        ("widths", {"task": "widths", "seed": 1}),
+        ("scaling", {"task": "scaling", "seed": 1, "levels": [4]}),
+        ("expect", {"task": "expect", "seed": True}),
+    ], ids=["widths-without-semiaxes", "scaling-one-level", "bool-seed"])
+    def test_invalid_config_is_config_error(self, tmp_path, task, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        res = run_cli([task, "--config", str(cfg)])
+        assert res.returncode == 1
+        assert res.stderr.startswith("configuration error: "), res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_verify_requires_selection(self):
         res = run_cli(["verify"])

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from widthlab import _optim
-from widthlab.bodies import Body, InducedBall, LinearImageBody, SectionBody
+from widthlab.bodies import Body, InducedBall, LinearImageBody, ProjectionBody, SectionBody
 from widthlab.linalg import as_generator, random_subspace
-from widthlab.systems import trig_prefix_system
+from widthlab.stochastic import haar_sphere_sample
+from widthlab.systems import trig_prefix_system, trig_system
 
 
 def _radius_problems(count, seed=0):
@@ -64,3 +68,45 @@ class TestRatioAscent:
         assert values[0] == pytest.approx(1.0)
         iterations = (body.calls - 1) // 2  # one final scaling call
         assert iterations == _optim.PATIENCE + 1
+
+
+def _lp_offset_minimum(system, anchor, directions):
+    """Exact min over z of the induced 1-norm of anchor + z D, as a linear program:
+    minimize w.s subject to -s <= b + A z <= s."""
+    w = system.quadrature.weights
+    b = anchor @ system.values
+    a = (directions @ system.values).T
+    eye = np.eye(len(w))
+    m = a.shape[1]
+    res = linprog(np.concatenate([np.zeros(m), w]),
+                  A_ub=np.block([[a, -eye], [-a, -eye]]), b_ub=np.concatenate([-b, b]),
+                  bounds=[(None, None)] * m + [(0, None)] * len(w), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestOffsetMinima:
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_projection_gauges_against_linear_program(self, n):
+        system = trig_system((n - 1) // 2)
+        sub = random_subspace(n, math.ceil(n / 2), seed=n)
+        proj = ProjectionBody(InducedBall(system, 1.0), sub)
+        anchors = haar_sphere_sample(sub.dim, 200, seed=n) @ sub.frame
+        minima, offsets = _optim.offset_minima(proj.base, anchors, proj.comp.frame)
+        exact = np.array([_lp_offset_minimum(system, x, proj.comp.frame) for x in anchors])
+        # achieved values: never below the optimum, and close to it
+        assert np.all(minima >= exact * (1 - 1e-9))
+        excess = minima / exact - 1.0
+        assert excess.mean() <= 2e-4
+        assert excess.max() <= 1e-2
+        achieved = proj.base.gauge_many(anchors + offsets @ proj.comp.frame)
+        np.testing.assert_allclose(achieved, minima, rtol=1e-12)
+
+    def test_row_alone_matches_batch(self):
+        system = trig_system(2)
+        sub = random_subspace(5, 3, seed=1)
+        proj = ProjectionBody(InducedBall(system, 1.0), sub)
+        points = haar_sphere_sample(3, 50, seed=2)
+        batch = proj.gauge_many(points)
+        for k in (0, 17, 49):
+            assert proj.gauge_many(points[k:k + 1])[0] == pytest.approx(batch[k], rel=1e-9)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,9 @@ class TestExpectedNormBound:
         with pytest.raises(BadDimensions):
             expected_norm_bound(1.5)
 
+    def test_unbounded_at_p_inf(self):
+        assert expected_norm_bound(math.inf) == math.inf
+
 
 class TestVolumeRatio:
     def test_self_ratio_is_one(self):
@@ -116,6 +120,13 @@ class TestVolumeRatio:
         assert '"value": 1.5' in est.to_json()
         with pytest.raises(BadDimensions):
             EstimateWithCI(1.0, -0.1, 10, 0)
+
+    def test_estimate_json_seeds(self):
+        est = expectation_norm(euclidean_ball(2), samples=1000,
+                               seed=np.random.default_rng(0))
+        assert json.loads(est.to_json())["seed"] is None
+        assert json.loads(EstimateWithCI(1.0, 0.0, 10, 7).to_json())["seed"] == 7
+        assert json.loads(EstimateWithCI(1.0, 0.0, 10, [3, 4]).to_json())["seed"] == [3, 4]
 
 
 class TestSectionVolumes:
