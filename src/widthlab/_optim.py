@@ -11,15 +11,15 @@ problems into one ``gauge_grad_many`` call per base body.  The objective is
 
 ``iters`` is a cap: a problem freezes once its best value has not risen by
 more than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive
-iterations, judged on that problem's own rows.  Values returned are
-achieved values, hence certified lower bounds on the true maxima (and
-upper bounds on the minima of ``offset_minima``).
+iterations, judged on that problem's own rows.  Nothing refines the
+kernel's result afterwards.  Values returned are achieved values, hence
+certified lower bounds on the true maxima (and upper bounds on the minima
+of ``offset_minima``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import as_generator
 
@@ -45,15 +45,14 @@ def _gauge_grad(base, maps, y: np.ndarray):
 
 
 def ratio_ascent(numerator, denominator, starts, iters: int = 300,
-                 num_maps=None, den_maps=None, polish: bool = False):
+                 num_maps=None, den_maps=None):
     """Maximize numerator(y @ N_k) / denominator(y @ D_k) for every problem k.
 
     ``starts`` holds the initial directions (any nonzero length), shape
     (problems, restarts, d); ``num_maps``/``den_maps`` are (problems, d, m)
     stacks or None.  Returns ``(values, points)``: the best achieved ratio of
     each problem and a point where it is achieved, scaled to denominator
-    gauge 1.  ``polish`` refines the three best restarts of each problem by
-    Nelder-Mead.
+    gauge 1.  The value is the best iterate; no local search follows.
     """
     y = _normalize_rows(np.asarray(starts, dtype=float))
     n_prob, n_rows, _ = y.shape
@@ -103,27 +102,6 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     pick = np.argmax(out_val, axis=1)
     values = out_val[np.arange(n_prob), pick]
     top_y = out_y[np.arange(n_prob), pick]
-    if polish:
-        for k in range(n_prob):
-            nk = None if num_maps is None else num_maps[k:k + 1]
-            dk = None if den_maps is None else den_maps[k:k + 1]
-
-            def neg_log_ratio(v):
-                v = np.asarray(v, dtype=float)[None, None, :]
-                gn, _ = _gauge_grad(numerator, nk, v)
-                gd, _ = _gauge_grad(denominator, dk, v)
-                if gn[0, 0] <= 0 or gd[0, 0] <= 0:
-                    return np.inf
-                return -np.log(gn[0, 0] / gd[0, 0])
-
-            for idx in np.argsort(out_val[k])[::-1][:3]:
-                res = minimize(neg_log_ratio, out_y[k, idx], method="Nelder-Mead",
-                               options={"xatol": 1e-10, "fatol": 1e-12,
-                                        "maxiter": 400 * y.shape[-1]})
-                if np.isfinite(res.fun) and -res.fun > np.log(max(values[k], _EPS)):
-                    values[k] = float(np.exp(-res.fun))
-                    top_y[k] = res.x
-
     gd, _ = _gauge_grad(denominator, den_maps, top_y[:, None, :])
     return values, top_y / np.maximum(gd, _EPS)
 

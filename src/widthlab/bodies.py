@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
@@ -38,9 +37,6 @@ class Body:
     def gauge_grad_many(self, points: np.ndarray):
         """Gauge values and (sub)gradients per row; needed by optimizers."""
         raise NotImplementedError(f"{self.label} has no gradient oracle")
-
-    def contains(self, x, slack: float = 1e-10) -> bool:
-        return self.gauge(x) <= 1.0 + slack
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -253,27 +249,15 @@ def linear_image(body: Body, matrix) -> LinearImageBody:
 
 
 def support_function(body: Body, x, restarts: int = 32, iters: int = 400,
-                     seed=0, polish: bool = True) -> float:
-    """max{<x, y> : gauge(y) <= 1}, by multistart projected ascent."""
+                     seed=0) -> float:
+    """max{<x, y> : gauge(y) <= 1}: one ``_optim.support_values`` problem."""
     x = np.asarray(x, dtype=float)
     if x.shape != (body.dim,):
         raise DimensionMismatch(f"expected a vector of length {body.dim}")
     if np.linalg.norm(x) == 0:
         return 0.0
-    val = float(_optim.support_values(body, x[None, :], restarts=restarts,
-                                      iters=iters, seed=seed)[0])
-    if polish:
-        def neg(y):
-            g = body.gauge_many(y[None, :])[0]
-            if g <= 0:
-                return np.inf
-            return -float(x @ y) / g
-
-        res = minimize(neg, x / np.linalg.norm(x), method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400 * body.dim})
-        if np.isfinite(res.fun):
-            val = max(val, -float(res.fun))
-    return val
+    return float(_optim.support_values(body, x[None, :], restarts=restarts,
+                                       iters=iters, seed=seed)[0])
 
 
 def dual_gauge(system: OrthonormalSystem, p: float, x, restarts: int = 32, seed=0) -> float:

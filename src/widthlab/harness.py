@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bodies, manifolds, stochastic, systems, widths
 from .bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch, SingularMatrix
 from .linalg import as_generator, min_singular_value, random_subspace
 from .stochastic import (expectation_norm, expected_norm_bound, greedy_net,
                          mc_volume_ratio, section_radius)
@@ -303,6 +303,16 @@ def check_radius_lq(seed: int, constant_scale: float = 1.0) -> VerificationRepor
     return _radius_check("lq", seed, constant_scale, range(0, 10), range(10, 22), grid)
 
 
+def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, float]:
+    """Exact order-m width of diag(axes) B2 in the Euclidean norm, then the
+    brute-force Kolmogorov and Gelfand widths."""
+    n = len(axes)
+    body, target = linear_image(euclidean_ball(n), np.diag(axes)), LpBall(n, 2.0)
+    return (widths.ellipsoid_kolmogorov_exact(axes, m),
+            widths.brute_force_kolmogorov(body, target, m, restarts=restarts, seed=seed).value,
+            widths.brute_force_gelfand(body, target, m, restarts=restarts, seed=seed).value)
+
+
 def check_width_duality(seed: int, trials: int = 2, restarts: int = 48) -> VerificationReport:
     s = check_seed(seed, "width-duality")
     margins, details = [], {}
@@ -310,20 +320,13 @@ def check_width_duality(seed: int, trials: int = 2, restarts: int = 48) -> Verif
         for t in range(trials):
             rng = as_generator([s, n, t])
             axes = np.sort(np.exp(rng.uniform(-1.0, 1.0, n)))[::-1]
-            a = np.diag(axes)
             for m in (1, 2):
-                exact = widths.ellipsoid_kolmogorov_exact(axes, m)
-                kol = widths.brute_force_kolmogorov(
-                    linear_image(euclidean_ball(n), a), LpBall(n, 2.0), m,
-                    restarts=restarts, seed=s + t)
-                gel = widths.brute_force_gelfand(
-                    linear_image(euclidean_ball(n), a), LpBall(n, 2.0), m,
-                    restarts=restarts, seed=s + t)
-                margins.append(1e-3 - abs(kol.value - exact))
-                margins.append(1e-3 - abs(gel.value - exact))
-                margins.append(1e-2 - abs(kol.value - gel.value))
+                exact, kol, gel = _ellipsoid_widths(axes, m, restarts, s + t)
+                margins.append(1e-3 - abs(kol - exact))
+                margins.append(1e-3 - abs(gel - exact))
+                margins.append(1e-2 - abs(kol - gel))
                 details[f"n={n},t={t},m={m}"] = {
-                    "exact": exact, "kolmogorov": kol.value, "gelfand": gel.value}
+                    "exact": exact, "kolmogorov": kol, "gelfand": gel}
     return _report("width-duality",
                    "brute-force Gelfand and Kolmogorov widths agree with the exact "
                    "ellipsoid oracle and with each other in Euclidean norms",
@@ -445,6 +448,44 @@ _ALLOWED_FIELDS = {
 }
 
 
+def _checked(name: str, value, rule):
+    """``value`` if it passes ``rule = (predicate, description)``, else ConfigError."""
+    if not rule[0](value):
+        raise ConfigError(f"field {name!r}: expected {rule[1]}, got {value!r}")
+    return value
+
+
+def _real(v, low: float = -math.inf, inf: bool = False) -> bool:
+    """A number (not a bool) >= low, finite unless ``inf``, which admits "inf"."""
+    return (inf and v == "inf") or (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                    and v >= low and (inf or math.isfinite(v)))
+
+
+def _reals(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_real, v))
+
+
+def _ints(v, low: int, high: float = math.inf) -> bool:
+    return isinstance(v, list) and all(type(x) is int and low <= x <= high for x in v)
+
+
+_EXPONENT = (lambda v: _real(v, 1, inf=True), 'a number >= 1 or "inf"')
+_COUNT = (lambda v: _ints([v], 1), "an integer >= 1")
+_FIELD_RULES = {
+    **dict.fromkeys(("p", "q"), _EXPONENT),
+    **dict.fromkeys(("samples", "subspaces", "subspace_dim", "restarts", "d"), _COUNT),
+    "gamma": (lambda v: _real(v) and v > 0, "a finite number > 0"),
+    "diagonal": (_reals, "a nonempty list of finite numbers"),
+    "semiaxes": (lambda v: _reals(v) and min(v) > 0, "a nonempty list of finite numbers > 0"),
+    "orders": (lambda v: _ints(v, 0), "a list of integers >= 0"),
+    "levels": (lambda v: _ints(v, 1) and len(v) == 2 and v[0] < v[1],
+               "[lo, hi] with integers 1 <= lo < hi"),
+    "family": (lambda v: isinstance(v, str), "a family name"),
+    "checks": (lambda v: v == "all" or isinstance(v, list) and all(
+        isinstance(c, str) for c in v), '"all" or a list of check names'),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
@@ -474,47 +515,55 @@ class ExperimentConfig:
         missing = {"volume": {"body"}, "widths": {"semiaxes"}}.get(task, set()) - set(data)
         if missing:
             raise ConfigError(f"task {task!r}: missing fields {sorted(missing)}")
-        levels = data.get("levels")
-        if levels is not None and not (isinstance(levels, list) and len(levels) == 2 and all(
-                type(v) is int for v in levels) and 1 <= levels[0] < levels[1]):
-            raise ConfigError(f"field 'levels': expected [lo, hi] with integers "
-                              f"1 <= lo < hi, got {levels!r}")
+        for key in sorted(data.keys() & _FIELD_RULES.keys()):
+            _checked(key, data[key], _FIELD_RULES[key])
         return ExperimentConfig(task=task, seed=seed, params=data)
 
 
+# kind -> (system factory, size field, default, smallest, largest)
+_SYSTEMS = {"trig": (trig_system, "max_degree", 1, 0, 12),
+            "trig_prefix": (trig_prefix_system, "n", 3, 1, 25),
+            "sphere": (sphere_harmonics_system, "max_degree", 2, 0, 12)}
+_BODY_FIELDS = {"lp": ("dim",), "induced": ("system", "p"), "linear_image": ("base", "matrix")}
+
+
 def _build_system(spec) -> systems.OrthonormalSystem:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("field 'system': expected {kind: trig|trig_prefix|sphere, ...}")
-    kind = spec["kind"]
-    if kind == "trig":
-        return trig_system(int(spec.get("max_degree", 1)))
-    if kind == "trig_prefix":
-        return trig_prefix_system(int(spec.get("n", 3)))
-    if kind == "sphere":
-        return sphere_harmonics_system(int(spec.get("max_degree", 2)))
-    raise ConfigError(f"field 'system.kind': unknown kind {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _SYSTEMS:
+        raise ConfigError(f"field 'system': expected {{kind: trig|trig_prefix|sphere, ...}}, "
+                          f"got {spec!r}")
+    build, key, default, low, high = _SYSTEMS[kind]
+    return build(_checked(f"system.{key}", spec.get(key, default),
+                          (lambda v: _ints([v], low, high), f"an integer in {low}..{high}")))
 
 
 def _build_body(spec) -> bodies.Body:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("field 'body': expected a descriptor with a 'kind'")
-    kind = spec["kind"]
-    if kind == "lp":
-        p = spec.get("p", 2)
-        return LpBall(int(spec["dim"]), float("inf") if p == "inf" else float(p))
-    if kind == "induced":
-        return induced_ball(_build_system(spec["system"]), float(spec["p"]))
-    if kind == "linear_image":
-        base = _build_body(spec["base"])
-        mat = spec.get("matrix", {})
-        if "diagonal" in mat:
-            a = np.diag(np.asarray(mat["diagonal"], dtype=float))
-        elif "dense" in mat:
-            a = np.asarray(mat["dense"], dtype=float)
-        else:
-            raise ConfigError("field 'body.matrix': need 'diagonal' or 'dense'")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
+        raise ConfigError(f"field 'body': expected a descriptor with a kind in "
+                          f"{sorted(_BODY_FIELDS)}, got {spec!r}")
+    missing = [key for key in _BODY_FIELDS[kind] if key not in spec]
+    if missing:
+        raise ConfigError(f"body kind {kind!r}: missing fields {missing}")
+    if kind != "linear_image":
+        p = float(_checked("body.p", spec.get("p", 2), _EXPONENT))
+        if kind == "induced":
+            return induced_ball(_build_system(spec["system"]), p)
+        return LpBall(_checked("body.dim", spec["dim"], _COUNT), p)
+    base, mat = _build_body(spec["base"]), spec["matrix"]
+    diag, dense = (mat.get("diagonal"), mat.get("dense")) if isinstance(mat, dict) else (None,) * 2
+    if _reals(diag):
+        a = np.diag(diag)
+    elif isinstance(dense, list) and dense and all(
+            _reals(row) and len(row) == len(dense) for row in dense):
+        a = np.array(dense, dtype=float)
+    else:
+        raise ConfigError(f"field 'body.matrix': expected {{diagonal: [...]}} or a square "
+                          f"{{dense: [[...], ...]}} of finite numbers, got {mat!r}")
+    try:
         return linear_image(base, a)
-    raise ConfigError(f"field 'body.kind': unknown kind {kind!r}")
+    except (DimensionMismatch, SingularMatrix) as exc:
+        raise ConfigError(f"field 'body.matrix': {exc}") from None
 
 
 def _task_expect(config: ExperimentConfig):
@@ -533,8 +582,7 @@ def _task_expect(config: ExperimentConfig):
 def _task_volume(config: ExperimentConfig):
     samples = int(config.params.get("samples", 500_000))
     body = _build_body(config.params["body"])
-    ref_spec = config.params.get("reference", {"kind": "lp", "dim": body.dim, "p": 2})
-    reference = _build_body(ref_spec)
+    reference = _build_body(config.params.get("reference", {"kind": "lp", "dim": body.dim}))
     est = mc_volume_ratio(body, reference, samples=samples, seed=config.seed)
     row = {"body": body.label, "reference": reference.label,
            "value": est.value, "half_width": est.half_width, "samples": est.samples}
@@ -546,45 +594,33 @@ def _task_radius(config: ExperimentConfig):
     n = system.n
     p = float(config.params.get("p", 2.0))
     q = float(config.params.get("q", 1.0))
-    diag = np.asarray(config.params.get("diagonal", [1.0] * n), dtype=float)
+    diag = config.params.get("diagonal", [1.0] * n)
     if len(diag) != n:
         raise ConfigError("field 'diagonal': length must match the system size")
-    a = np.diag(diag)
     sdim = int(config.params.get("subspace_dim", math.ceil(2 * n / 3)))
     count = int(config.params.get("subspaces", 5))
     restarts = int(config.params.get("restarts", 24))
-    body = linear_image(induced_ball(system, p), a)
+    body = linear_image(induced_ball(system, p), np.diag(diag))
     gauge = induced_ball(system, q)
     rows = []
     for j in range(count):
         sub = random_subspace(n, sdim, [config.seed, j])
         rad = section_radius(body, gauge, sub, restarts=restarts,
-                             seed=[config.seed, j, 1], polish=False)
+                             seed=[config.seed, j, 1])
         rows.append({"subspace": j, "dim": sdim, "radius": rad})
     return rows, True
 
 
 def _task_widths(config: ExperimentConfig):
     axes = np.sort(np.asarray(config.params["semiaxes"], dtype=float))[::-1]
-    n = len(axes)
-    orders = config.params.get("orders", list(range(n + 1)))
+    orders = config.params.get("orders", list(range(len(axes) + 1)))
     restarts = int(config.params.get("restarts", 128))
-    a = np.diag(axes)
-    body = linear_image(euclidean_ball(n), a)
-    target = LpBall(n, 2.0)
     rows = []
-    ok = True
     for m in orders:
-        exact = widths.ellipsoid_kolmogorov_exact(axes, int(m))
-        kol = widths.brute_force_kolmogorov(body, target, int(m),
-                                            restarts=restarts, seed=config.seed)
-        gel = widths.brute_force_gelfand(body, target, int(m),
-                                         restarts=restarts, seed=config.seed)
-        agree = abs(kol.value - exact) <= 1e-3 and abs(gel.value - exact) <= 1e-3
-        ok = ok and agree
-        rows.append({"m": int(m), "exact": exact, "kolmogorov": kol.value,
-                     "gelfand": gel.value, "agree": agree})
-    return rows, ok
+        exact, kol, gel = _ellipsoid_widths(axes, m, restarts, config.seed)
+        rows.append({"m": m, "exact": exact, "kolmogorov": kol, "gelfand": gel,
+                     "agree": abs(kol - exact) <= 1e-3 and abs(gel - exact) <= 1e-3})
+    return rows, all(row["agree"] for row in rows)
 
 
 def _task_scaling(config: ExperimentConfig):

@@ -213,12 +213,12 @@ def _euclidean_image_matrix(body: Body):
 
 
 def section_radius(body: Body, target: Body, subspace: Subspace,
-                   restarts: int = 64, seed=0, polish: bool = True) -> float:
+                   restarts: int = 64, seed=0) -> float:
     """sup{ gauge_target(x) : x in body, x in subspace }.
 
-    For an ellipsoid measured in the Euclidean norm the value is exact via
-    the restricted quadratic form; otherwise multistart ascent returns a
-    certified lower bound of the true radius.
+    Exact for an ellipsoid in the Euclidean norm (restricted quadratic form);
+    otherwise the best value of one ``_optim.ratio_ascent`` call over
+    ``restarts`` random starts, a certified lower bound of the true radius.
     """
     if restarts < 8:
         raise BadDimensions("need at least 8 restarts")
@@ -230,7 +230,7 @@ def section_radius(body: Body, target: Body, subspace: Subspace,
         return 1.0 / math.sqrt(lam_min)
     starts = as_generator(seed).standard_normal((1, restarts, subspace.dim))
     values, _ = _optim.ratio_ascent(SectionBody(target, subspace),
-                                    SectionBody(body, subspace), starts, polish=polish)
+                                    SectionBody(body, subspace), starts)
     return float(values[0])
 
 

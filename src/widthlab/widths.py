@@ -149,7 +149,7 @@ def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int
     else:
         num = _QuotientNorm(target, frame)
     starts = as_generator(_frame_seed(frame, seed)).standard_normal((1, restarts, n))
-    values, _ = _optim.ratio_ascent(num, body, starts, polish=True)
+    values, _ = _optim.ratio_ascent(num, body, starts)
     return float(values[0])
 
 

@@ -149,6 +149,14 @@ class TestDualGauge:
         dom = trig3.lp_norm_many(x, p_dual)
         assert np.all(h <= dom + 1e-6)
 
+    def test_support_function_is_one_kernel_problem(self, trig3):
+        from widthlab._optim import support_values
+
+        body = induced_ball(trig3, 4.0)
+        x = np.array([0.3, -0.7, 0.2])
+        assert support_function(body, x, restarts=5, iters=120, seed=3) == \
+            support_values(body, x[None], 5, 120, 3)[0]
+
     def test_polar_body_matches_support_function(self, trig3):
         body = induced_ball(trig3, 4.0)
         polar = PolarBody(body, restarts=6, iters=300, seed=0)

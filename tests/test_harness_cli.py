@@ -4,10 +4,46 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from widthlab.bodies import Body
 from widthlab.errors import ConfigError
-from widthlab.harness import (CHECKS, ExperimentConfig, _report, check_radius_l1,
+from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
+                              _build_body, _build_system, _report, check_radius_l1,
                               check_santalo, check_seed, run, verify_all)
+from widthlab.systems import OrthonormalSystem
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+NUMBER = st.integers(-2, 30) | st.floats() | st.sampled_from(["inf", "2", 1.5])
+SYSTEM = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["trig", "trig_prefix", "sphere"]) | JSON},
+    optional={"max_degree": st.integers(-1, 13) | JSON, "n": st.integers(0, 26) | JSON})
+ROWS = st.lists(st.lists(NUMBER, max_size=3), max_size=3)
+BODY = st.recursive(
+    st.fixed_dictionaries({"kind": st.just("lp"), "dim": st.integers(-1, 4) | JSON},
+                          optional={"p": NUMBER | JSON}),
+    lambda kids: st.fixed_dictionaries({
+        "kind": st.just("linear_image"), "base": kids,
+        "matrix": st.fixed_dictionaries({}, optional={
+            "diagonal": st.lists(NUMBER, max_size=3) | JSON, "dense": ROWS | JSON}) | JSON})
+    | st.fixed_dictionaries({"kind": st.just("induced"), "system": SYSTEM | JSON,
+                             "p": NUMBER | JSON})
+    | st.sampled_from([{"kind": "lp"}, {"kind": "induced"}, {"kind": "linear_image"}])
+    | JSON,
+    max_leaves=3)
+FIELD_VALUES = {"system": SYSTEM | JSON, "body": BODY, "reference": BODY,
+                "checks": st.just("all") | st.lists(st.sampled_from(list(CHECKS)), max_size=2)
+                | JSON,
+                "levels": st.lists(st.integers(-1, 5), max_size=3) | JSON}
+CONFIG = st.sampled_from(_TASKS).flatmap(lambda task: st.fixed_dictionaries(
+    {"task": st.just(task), "seed": st.integers(-3, 2**40) | JSON},
+    optional={f: FIELD_VALUES.get(f, NUMBER | st.lists(NUMBER, max_size=3) | JSON)
+              for f in sorted(_ALLOWED_FIELDS[task])})) | JSON
 
 
 def _reject_constant(name):
@@ -41,6 +77,29 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"task": "expect", "seed": 1},
                                          seed_override=9)
         assert cfg.seed == 9
+
+    @given(CONFIG)
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_config_is_config_error_or_valid(self, raw):
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert cfg.task in _TASKS
+        for key in ("p", "q", "gamma"):
+            if key in cfg.params:
+                assert float(cfg.params[key]) > 0
+
+    @given(SYSTEM | JSON, BODY)
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_descriptor_is_config_error_or_built(self, system, body):
+        for build, spec, kind in ((_build_system, system, OrthonormalSystem),
+                                  (_build_body, body, Body)):
+            try:
+                built = build(spec)
+            except ConfigError:
+                continue
+            assert isinstance(built, kind)
 
 
 class TestTasks:
@@ -209,7 +268,11 @@ class TestCli:
         ("widths", {"task": "widths", "seed": 1}),
         ("scaling", {"task": "scaling", "seed": 1, "levels": [4]}),
         ("expect", {"task": "expect", "seed": True}),
-    ], ids=["widths-without-semiaxes", "scaling-one-level", "bool-seed"])
+        ("expect", {"task": "expect", "seed": 1, "p": "abc"}),
+        ("volume", {"task": "volume", "seed": 1, "body": {"kind": "lp"}}),
+        ("radius", {"task": "radius", "seed": 1, "subspaces": "x"}),
+    ], ids=["widths-without-semiaxes", "scaling-one-level", "bool-seed",
+            "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces"])
     def test_invalid_config_is_config_error(self, tmp_path, task, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from widthlab import widths
-from widthlab.bodies import LpBall, euclidean_ball, linear_image
+from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder, NotMonotone
 from widthlab.manifolds import sphere
 from widthlab.systems import trig_prefix_system, trig_system
@@ -100,6 +100,17 @@ class TestBruteForce:
         res = brute_force_kolmogorov(LpBall(2, np.inf), LpBall(2, 2.0), 1,
                                      restarts=64, seed=3)
         assert res.value == pytest.approx(1.0, abs=5e-3)
+
+    def test_gelfand_induced_ball_in_induced_norm(self):
+        # the frame search over a non-Euclidean section radius; d1 as computed
+        # with a Nelder-Mead pass after each ascent, which the kernel alone
+        # must reproduce
+        system = trig_prefix_system(2)
+        body, target = induced_ball(system, 4.0), induced_ball(system, 1.0)
+        assert brute_force_gelfand(body, target, 0, seed=0).value == \
+            pytest.approx(1.0, abs=1e-12)
+        d1 = brute_force_gelfand(body, target, 1, restarts=1, seed=0).value
+        assert d1 == pytest.approx(0.6647975676954935, rel=1e-9)
 
     def test_width_sequences_nonincreasing(self):
         rng = np.random.default_rng(4)
