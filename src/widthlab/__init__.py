@@ -18,16 +18,13 @@ from .bodies import (
     linear_image,
     multiplier_diagonal,
     support_function,
-    truncate_multiplier,
 )
 from .errors import WidthLabError
 from .harness import ExperimentConfig, VerificationReport, run, verify_all
 from .linalg import (
     Subspace,
-    jacobi_singular_values,
     min_singular_value,
     orthonormalize,
-    project,
     random_subspace,
 )
 from .manifolds import (
@@ -38,12 +35,10 @@ from .manifolds import (
     real_projective,
     sobolev_multiplier,
     sphere,
-    spectral_table,
 )
 from .stochastic import (
     EstimateWithCI,
     NetReport,
-    brunn_section_check,
     expectation_norm,
     expected_norm_bound,
     greedy_net,
@@ -51,14 +46,10 @@ from .stochastic import (
     mc_volume_ratio,
     projection_volume_ratio,
     section_radius,
-    section_volume_ratio,
 )
 from .systems import (
-    BoundedSubsystem,
     OrthonormalSystem,
     QuadratureRule,
-    bounded_subsystem,
-    lp_norm,
     sphere_harmonics_system,
     trig_prefix_system,
     trig_system,

@@ -323,8 +323,3 @@ def multiplier_diagonal(spec: MultiplierSpec, spectral, n: int) -> np.ndarray:
     if len(spec.sequence) < n:
         raise SpectrumExhausted(f"sequence has {len(spec.sequence)} entries, need {n}")
     return np.array(spec.sequence[:n])
-
-
-def truncate_multiplier(spec: MultiplierSpec, spectral, n: int) -> np.ndarray:
-    """Diagonal matrix of the first n multiplier entries."""
-    return np.diag(multiplier_diagonal(spec, spectral, n))

@@ -52,6 +52,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}: line {exc.lineno}: {exc.msg}")
+        if not isinstance(raw, dict):
+            raise ConfigError("configuration must be a JSON object")
         if "task" in raw and raw["task"] != args.task:
             raise ConfigError(
                 f"config task {raw['task']!r} does not match command {args.task!r}")

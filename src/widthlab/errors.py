@@ -21,10 +21,6 @@ class SingularMatrix(WidthLabError):
     """A matrix required to be invertible is (numerically) singular."""
 
 
-class CannotSatisfy(WidthLabError):
-    """No proportional subsystem with a uniform sup-norm bound exists."""
-
-
 class SpectrumExhausted(WidthLabError):
     """A multiplier truncation asked for more entries than are available."""
 

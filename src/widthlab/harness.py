@@ -419,15 +419,15 @@ def _worker_cap() -> int:
     return 4
 
 
-def verify_all(seed: int = 0, names=None, threads: int | None = None) -> list[VerificationReport]:
-    """Run the named checks concurrently; results come back in registry order."""
+def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
+    """Run the named checks concurrently, at most ``WIDTHLAB_THREADS`` (default
+    4) at a time; results come back in the order of ``names``."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-    workers = threads if threads is not None else _worker_cap()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_cap()) as pool:
         futures = {name: pool.submit(CHECKS[name], seed) for name in names}
         return [futures[name].result() for name in names]
 
@@ -481,8 +481,8 @@ _FIELD_RULES = {
     "levels": (lambda v: _ints(v, 1) and len(v) == 2 and v[0] < v[1],
                "[lo, hi] with integers 1 <= lo < hi"),
     "family": (lambda v: isinstance(v, str), "a family name"),
-    "checks": (lambda v: v == "all" or isinstance(v, list) and all(
-        isinstance(c, str) for c in v), '"all" or a list of check names'),
+    "checks": (lambda v: v == "all" or isinstance(v, list) and len(v) > 0 and all(
+        isinstance(c, str) for c in v), '"all" or a nonempty list of check names'),
 }
 
 

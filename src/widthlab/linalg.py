@@ -1,8 +1,8 @@
 """Dense linear algebra at desk scale.
 
-Orthonormal frames, orthogonal projection, singular values by one-sided
-Jacobi rotations, and Haar-distributed random subspaces.  Everything here
-is written for dimensions up to :data:`MAX_DIM`; nothing is sparse.
+Orthonormal frames, orthogonal projection, the smallest singular value of
+an invertible matrix, and Haar-distributed random subspaces.  Everything
+here is written for dimensions up to :data:`MAX_DIM`; nothing is sparse.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ ORTHO_TOL = 1e-10
 RANK_TOL = 1e-10
 #: determinant magnitude below which a matrix is treated as singular
 DET_TOL = 1e-12
-#: hard cap for the Jacobi SVD; larger problems are out of scope
+#: hard cap on matrix dimensions; larger problems are out of scope
 MAX_DIM = 64
 
 
@@ -41,39 +41,6 @@ def _check_matrix(a) -> np.ndarray:
     return a
 
 
-def jacobi_singular_values(a) -> np.ndarray:
-    """Singular values of a square matrix, descending, via one-sided Jacobi.
-
-    Columns are rotated pairwise until mutually orthogonal; the singular
-    values are then the column norms.  Accurate for small dense matrices,
-    which is the only regime this package targets.
-    """
-    m = _check_matrix(a).copy()
-    n = m.shape[1]
-    if n == 1:
-        return np.array([abs(m[0, 0])])
-    for _ in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                pij = m[:, i] @ m[:, j]
-                pii = m[:, i] @ m[:, i]
-                pjj = m[:, j] @ m[:, j]
-                scale = np.sqrt(pii * pjj)
-                if scale <= 0.0 or abs(pij) <= 1e-15 * scale:
-                    continue
-                off = max(off, abs(pij) / scale)
-                theta = 0.5 * np.arctan2(2.0 * pij, pii - pjj)
-                c, s = np.cos(theta), np.sin(theta)
-                ci = c * m[:, i] + s * m[:, j]
-                cj = -s * m[:, i] + c * m[:, j]
-                m[:, i], m[:, j] = ci, cj
-        if off < 1e-14:
-            break
-    sv = np.sqrt(np.sum(m * m, axis=0))
-    return np.sort(sv)[::-1]
-
-
 def min_singular_value(a) -> float:
     """Smallest singular value of an invertible matrix.
 
@@ -86,7 +53,7 @@ def min_singular_value(a) -> float:
     a = _check_matrix(a)
     if abs(np.linalg.det(a)) <= DET_TOL:
         raise SingularMatrix("matrix is numerically singular")
-    return float(jacobi_singular_values(a)[-1])
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -106,6 +73,8 @@ class Subspace:
         s, n = frame.shape
         if not 1 <= s <= n:
             raise BadDimensions(f"need 1 <= dim <= ambient dim, got {s} and {n}")
+        if not np.all(np.isfinite(frame)):
+            raise DimensionMismatch("frame entries must be finite")
         gram = frame @ frame.T
         if np.max(np.abs(gram - np.eye(s))) > ORTHO_TOL:
             raise RankDeficient("frame rows are not orthonormal to tolerance")
@@ -129,16 +98,6 @@ class Subspace:
             )
         return (x @ self.frame.T) @ self.frame
 
-    def coordinates(self, x) -> np.ndarray:
-        """Coefficients of the projection of ``x`` in the frame basis."""
-        x = np.asarray(x, dtype=float)
-        return x @ self.frame.T
-
-    def embed(self, y) -> np.ndarray:
-        """Map frame coordinates ``y`` (length s) back into R^n."""
-        y = np.asarray(y, dtype=float)
-        return y @ self.frame
-
     def complement(self) -> "Subspace":
         """Orthogonal complement, as a Subspace of dimension n - s."""
         s, n = self.frame.shape
@@ -147,20 +106,6 @@ class Subspace:
         # columns of the null space of the frame
         _, _, vt = np.linalg.svd(self.frame, full_matrices=True)
         return Subspace(vt[s:])
-
-    def intersect(self, other: "Subspace") -> "Subspace | None":
-        """Intersection with another subspace, or None when it is {0}.
-
-        Uses principal angles: directions whose cosine is 1 to tolerance.
-        """
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("subspaces live in different ambient dimensions")
-        u, sv, _ = np.linalg.svd(self.frame @ other.frame.T)
-        keep = sv > 1.0 - 1e-10
-        if not np.any(keep):
-            return None
-        basis = u[:, keep].T @ self.frame
-        return orthonormalize(basis)
 
 
 def orthonormalize(vectors) -> Subspace:
@@ -190,11 +135,6 @@ def orthonormalize(vectors) -> Subspace:
             raise RankDeficient("vectors are numerically linearly dependent")
         frame[i] /= norm
     return Subspace(frame)
-
-
-def project(x, subspace: Subspace) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto ``subspace``."""
-    return subspace.project(x)
 
 
 def random_subspace(n: int, s: int, seed=0) -> Subspace:

@@ -11,7 +11,6 @@ multiplier truncations need exact cumulative counts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -130,21 +129,3 @@ def sobolev_multiplier(space: TwoPointSpace, gamma: float) -> MultiplierSpec:
         raise BadDimensions("gamma must be positive")
     return MultiplierSpec(lambda_fn=lambda t: float(t) ** (-gamma / 2.0),
                           regularly_varying=True)
-
-
-def spectral_table(space: TwoPointSpace, N: int) -> list[tuple]:
-    """Rows (k, theta_k, dim_k, tau_k) for k = 0..N."""
-    rows = []
-    running = 0
-    for k in range(N + 1):
-        running += space.eigenspace_dim(k)
-        rows.append((k, space.eigenvalue(k), space.eigenspace_dim(k), running))
-    return rows
-
-
-def write_spectral_csv(space: TwoPointSpace, N: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "theta", "dim", "tau"])
-        for row in spectral_table(space, N):
-            writer.writerow([row[0], repr(row[1]), row[2], row[3]])

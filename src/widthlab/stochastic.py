@@ -5,10 +5,9 @@ sphere-integral identity Vol(V)/Vol(B_2^n) = E[gauge_V^{-n}] over the unit
 sphere; absolute volumes in high dimension underflow and no inequality in
 this package needs them.
 
-Sampling is chunked and single-stream per worker: a worker count w splits
-the sample budget into w independent substreams spawned from the seed, and
-results merge by weighted mean, so estimates are reproducible bit-for-bit
-for a fixed (seed, workers) pair regardless of scheduling.
+Sampling is chunked from one stream spawned from the seed (a Generator
+seed first draws an integer seed from itself), so estimates are
+reproducible bit for bit for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .linalg import Subspace, as_generator
 
 _CHUNK = 65536
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_NET_CERTIFICATE_SAMPLES = 10_000  # fresh body points checking a net's coverage
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,10 @@ def haar_sphere_sample(n: int, count: int, seed=0) -> np.ndarray:
     return g / norms
 
 
-def _worker_streams(seed, workers: int):
-    if workers < 1:
-        raise BadDimensions("worker count must be >= 1")
+def _stream(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2**63))  # derive, stay reproducible
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(workers)]
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def _sphere_chunks(rng, n: int, total: int):
@@ -103,20 +100,16 @@ def _sphere_chunks(rng, n: int, total: int):
         done += take
 
 
-def expectation_norm(body: Body, samples: int = 200_000, seed=0,
-                     workers: int = 1) -> EstimateWithCI:
+def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
     """Mean of the gauge over the Haar-uniform unit sphere."""
     if samples < 1000:
         raise BadDimensions("need at least 1e3 samples")
-    per = [samples // workers] * workers
-    per[-1] += samples - sum(per)
     total = s1 = s2 = 0.0
-    for rng, count in zip(_worker_streams(seed, workers), per):
-        for chunk in _sphere_chunks(rng, body.dim, count):
-            g = body.gauge_many(chunk)
-            s1 += float(g.sum())
-            s2 += float((g * g).sum())
-            total += len(g)
+    for chunk in _sphere_chunks(_stream(seed), body.dim, samples):
+        g = body.gauge_many(chunk)
+        s1 += float(g.sum())
+        s2 += float((g * g).sum())
+        total += len(g)
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     half = _Z95 * math.sqrt(var / total)
@@ -138,7 +131,7 @@ def expected_norm_bound(p: float) -> float:
 
 
 def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
-                    seed=0, workers: int = 1, check_blowup: bool = True) -> EstimateWithCI:
+                    seed=0, check_blowup: bool = True) -> EstimateWithCI:
     """Vol(body)/Vol(reference) by the sphere-integral identity.
 
     Both integrands gauge^{-n} share the same sample stream, so the ratio of
@@ -151,17 +144,14 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
         raise BadDimensions("bodies must share a dimension")
     if n > 10:
         raise BadDimensions("volume ratios are limited to n <= 10")
-    per = [samples // workers] * workers
-    per[-1] += samples - sum(per)
     total = sx = sy = sxx = syy = sxy = 0.0
-    for rng, count in zip(_worker_streams(seed, workers), per):
-        for chunk in _sphere_chunks(rng, n, count):
-            x = body.gauge_many(chunk) ** float(-n)
-            y = reference.gauge_many(chunk) ** float(-n)
-            sx += float(x.sum()); sy += float(y.sum())
-            sxx += float((x * x).sum()); syy += float((y * y).sum())
-            sxy += float((x * y).sum())
-            total += len(chunk)
+    for chunk in _sphere_chunks(_stream(seed), n, samples):
+        x = body.gauge_many(chunk) ** float(-n)
+        y = reference.gauge_many(chunk) ** float(-n)
+        sx += float(x.sum()); sy += float(y.sum())
+        sxx += float((x * x).sum()); syy += float((y * y).sum())
+        sxy += float((x * y).sum())
+        total += len(chunk)
     mx, my = sx / total, sy / total
     vx = max(sxx / total - mx * mx, 0.0)
     vy = max(syy / total - my * my, 0.0)
@@ -173,15 +163,6 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
     if check_blowup and half > 0.25 * abs(ratio):
         raise VarianceBlowup(f"half width {half:.3g} exceeds 25% of {ratio:.3g}")
     return est
-
-
-def section_volume_ratio(body: Body, subspace: Subspace, reference: Body,
-                         samples: int = 200_000, seed=0) -> EstimateWithCI:
-    """Volume ratio of the central section body-cap-L against a reference in L."""
-    if subspace.dim > 8:
-        raise BadDimensions("sections are limited to dim <= 8")
-    return mc_volume_ratio(SectionBody(body, subspace), reference,
-                           samples=samples, seed=seed)
 
 
 def projection_volume_ratio(body: Body, subspace: Subspace,
@@ -245,9 +226,7 @@ def _body_cloud(body: Body, count: int, rng) -> np.ndarray:
     return u * scale[:, None]
 
 
-def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0,
-               cloud_size: int | None = None,
-               certificate_samples: int = 10_000) -> NetReport:
+def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetReport:
     """Farthest-point greedy net/packing of a body at scale delta.
 
     Points are added while the farthest cloud point sits at distance >= delta
@@ -261,9 +240,7 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0,
     if delta <= 0:
         raise BadDimensions("delta must be positive")
     rng = as_generator(seed)
-    if cloud_size is None:
-        cloud_size = int(min(65536, max(8192, 4000 * 4**n)))
-    cloud = _body_cloud(body, cloud_size, rng)
+    cloud = _body_cloud(body, int(min(65536, max(8192, 4000 * 4**n))), rng)
 
     selected = [cloud[0]]
     dist = reference_gauge.gauge_many(cloud - cloud[0])
@@ -283,7 +260,7 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0,
         if len(gaps) and np.min(gaps) < delta - 1e-9:
             raise Saturation("internal error: greedy selection lost separation")
 
-    fresh = _body_cloud(body, certificate_samples, as_generator(rng.integers(2**63)))
+    fresh = _body_cloud(body, _NET_CERTIFICATE_SAMPLES, as_generator(rng.integers(2**63)))
     mind = np.full(len(fresh), np.inf)
     for p in points:
         np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
@@ -340,11 +317,3 @@ def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):
         slack = 2.0 * (central.half_width + off.half_width)
         worst = min(worst, central.value - off.value + slack)
     return central.value, worst
-
-
-def brunn_section_check(body: Body, subspace: Subspace, offsets,
-                        samples: int = 20_000, seed=0) -> bool:
-    """Check that the central section has the largest slice volume: the
-    central estimate exceeds every offset estimate minus twice the combined
-    half widths."""
-    return _brunn_margin(body, subspace, offsets, samples, seed)[1] >= 0

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, lpmv
 
-from .errors import BadDimensions, CannotSatisfy, DimensionMismatch
+from .errors import BadDimensions, DimensionMismatch
 
 #: tolerance on the Gram matrix deviating from the identity
 GRAM_TOL = 1e-8
@@ -79,8 +78,8 @@ class QuadratureRule:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or len(weights) != len(nodes):
             raise DimensionMismatch("need one weight per node")
-        if np.any(weights < 0):
-            raise BadDimensions("quadrature weights must be nonnegative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise BadDimensions("quadrature weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise BadDimensions(f"weights must sum to 1, got {weights.sum()!r}")
         nodes.setflags(write=False)
@@ -105,7 +104,6 @@ class OrthonormalSystem:
     quadrature: QuadratureRule
     values: np.ndarray
     sup_norms: np.ndarray
-    evaluator: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -114,6 +112,8 @@ class OrthonormalSystem:
             raise DimensionMismatch("values must be (n_functions, n_nodes)")
         if sup.shape != (values.shape[0],):
             raise DimensionMismatch("need one sup-norm bound per function")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(sup))):
+            raise BadDimensions("values and sup-norm bounds must be finite")
         grid_max = np.max(np.abs(values), axis=1)
         if np.any(sup < grid_max - 1e-12):
             raise BadDimensions("sup-norm bounds fall below observed node maxima")
@@ -165,7 +165,6 @@ class OrthonormalSystem:
             quadrature=self.quadrature,
             values=self.values[:n],
             sup_norms=self.sup_norms[:n],
-            evaluator=self.evaluator,
         )
 
     def to_json(self) -> str:
@@ -177,11 +176,6 @@ class OrthonormalSystem:
             "sup_norms": self.sup_norms.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def lp_norm(system: OrthonormalSystem, coeffs, p: float) -> float:
-    """L_p norm (p in [1, inf]) of the function with the given coefficients."""
-    return system.lp_norm(coeffs, p)
 
 
 def trig_system(max_degree: int) -> OrthonormalSystem:
@@ -207,19 +201,11 @@ def trig_system(max_degree: int) -> OrthonormalSystem:
         rows.append(np.sqrt(2.0) * np.sin(deg * theta))
         sup.extend([np.sqrt(2.0), np.sqrt(2.0)])
 
-    def evaluate(idx: int, t: float) -> float:
-        if idx == 0:
-            return 1.0
-        deg, which = divmod(idx - 1, 2)
-        f = np.cos if which == 0 else np.sin
-        return float(np.sqrt(2.0) * f((deg + 1) * t))
-
     return OrthonormalSystem(
         name=f"trig-{2 * k + 1}",
         quadrature=QuadratureRule(theta, weights),
         values=np.array(rows),
         sup_norms=np.array(sup),
-        evaluator=evaluate,
     )
 
 
@@ -274,17 +260,11 @@ def sphere_harmonics_system(max_degree: int) -> OrthonormalSystem:
     # certified bound: sum over an eigenspace of squares is 2k+1 pointwise
     sup = np.array([np.sqrt(2 * deg + 1) for deg, _ in labels])
 
-    def evaluate(idx: int, point) -> float:
-        tt, pp = float(point[0]), float(point[1])
-        row, _ = _real_harmonic_rows(k, np.array([tt]), np.array([pp]))
-        return float(row[idx, 0])
-
     return OrthonormalSystem(
         name=f"sphere-{(k + 1) ** 2}",
         quadrature=QuadratureRule(np.column_stack([t, phi]), w),
         values=rows,
         sup_norms=sup,
-        evaluator=evaluate,
     )
 
 
@@ -297,43 +277,3 @@ def trig_prefix_system(n: int) -> OrthonormalSystem:
     if n < 1:
         raise BadDimensions("n must be >= 1")
     return trig_system(math.ceil((n - 1) / 2)).prefix(n)
-
-
-@dataclass(frozen=True)
-class BoundedSubsystem:
-    """A proportional sub-family of a system with a uniform sup-norm bound."""
-
-    parent: OrthonormalSystem
-    indices: tuple
-    bound: float
-    fraction: float
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def bounded_subsystem(system: OrthonormalSystem, fraction: float) -> BoundedSubsystem:
-    """Select ceil(fraction * n) functions of smallest sup norm.
-
-    Any subset of an orthonormal family is orthonormal, so greedy selection
-    by sup norm is the simplest rule producing a uniformly bounded
-    proportional subsystem.  For the shipped systems the resulting bound
-    depends only on the fraction, not on n (checked empirically in tests).
-    """
-    if not 0.0 < fraction < 1.0:
-        raise BadDimensions("fraction must lie strictly between 0 and 1")
-    m = max(1, math.ceil(fraction * system.n))
-    order = np.argsort(system.sup_norms, kind="stable")
-    chosen = order[:m]
-    bound = float(system.sup_norms[chosen].max())
-    if not np.isfinite(bound):
-        raise CannotSatisfy(
-            f"no subset of size {m} of {system.name} has finite sup norms"
-        )
-    return BoundedSubsystem(
-        parent=system,
-        indices=tuple(int(i) for i in chosen),
-        bound=bound,
-        fraction=fraction,
-    )

@@ -32,6 +32,10 @@ from .systems import trig_prefix_system
 #: safety margin for out-of-sample validity (the constant is only asserted
 #: to exist, not to have a particular value)
 CALIBRATION_MARGIN = 0.75
+#: random starts of each inner supremum in the brute-force frame searches
+_INNER_RESTARTS = 12
+#: frame-search candidates refined by Nelder-Mead
+_REFINE_TOP = 3
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,7 @@ def _frame_seed(frame: np.ndarray, base: int) -> int:
     return (zlib.crc32(np.ascontiguousarray(frame).tobytes()) ^ (base & 0xFFFFFFFF)) & 0x7FFFFFFF
 
 
-def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int,
-                          restarts: int = 12) -> float:
+def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int) -> float:
     """sup over the body of the target-gauge distance to the span of ``frame``."""
     n = body.dim
     from .stochastic import _euclidean_image_matrix
@@ -148,14 +151,15 @@ def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int
         num = _ProjectedEuclidean(comp)
     else:
         num = _QuotientNorm(target, frame)
-    starts = as_generator(_frame_seed(frame, seed)).standard_normal((1, restarts, n))
+    starts = as_generator(_frame_seed(frame, seed)).standard_normal((1, _INNER_RESTARTS, n))
     values, _ = _optim.ratio_ascent(num, body, starts)
     return float(values[0])
 
 
-def _search_frames(objective, rows: int, n: int, restarts: int, seed,
-                   refine_top: int = 3) -> tuple[float, np.ndarray]:
-    """Minimize a span-invariant objective over frames by multistart + NM."""
+def _search_frames(objective, rows: int, n: int, restarts: int,
+                   seed) -> tuple[float, np.ndarray]:
+    """Minimize a span-invariant objective over frames by multistart, then
+    Nelder-Mead from the best :data:`_REFINE_TOP` starts."""
     rng = as_generator(seed)
     cands = []
     for _ in range(restarts):
@@ -165,7 +169,7 @@ def _search_frames(objective, rows: int, n: int, restarts: int, seed,
     cands.sort(key=lambda t: t[0])
     best_val, best_params = cands[0]
     best_frame = _frame_from_params(best_params, rows, n)
-    for val, params in cands[:refine_top]:
+    for val, params in cands[:_REFINE_TOP]:
         res = minimize(lambda p: objective(_frame_from_params(p, rows, n)), params,
                        method="Nelder-Mead",
                        options={"xatol": 1e-6, "fatol": 1e-10,
@@ -225,7 +229,7 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
     rows = n - m
 
     def objective(frame):
-        return section_radius(body, target, Subspace(frame), restarts=12,
+        return section_radius(body, target, Subspace(frame), restarts=_INNER_RESTARTS,
                               seed=_frame_seed(frame, seed))
 
     val, frame = _search_frames(objective, rows, n, restarts, seed)
@@ -285,37 +289,36 @@ def fourier_tail_sup(values, m: int) -> float:
 
 _EXPECTATION_CACHE: dict = {}
 _E_SEED = 20240  # fixed stream for the cached sphere expectations
+_E_SAMPLES = 40_000  # sphere samples per cached expectation
 
 
-def _cached_expectation(system, p: float, samples: int) -> float:
-    key = (system.key, float(p), int(samples))
+def _cached_expectation(system, p: float) -> float:
+    key = (system.key, float(p))
     if key not in _EXPECTATION_CACHE:
-        est = expectation_norm(induced_ball(system, p), samples=samples, seed=_E_SEED)
+        est = expectation_norm(induced_ball(system, p), samples=_E_SAMPLES, seed=_E_SEED)
         _EXPECTATION_CACHE[key] = est.value
     return _EXPECTATION_CACHE[key]
 
 
-def l1_section_radius_bound(matrix, system, p: float, const: float = 1.0,
-                            samples: int = 40_000) -> float:
-    """Lower-bound value for the radius of high-dimensional sections of the
-    image body, measured in the induced 1-norm: const * (smallest singular
-    value) * E[induced p-gauge]^{-3/2}, for p >= 2.
+def l1_section_radius_bound(matrix, system, p: float) -> float:
+    """Bound factor for the radius of high-dimensional sections of the image
+    body, measured in the induced 1-norm: (smallest singular value) *
+    E[induced p-gauge]^{-3/2}, for p >= 2.
 
-    Valid for sections by subspaces of dimension >= 2n/3 once ``const`` is
-    calibrated; the validity protocol lives in the harness.
+    A calibrated constant times this factor bounds the radius of sections
+    by subspaces of dimension >= 2n/3 from below; ``calibrate_radius_constant``
+    fits the constant and the harness validates it on fresh seeds.
     """
     if p < 2:
         raise BadDimensions("the bound needs p >= 2")
     rho = min_singular_value(matrix)
-    e_p = _cached_expectation(system, p, samples)
-    return float(const * rho * e_p ** (-1.5))
+    return float(rho * _cached_expectation(system, p) ** (-1.5))
 
 
-def lq_section_radius_bound(matrix, system, p: float, q: float, s: int,
-                            const: float = 1.0, samples: int = 40_000) -> float:
-    """Lower-bound value for the radius of proportional sections measured in
-    the induced q-norm, 1 < q <= 2 <= p: const * rho * (E_q' * E_p)^(-n/s)
-    with 1/q + 1/q' = 1."""
+def lq_section_radius_bound(matrix, system, p: float, q: float, s: int) -> float:
+    """Bound factor for the radius of proportional sections measured in the
+    induced q-norm, 1 < q <= 2 <= p: rho * (E_q' * E_p)^(-n/s) with
+    1/q + 1/q' = 1; a calibrated constant times it is the lower bound."""
     if p < 2:
         raise BadDimensions("the bound needs p >= 2")
     if not 1.0 < q <= 2.0:
@@ -325,9 +328,9 @@ def lq_section_radius_bound(matrix, system, p: float, q: float, s: int,
         raise BadDimensions("section dimension out of range")
     q_dual = q / (q - 1.0)
     rho = min_singular_value(matrix)
-    e_p = _cached_expectation(system, p, samples)
-    e_qd = _cached_expectation(system, q_dual, samples)
-    return float(const * rho * (e_qd * e_p) ** (-float(n) / float(s)))
+    e_p = _cached_expectation(system, p)
+    e_qd = _cached_expectation(system, q_dual)
+    return float(rho * (e_qd * e_p) ** (-float(n) / float(s)))
 
 
 def _trial_matrix(rng, n: int) -> np.ndarray:
@@ -337,8 +340,8 @@ def _trial_matrix(rng, n: int) -> np.ndarray:
 
 def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
                          qs=(1.25, 1.5, 2.0), subspaces: int = 3,
-                         restarts: int = 24, e_samples: int = 40_000) -> list[float]:
-    """Observed ratios (found section radius) / (bound factor at const=1).
+                         restarts: int = 24) -> list[float]:
+    """Observed ratios (found section radius) / (bound factor).
 
     ``kind`` is "l1" (sections of dimension ceil(2n/3), radius in the induced
     1-norm) or "lq" (sections of dimension ceil(n/2), radius in the induced
@@ -363,9 +366,9 @@ def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
             rng = as_generator([seed, n, int(p * 4), 0 if q is None else int(q * 4)])
             a = _trial_matrix(rng, n)
             if kind == "l1":
-                factors.append(l1_section_radius_bound(a, system, p, 1.0, e_samples))
+                factors.append(l1_section_radius_bound(a, system, p))
             else:
-                factors.append(lq_section_radius_bound(a, system, p, q, r, 1.0, e_samples))
+                factors.append(lq_section_radius_bound(a, system, p, q, r))
             inv_t = np.linalg.inv(a).T
             for _ in range(subspaces):
                 frame = random_subspace(n, r, rng).frame
@@ -380,14 +383,14 @@ def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
     return ratios.ravel().tolist()
 
 
-def calibrate_radius_constant(kind: str, seeds, margin: float = CALIBRATION_MARGIN,
-                              **grid) -> CalibrationConstant:
+def calibrate_radius_constant(kind: str, seeds, **grid) -> CalibrationConstant:
     """Fit the universal constant as the smallest training ratio, shrunk by
-    ``margin`` for out-of-sample headroom, then freeze it.  A non-finite or
-    non-positive smallest ratio raises ``BadDimensions``."""
+    :data:`CALIBRATION_MARGIN` for out-of-sample headroom, then freeze it.  A
+    non-finite or non-positive smallest ratio raises ``BadDimensions``."""
     ratios = radius_ratio_samples(kind, seeds, **grid)
     return CalibrationConstant(context=f"radius-{kind}",
-                               value=margin * float(np.min(ratios)), trials=len(ratios))
+                               value=CALIBRATION_MARGIN * float(np.min(ratios)),
+                               trials=len(ratios))
 
 
 def radius_bound_violations(kind: str, constant: CalibrationConstant, seeds,

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from widthlab.bodies import (LpBall, MultiplierSpec, PolarBody, dual_gauge,
                              euclidean_ball, induced_ball, linear_image,
-                             multiplier_diagonal, support_function,
-                             truncate_multiplier)
+                             multiplier_diagonal, support_function)
 from widthlab.errors import BadDimensions, SingularMatrix, SpectrumExhausted
 from widthlab.manifolds import sphere
 from widthlab.systems import trig_system
@@ -176,7 +175,7 @@ class TestMultiplier:
     def test_constant_rate_gives_identity(self):
         space = sphere(2)
         spec = MultiplierSpec(lambda_fn=lambda t: 1.0)
-        assert np.allclose(truncate_multiplier(spec, space, 4), np.eye(4))
+        assert np.allclose(multiplier_diagonal(spec, space, 4), np.ones(4))
 
     def test_exact_block_boundary(self):
         space = sphere(2)

@@ -271,8 +271,13 @@ class TestCli:
         ("expect", {"task": "expect", "seed": 1, "p": "abc"}),
         ("volume", {"task": "volume", "seed": 1, "body": {"kind": "lp"}}),
         ("radius", {"task": "radius", "seed": 1, "subspaces": "x"}),
+        ("expect", [1, 2]),
+        ("expect", 5),
+        ("expect", "abc"),
+        ("verify", {"task": "verify", "seed": 1, "checks": []}),
     ], ids=["widths-without-semiaxes", "scaling-one-level", "bool-seed",
-            "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces"])
+            "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces",
+            "list-config", "number-config", "string-config", "empty-checks"])
     def test_invalid_config_is_config_error(self, tmp_path, task, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
@@ -285,6 +290,12 @@ class TestCli:
         res = run_cli(["verify"])
         assert res.returncode == 1
         assert "--all" in res.stderr
+
+    def test_empty_check_list_is_config_error(self):
+        res = run_cli(["verify", "--checks", ","])
+        assert res.returncode == 1
+        assert res.stderr.startswith("configuration error: "), res.stderr
+        assert "all checks passed" not in res.stdout
 
     def test_threads_env_does_not_change_results(self, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"

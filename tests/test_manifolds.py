@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,7 @@ from widthlab.bodies import multiplier_diagonal
 from widthlab.errors import BadDimensions
 from widthlab.manifolds import (all_families, cayley_plane, complex_projective,
                                 quaternionic_projective, real_projective,
-                                sobolev_multiplier, spectral_table, sphere,
-                                write_spectral_csv)
+                                sobolev_multiplier, sphere)
 
 
 class TestEigenvalues:
@@ -145,18 +142,3 @@ class TestSobolevMultiplier:
         with pytest.raises(BadDimensions):
             sobolev_multiplier(sphere(2), 0.0)
 
-
-class TestSpectralTable:
-    def test_rows(self):
-        rows = spectral_table(sphere(2), 3)
-        assert rows[0] == (0, 0.0, 1, 1)
-        assert rows[3] == (3, 12.0, 7, 16)
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        write_spectral_csv(sphere(3), 5, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "theta", "dim", "tau"]
-        assert len(rows) == 7
-        assert int(rows[2][3]) == sphere(3).tau(1)

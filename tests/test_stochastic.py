@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
+from widthlab.bodies import LpBall, SectionBody, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
-from widthlab.stochastic import (EstimateWithCI, _offset_section_volume,
-                                 brunn_section_check, expectation_norm,
-                                 expected_norm_bound, greedy_net, haar_sphere_sample,
-                                 mc_volume_ratio, projection_volume_ratio,
-                                 section_radius, section_volume_ratio)
+from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
+                                 expectation_norm, expected_norm_bound, greedy_net,
+                                 haar_sphere_sample, mc_volume_ratio,
+                                 projection_volume_ratio, section_radius)
 from widthlab.systems import trig_prefix_system, trig_system
 
 
@@ -52,12 +51,14 @@ class TestExpectationNorm:
         with pytest.raises(BadDimensions):
             expectation_norm(euclidean_ball(2), samples=10)
 
-    def test_worker_split_deterministic(self):
-        a = expectation_norm(induced_ball(trig_system(1), 4.0), samples=4000,
-                             seed=3, workers=3)
-        b = expectation_norm(induced_ball(trig_system(1), 4.0), samples=4000,
-                             seed=3, workers=3)
-        assert a == b
+    def test_stream_is_first_spawned_child(self):
+        # every Monte-Carlo number of the package depends on this derivation
+        body = induced_ball(trig_system(1), 4.0)
+        est = expectation_norm(body, samples=4000, seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        g = body.gauge_many(haar_sphere_sample(3, 4000, rng))
+        assert est == expectation_norm(body, samples=4000, seed=3)
+        assert est.value == pytest.approx(g.mean(), rel=1e-14)
 
 
 class TestExpectedNormBound:
@@ -132,19 +133,19 @@ class TestVolumeRatio:
 class TestSectionVolumes:
     def test_ball_section_is_unit_disk(self):
         sub = random_subspace(3, 2, seed=4)
-        est = section_volume_ratio(euclidean_ball(3), sub, euclidean_ball(2),
-                                   samples=2000, seed=0)
+        est = mc_volume_ratio(SectionBody(euclidean_ball(3), sub), euclidean_ball(2),
+                              samples=2000, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_sections_of_ellipsoid(self):
         body = linear_image(euclidean_ball(3), np.diag([2.0, 1.0, 1.0]))
         flat = orthonormalize([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        est = section_volume_ratio(body, flat, euclidean_ball(2),
-                                   samples=100_000, seed=1)
+        est = mc_volume_ratio(SectionBody(body, flat), euclidean_ball(2),
+                              samples=100_000, seed=1)
         assert est.value == pytest.approx(1.0, rel=0.03)
         tall = orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        est = section_volume_ratio(body, tall, euclidean_ball(2),
-                                   samples=100_000, seed=2)
+        est = mc_volume_ratio(SectionBody(body, tall), euclidean_ball(2),
+                              samples=100_000, seed=2)
         assert est.value == pytest.approx(2.0, rel=0.03)
 
     def test_projection_of_ellipsoid(self):
@@ -246,20 +247,18 @@ class TestBrunnSections:
 
     def test_disk_offsets(self):
         sub = orthonormalize([[1.0, 0.0]])
-        assert brunn_section_check(euclidean_ball(2), sub,
-                                   [np.array([0.0, 0.5]), np.array([0.0, 0.9])],
-                                   samples=2000, seed=1)
+        assert _brunn_margin(euclidean_ball(2), sub,
+                             [np.array([0.0, 0.5]), np.array([0.0, 0.9])], 2000, 1)[1] >= 0
 
     def test_cube_slices_constant(self):
         sub = orthonormalize([[1.0, 0.0]])
-        assert brunn_section_check(LpBall(2, np.inf), sub,
-                                   [np.array([0.0, 0.3]), np.array([0.0, 0.8])],
-                                   samples=2000, seed=2)
+        assert _brunn_margin(LpBall(2, np.inf), sub,
+                             [np.array([0.0, 0.3]), np.array([0.0, 0.8])], 2000, 2)[1] >= 0
 
     def test_zero_offset_equality(self):
         sub = orthonormalize([[1.0, 0.0, 0.0]])
         body = induced_ball(trig_system(1), 4.0)
-        assert brunn_section_check(body, sub, [np.zeros(3)], samples=2000, seed=3)
+        assert _brunn_margin(body, sub, [np.zeros(3)], 2000, 3)[1] >= 0
 
     def test_empty_offset_section(self):
         sub = orthonormalize([[1.0, 0.0]])

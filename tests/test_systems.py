@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from widthlab.errors import BadDimensions, CannotSatisfy, DimensionMismatch
+from widthlab.errors import BadDimensions, DimensionMismatch
+from widthlab.linalg import Subspace
 from widthlab.systems import (OrthonormalSystem, QuadratureRule, abs_power,
-                              bounded_subsystem, lp_norm, sphere_harmonics_system,
-                              trig_prefix_system, trig_system)
+                              sphere_harmonics_system, trig_prefix_system, trig_system)
 
 NORM_COS_L1 = 2.0 * math.sqrt(2.0) / math.pi          # (1/2pi) int |sqrt2 cos| dt
 NORM_COS_L4 = 1.5 ** 0.25                             # (1/2pi) int (sqrt2 cos)^4 = 3/2
@@ -44,20 +44,20 @@ class TestTrigSystem:
 
     def test_constant_function_every_p(self, trig3):
         for p in (1.0, 1.5, 2.0, 4.0, np.inf):
-            assert lp_norm(trig3, [1.0, 0.0, 0.0], p) == pytest.approx(1.0, abs=1e-12)
+            assert trig3.lp_norm([1.0, 0.0, 0.0], p) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_l1(self, trig3):
-        assert lp_norm(trig3, [0.0, 1.0, 0.0], 1.0) == pytest.approx(NORM_COS_L1, abs=1e-3)
+        assert trig3.lp_norm([0.0, 1.0, 0.0], 1.0) == pytest.approx(NORM_COS_L1, abs=1e-3)
 
     def test_cosine_l4(self, trig3):
-        assert lp_norm(trig3, [0.0, 1.0, 0.0], 4.0) == pytest.approx(NORM_COS_L4, abs=1e-12)
+        assert trig3.lp_norm([0.0, 1.0, 0.0], 4.0) == pytest.approx(NORM_COS_L4, abs=1e-12)
 
     def test_cosine_sup(self, trig3):
         # the grid contains t=0 where sqrt2*cos peaks exactly
-        assert lp_norm(trig3, [0.0, 1.0, 0.0], np.inf) == pytest.approx(math.sqrt(2.0))
+        assert trig3.lp_norm([0.0, 1.0, 0.0], np.inf) == pytest.approx(math.sqrt(2.0))
 
     def test_sine_sup_bias_below_one_percent(self, trig3):
-        val = lp_norm(trig3, [0.0, 0.0, 1.0], np.inf)
+        val = trig3.lp_norm([0.0, 0.0, 1.0], np.inf)
         assert math.sqrt(2.0) * 0.99 <= val <= math.sqrt(2.0)
 
     def test_p2_matches_euclidean(self):
@@ -65,20 +65,15 @@ class TestTrigSystem:
         s = trig_system(3)
         for _ in range(50):
             a = rng.standard_normal(s.n)
-            assert lp_norm(s, a, 2.0) == pytest.approx(np.linalg.norm(a), abs=1e-8)
-
-    def test_evaluator_matches_values(self, trig3):
-        theta = trig3.quadrature.nodes
-        for k in range(3):
-            assert trig3.evaluator(k, theta[5]) == pytest.approx(trig3.values[k, 5])
+            assert s.lp_norm(a, 2.0) == pytest.approx(np.linalg.norm(a), abs=1e-8)
 
     def test_dimension_mismatch(self, trig3):
         with pytest.raises(DimensionMismatch):
-            lp_norm(trig3, [1.0, 0.0], 2.0)
+            trig3.lp_norm([1.0, 0.0], 2.0)
 
     def test_p_below_one_rejected(self, trig3):
         with pytest.raises(BadDimensions):
-            lp_norm(trig3, [1.0, 0.0, 0.0], 0.5)
+            trig3.lp_norm([1.0, 0.0, 0.0], 0.5)
 
 
 class TestSphereSystem:
@@ -86,7 +81,7 @@ class TestSphereSystem:
         s = sphere_harmonics_system(0)
         assert s.n == 1
         for p in (1.0, 2.0, 7.0, np.inf):
-            assert lp_norm(s, [1.0], p) == pytest.approx(1.0, abs=1e-12)
+            assert s.lp_norm([1.0], p) == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_is_identity(self, sphere9):
         assert sphere9.n == 9
@@ -101,8 +96,8 @@ class TestSphereSystem:
         # index 2 is the (k=1, order=0) harmonic sqrt(3) cos(polar)
         y10 = np.zeros(9)
         y10[2] = 1.0
-        assert lp_norm(sphere9, y10, 4.0) ** 4 == pytest.approx(9.0 / 5.0, abs=1e-10)
-        assert lp_norm(sphere9, y10, np.inf) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert sphere9.lp_norm(y10, 4.0) ** 4 == pytest.approx(9.0 / 5.0, abs=1e-10)
+        assert sphere9.lp_norm(y10, np.inf) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_sup_bounds_certified(self, sphere9):
         grid_max = np.max(np.abs(sphere9.values), axis=1)
@@ -151,48 +146,22 @@ class TestPrefix:
             trig3.prefix(4)
 
 
-class TestBoundedSubsystem:
-    def test_trig_keeps_everything(self, trig3):
-        sub = bounded_subsystem(trig3, 0.9)
-        assert sub.size == 3
-        assert sub.bound == pytest.approx(math.sqrt(2.0))
+def _trig3_with_nan(field, idx):
+    trig3 = trig_system(1)
+    parts = {"values": trig3.values.copy(), "sup_norms": trig3.sup_norms.copy()}
+    parts[field][idx] = np.nan
+    return OrthonormalSystem("trig-3", trig3.quadrature, **parts)
 
-    def test_bound_depends_only_on_fraction_for_trig(self):
-        bounds = {bounded_subsystem(trig_system(k), 0.5).bound for k in (1, 3, 5, 8)}
-        assert bounds == {math.sqrt(2.0)}
 
-    def test_sphere_half_fraction(self):
-        s = sphere_harmonics_system(4)
-        sub = bounded_subsystem(s, 0.5)
-        assert sub.size == 13
-        assert sub.bound <= 3.0 * math.sqrt(2 * 4 + 1)
-
-    def test_single_function(self):
-        s = sphere_harmonics_system(0)
-        sub = bounded_subsystem(s, 1e-9)
-        assert sub.size == 1
-
-    def test_selected_functions_orthonormal(self):
-        s = sphere_harmonics_system(3)
-        sub = bounded_subsystem(s, 0.4)
-        idx = list(sub.indices)
-        w = s.quadrature.weights
-        gram = (s.values[idx] * w) @ s.values[idx].T
-        assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-8
-
-    def test_infinite_sup_norm_fails(self, trig3):
-        broken = OrthonormalSystem(
-            name="broken",
-            quadrature=trig3.quadrature,
-            values=trig3.values,
-            sup_norms=np.array([1.0, np.inf, np.inf]),
-        )
-        with pytest.raises(CannotSatisfy):
-            bounded_subsystem(broken, 0.9)
-
-    def test_fraction_validation(self, trig3):
-        with pytest.raises(BadDimensions):
-            bounded_subsystem(trig3, 1.0)
+@pytest.mark.parametrize("build, error", [
+    (lambda: Subspace(np.array([[np.nan, 0.0]])), DimensionMismatch),
+    (lambda: QuadratureRule(np.array([0.0, 1.0]), np.array([np.nan, 1.0])), BadDimensions),
+    (lambda: _trig3_with_nan("values", (1, 4)), BadDimensions),
+    (lambda: _trig3_with_nan("sup_norms", 1), BadDimensions),
+], ids=["subspace-frame", "quadrature-weight", "system-values", "system-sup-norms"])
+def test_nan_input_rejected(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestSerialization:
