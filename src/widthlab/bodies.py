@@ -16,7 +16,7 @@ import numpy as np
 from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
 from .linalg import DET_TOL, Subspace
-from .systems import OrthonormalSystem
+from .systems import OrthonormalSystem, _in_row_blocks, abs_power
 
 
 class Body:
@@ -108,6 +108,9 @@ class InducedBall(Body):
 
     def gauge_grad_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return _in_row_blocks(self._gauge_grad_block, pts, len(self.system.quadrature))
+
+    def _gauge_grad_block(self, pts):
         vals = self.system.values
         w = self.system.quadrature.weights
         f = pts @ vals
@@ -122,14 +125,12 @@ class InducedBall(Body):
             g = np.abs(f) @ w
             grad = (np.sign(f) * w) @ vals.T
             return g, grad
-        from .systems import abs_power
-
         # |f|^p = t*f*f and |f|^(p-1)*sign(f) = t*f with t = |f|^(p-2):
         # one power evaluation feeds both the value and the gradient
-        t = abs_power(np.maximum(np.abs(f), 1e-300), p - 2.0)
-        g = ((t * f * f) @ w) ** (1.0 / p)
+        tf = abs_power(np.maximum(np.abs(f), 1e-300), p - 2.0) * f
+        g = ((tf * f) @ w) ** (1.0 / p)
         scale = np.maximum(g, 1e-300) ** (p - 1.0)
-        grad = ((t * f * w) @ vals.T) / scale[:, None]
+        grad = ((tf * w) @ vals.T) / scale[:, None]
         return g, grad
 
     def descriptor(self):

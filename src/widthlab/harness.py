@@ -427,6 +427,8 @@ def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate check names: {', '.join(names)}")
     with ThreadPoolExecutor(max_workers=_worker_cap()) as pool:
         futures = {name: pool.submit(CHECKS[name], seed) for name in names}
         return [futures[name].result() for name in names]
@@ -482,7 +484,8 @@ _FIELD_RULES = {
                "[lo, hi] with integers 1 <= lo < hi"),
     "family": (lambda v: isinstance(v, str), "a family name"),
     "checks": (lambda v: v == "all" or isinstance(v, list) and len(v) > 0 and all(
-        isinstance(c, str) for c in v), '"all" or a nonempty list of check names'),
+        isinstance(c, str) for c in v) and len(set(v)) == len(v),
+        '"all" or a nonempty list of distinct check names'),
 }
 
 

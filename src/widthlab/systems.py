@@ -10,6 +10,10 @@ The p=infinity norm is evaluated as a max over nodes.  That is a lower bound
 on the true sup; node counts are chosen dense enough (and, on the sphere, the
 poles are appended with weight zero) to keep the gap small for the shipped
 systems.
+
+The node-space oracles (``lp_norm_many`` here, ``InducedBall.gauge_grad_many``)
+run over row blocks of about 2^15 node values: cache-sized temporaries, and
+memory bounded by the output whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -26,6 +30,24 @@ from .errors import BadDimensions, DimensionMismatch
 #: tolerance on the Gram matrix deviating from the identity
 GRAM_TOL = 1e-8
 
+# node values per row block of a node-space oracle: 256 KiB of float64 fit in L2
+_BLOCK_VALUES = 2**15
+
+
+def _in_row_blocks(kernel, rows: np.ndarray, n_nodes: int, *args):
+    """``kernel(block, *args)`` over row blocks of the 2-D ``rows``, outputs (or
+    each member of tuple outputs) concatenated.  BLAS picks kernels by size and
+    takes rows in groups of 4 or 8, so blocks are multiples of 8 rows and the
+    last takes the tail: each row then rounds as in one call over all rows."""
+    step = max(8, _BLOCK_VALUES // n_nodes // 8 * 8)
+    if len(rows) <= step:
+        return kernel(rows, *args)
+    cuts = range(step, len(rows) - step + 1, step)
+    parts = [kernel(block, *args) for block in np.split(rows, cuts)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(member) for member in zip(*parts))
+    return np.concatenate(parts)
+
 
 def abs_power(a: np.ndarray, p: float) -> np.ndarray:
     """|a|^p with cheap paths for small integer and half-integer exponents.
@@ -35,7 +57,7 @@ def abs_power(a: np.ndarray, p: float) -> np.ndarray:
     """
     a = np.abs(a)
     twice = 2.0 * p
-    if twice == int(twice) and 0 < twice <= 17:
+    if twice == int(twice) and 0 <= twice <= 17:
         half = int(twice)
         out = np.sqrt(a) if half % 2 else None
         base = a
@@ -44,8 +66,8 @@ def abs_power(a: np.ndarray, p: float) -> np.ndarray:
         while k:  # repeated squaring for the integer part
             if k & 1:
                 acc = base if acc is None else acc * base
-            base = base * base
             k >>= 1
+            base = base * base if k else base  # no square past the last bit
         if out is None:
             return acc if acc is not None else np.ones_like(a)
         return out if acc is None else acc * out
@@ -143,6 +165,11 @@ class OrthonormalSystem:
             )
         if p < 1:
             raise BadDimensions(f"p must be >= 1, got {p}")
+        norms = _in_row_blocks(self._lp_norm_block, coeffs.reshape(-1, self.n),
+                               len(self.quadrature), p)
+        return norms.reshape(coeffs.shape[:-1])[()]
+
+    def _lp_norm_block(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         f = coeffs @ self.values
         if np.isinf(p):
             return np.max(np.abs(f), axis=-1)

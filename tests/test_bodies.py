@@ -11,7 +11,7 @@ from widthlab.bodies import (LpBall, MultiplierSpec, PolarBody, dual_gauge,
                              multiplier_diagonal, support_function)
 from widthlab.errors import BadDimensions, SingularMatrix, SpectrumExhausted
 from widthlab.manifolds import sphere
-from widthlab.systems import trig_system
+from widthlab.systems import _BLOCK_VALUES, abs_power, sphere_harmonics_system, trig_system
 
 COS_L1 = 2.0 * math.sqrt(2.0) / math.pi
 
@@ -214,3 +214,44 @@ def test_descriptors_roundtrip(trig3):
         desc = body.descriptor()
         assert "kind" in desc
         json.dumps(desc)
+
+
+def _gauge_grad_reference(system, p, pts):
+    """InducedBall.gauge_grad_many in one shot over all rows, with no row blocks."""
+    vals = system.values
+    w = system.quadrature.weights
+    f = pts @ vals
+    if np.isinf(p):
+        idx = np.argmax(np.abs(f), axis=1)
+        rows = np.arange(len(pts))
+        return np.max(np.abs(f), axis=1), np.sign(f[rows, idx])[:, None] * vals[:, idx].T
+    if p == 1.0:
+        return np.abs(f) @ w, (np.sign(f) * w) @ vals.T
+    t = abs_power(np.maximum(np.abs(f), 1e-300), p - 2.0)
+    g = ((t * f * f) @ w) ** (1.0 / p)
+    scale = np.maximum(g, 1e-300) ** (p - 1.0)
+    return g, ((t * f * w) @ vals.T) / scale[:, None]
+
+
+@pytest.mark.parametrize("system", [trig_system(4), sphere_harmonics_system(3)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
+def test_induced_gauge_grad_blocks_match_one_shot(system, p):
+    nodes = len(system.quadrature)
+    b = max(8, _BLOCK_VALUES // nodes // 8 * 8)
+    body = induced_ball(system, p)
+    rng = np.random.default_rng(14)
+    # A gradient entry is a sum over the nodes whose absolute terms add up to
+    # at most max |values| (Hoelder).  BLAS may sum a block in another order
+    # than one call over all rows, so entries that cancel can differ in many
+    # ulps, but two orders differ by at most 2 * nodes * eps * that total.
+    # With OpenBLAS 0.3.31 on x86-64 all of it is bitwise equal here but for
+    # sphere-16 at p = inf, whose pole nodes round by 1 ulp (see test_systems).
+    grad_tol = 2 * nodes * np.finfo(float).eps * np.max(system.sup_norms)
+    for rows in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        x = rng.standard_normal((rows, system.n))
+        g, grad = body.gauge_grad_many(x)
+        ref_g, ref_grad = _gauge_grad_reference(system, p, x)
+        assert g.shape == (rows,) and grad.shape == (rows, system.n)
+        np.testing.assert_array_max_ulp(g, ref_g, maxulp=2)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=grad_tol)

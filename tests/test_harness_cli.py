@@ -186,6 +186,13 @@ class TestVerify:
         with pytest.raises(ConfigError, match="unknown checks"):
             verify_all(seed=0, names=["nope"])
 
+    def test_duplicate_check_rejected(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(CHECKS, "fourier-tail", lambda seed: calls.append(seed))
+        with pytest.raises(ConfigError, match="duplicate"):
+            verify_all(seed=0, names=["fourier-tail", "fourier-tail"])
+        assert calls == []
+
     def test_santalo_reports_exact_margin(self):
         report = check_santalo(seed=7, mc_seeds=1, samples=1500)
         assert report.passed
@@ -285,6 +292,13 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("configuration error: "), res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_duplicate_check_names_are_config_error(self, tmp_path):
+        res = run_cli(["verify", "--checks", "fourier-tail,fourier-tail",
+                       "--out", str(tmp_path)])
+        assert res.returncode == 1
+        assert res.stderr.startswith("configuration error: "), res.stderr
+        assert "PASS" not in res.stdout
 
     def test_verify_requires_selection(self):
         res = run_cli(["verify"])

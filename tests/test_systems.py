@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from widthlab.errors import BadDimensions, DimensionMismatch
 from widthlab.linalg import Subspace
-from widthlab.systems import (OrthonormalSystem, QuadratureRule, abs_power,
+from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, QuadratureRule, abs_power,
                               sphere_harmonics_system, trig_prefix_system, trig_system)
 
 NORM_COS_L1 = 2.0 * math.sqrt(2.0) / math.pi          # (1/2pi) int |sqrt2 cos| dt
@@ -178,3 +179,94 @@ def test_abs_power_matches_numpy():
     a = np.abs(rng.standard_normal(500)) + 1e-6
     for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 8.5, 3.3):
         assert np.allclose(abs_power(a, p), a**p, rtol=1e-12)
+
+
+def _abs_power_reference(a, p):
+    """Reference loop for abs_power: squares once past the last bit and sends
+    p = 0 through numpy; the results must match bit for bit all the same."""
+    a = np.abs(a)
+    twice = 2.0 * p
+    if twice == int(twice) and 0 < twice <= 17:
+        half = int(twice)
+        out = np.sqrt(a) if half % 2 else None
+        base = a
+        acc = None
+        k = half // 2
+        while k:
+            if k & 1:
+                acc = base if acc is None else acc * base
+            base = base * base
+            k >>= 1
+        if out is None:
+            return acc if acc is not None else np.ones_like(a)
+        return out if acc is None else acc * out
+    return a ** p
+
+
+@pytest.mark.parametrize("p", np.arange(0.0, 9.0, 0.5))
+def test_abs_power_bitwise_unchanged(p):
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.inf],
+                        rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)])
+    with np.errstate(over="ignore"):  # the reference's unused last square overflows
+        ref = _abs_power_reference(a, p)
+    assert np.array_equal(abs_power(a, p), ref)
+
+
+def _lp_norm_reference(system, coeffs, p):
+    """lp_norm_many in one shot over all rows, with no row blocks."""
+    f = coeffs @ system.values
+    if np.isinf(p):
+        return np.max(np.abs(f), axis=-1)
+    w = system.quadrature.weights
+    if p == 2.0:
+        return np.sqrt((f * f) @ w)
+    return (abs_power(f, p) @ w) ** (1.0 / p)
+
+
+def block_rows(system):
+    """Rows per block of the node-space oracles for ``system``."""
+    return max(8, _BLOCK_VALUES // len(system.quadrature) // 8 * 8)
+
+
+class TestRowBlocks:
+    # With OpenBLAS 0.3.31 (x86-64) the norms below are bitwise equal to the
+    # reference, except sphere-16 at p = inf: a 264-row block of its product
+    # takes a small-matrix kernel that rounds the two zero-weight pole nodes
+    # differently (1 ulp).  Two ulps leave room for other BLAS builds.
+    @pytest.mark.parametrize("system", [trig_system(4), sphere_harmonics_system(3)],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, np.inf])
+    def test_blocks_match_one_shot(self, system, p):
+        b = block_rows(system)
+        rng = np.random.default_rng(11)
+        for rows in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+            x = rng.standard_normal((rows, system.n))
+            got = system.lp_norm_many(x, p)
+            assert got.shape == (rows,)
+            np.testing.assert_array_max_ulp(got, _lp_norm_reference(system, x, p), maxulp=2)
+
+    def test_leading_shape_kept(self):
+        system = trig_system(4)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, block_rows(system), system.n))
+        for p in (1.5, 2.0, np.inf):
+            got = system.lp_norm_many(x, p)
+            assert got.shape == (3, block_rows(system))
+            np.testing.assert_array_max_ulp(got, _lp_norm_reference(system, x, p), maxulp=2)
+            one = system.lp_norm_many(x[0, 0], p)
+            assert np.ndim(one) == 0 and one == got[0, 0]
+        assert system.lp_norm_many(np.zeros((2, 0, system.n)), 3.0).shape == (2, 0)
+
+    def test_memory_bounded_by_blocks(self):
+        system = trig_system(4)
+        rows = 65536
+        x = np.random.default_rng(13).standard_normal((rows, system.n))
+        for p in (1.5, 2.0, 3.0, np.inf):
+            tracemalloc.start()
+            try:
+                system.lp_norm_many(x, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rows * len(system.quadrature) * 8 / 4
