@@ -6,36 +6,45 @@ truncated-multiplier tail identity, the lower-bound evaluators for section
 radii of coefficient bodies, and the smoothness-scaling fits.
 
 The brute-force searches are upper-bound constructions (best subspace
-found); the radius evaluators are lower bounds with an empirically
-calibrated constant.  Tests therefore compare the two against exact oracles
-only where those exist, and otherwise check one-sided validity.
+found by a batched compass search over frames, every objective scoring a
+whole stack of frames at once); the radius evaluators are lower bounds
+with an empirically calibrated constant.  Tests therefore compare the two
+against exact oracles only where those exist, and otherwise check
+one-sided validity.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _optim
 from .bodies import Body, LpBall, euclidean_ball, induced_ball, linear_image
 from .errors import BadDimensions, BadOrder, NotMonotone
 from .linalg import Subspace, as_generator, full_space, min_singular_value, random_subspace
 from .manifolds import TwoPointSpace
-from .stochastic import expectation_norm, section_radius
+from .stochastic import (_euclidean_image_matrix, _section_radii, expectation_norm,
+                         section_radius)
 from .systems import trig_prefix_system
 
 #: calibration keeps this fraction of the smallest training ratio as a
 #: safety margin for out-of-sample validity (the constant is only asserted
 #: to exist, not to have a particular value)
 CALIBRATION_MARGIN = 0.75
-#: random starts of each inner supremum in the brute-force frame searches
+#: random starts of each inner supremum in the brute-force frame searches,
+#: drawn once per search and shared by every frame
 _INNER_RESTARTS = 12
-#: frame-search candidates refined by Nelder-Mead
+#: compass search over frames: scored random frames it refines, the first
+#: step (below 1, so a moved frame keeps full rank) and the step it stops
+#: at, the relative decrease a move must make, and the round cap
 _REFINE_TOP = 3
+_STEP_START = 0.5
+_STEP_MIN = 1e-10
+_DECREASE_RTOL = 1e-12
+_MAX_ROUNDS = 500
 
 
 @dataclass(frozen=True)
@@ -86,26 +95,6 @@ def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
     return float(a[m])
 
 
-class _ProjectedEuclidean(Body):
-    """Seminorm x -> ||C x||_2 for a complement frame C (distance to a span)."""
-
-    def __init__(self, comp_frame: np.ndarray):
-        self.comp = np.asarray(comp_frame, dtype=float)
-        self.dim = self.comp.shape[1]
-        self.label = "dist-to-span"
-
-    def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts @ self.comp.T, axis=1)
-
-    def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        proj = pts @ self.comp.T
-        g = np.linalg.norm(proj, axis=1)
-        grad = (proj / np.maximum(g, 1e-300)[:, None]) @ self.comp
-        return g, grad
-
-
 class _QuotientNorm(Body):
     """Seminorm x -> min_y in span ||x - y||_Z, for a general target gauge."""
 
@@ -125,59 +114,59 @@ class _QuotientNorm(Body):
         return g, self.target.gauge_grad_many(x - offsets @ self.frame)[1]
 
 
-def _frame_from_params(params: np.ndarray, rows: int, n: int) -> np.ndarray:
-    mat = params.reshape(rows, n)
-    q, _ = np.linalg.qr(mat.T)
-    return q[:, :rows].T
+def _orthonormal(mats: np.ndarray) -> np.ndarray:
+    """Orthonormal frames spanning the rows of each matrix of a stack."""
+    q, _ = np.linalg.qr(np.swapaxes(mats, -1, -2))
+    return np.swapaxes(q, -1, -2)
 
 
-def _frame_seed(frame: np.ndarray, base: int) -> int:
-    return (zlib.crc32(np.ascontiguousarray(frame).tobytes()) ^ (base & 0xFFFFFFFF)) & 0x7FFFFFFF
-
-
-def _sup_distance_to_span(body: Body, target: Body, frame: np.ndarray, seed: int) -> float:
-    """sup over the body of the target-gauge distance to the span of ``frame``."""
+def _sup_distances(body: Body, target: Body, frames: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray:
+    """sup over the body of the target-gauge distance to the span of each
+    frame of a (k, m, n) stack, from the shared (restarts, n) ``starts``."""
     n = body.dim
-    from .stochastic import _euclidean_image_matrix
-
-    comp = Subspace(frame).complement().frame if frame.shape[0] < n else None
-    euclid_target = isinstance(target, LpBall) and target.p == 2.0
-    if euclid_target:
+    if isinstance(target, LpBall) and target.p == 2.0:
+        proj = np.eye(n) - frames.transpose(0, 2, 1) @ frames
         a = _euclidean_image_matrix(body)
         if a is not None:
-            if comp is None:
-                return 0.0
-            return float(np.linalg.svd(comp @ a, compute_uv=False)[0])
-        num = _ProjectedEuclidean(comp)
-    else:
-        num = _QuotientNorm(target, frame)
-    starts = as_generator(_frame_seed(frame, seed)).standard_normal((1, _INNER_RESTARTS, n))
-    values, _ = _optim.ratio_ascent(num, body, starts)
-    return float(values[0])
+            return np.linalg.svd(proj @ a, compute_uv=False)[:, 0]
+        values, _ = _optim.ratio_ascent(target, body,
+                                        np.broadcast_to(starts, (len(frames),) + starts.shape),
+                                        num_maps=proj)
+        return values
+    return np.array([_optim.ratio_ascent(_QuotientNorm(target, frame), body, starts[None])[0][0]
+                     for frame in frames])
 
 
-def _search_frames(objective, rows: int, n: int, restarts: int,
+def _search_frames(objective, rows: int, n: int, start_dim: int, restarts: int,
                    seed) -> tuple[float, np.ndarray]:
-    """Minimize a span-invariant objective over frames by multistart, then
-    Nelder-Mead from the best :data:`_REFINE_TOP` starts."""
+    """Smallest ``objective(frames, starts)`` found over (rows, n) frames by a
+    batched compass search: each round moves every live frame by +-step along
+    each coordinate matrix and scores all the moves in one call.  The inner
+    ``starts`` are drawn once, so a frame's value depends on that frame alone."""
     rng = as_generator(seed)
-    cands = []
-    for _ in range(restarts):
-        params = rng.standard_normal(rows * n)
-        frame = _frame_from_params(params, rows, n)
-        cands.append((objective(frame), params))
-    cands.sort(key=lambda t: t[0])
-    best_val, best_params = cands[0]
-    best_frame = _frame_from_params(best_params, rows, n)
-    for val, params in cands[:_REFINE_TOP]:
-        res = minimize(lambda p: objective(_frame_from_params(p, rows, n)), params,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-10,
-                                "maxiter": 250 * rows * n})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_frame = _frame_from_params(res.x, rows, n)
-    return best_val, best_frame
+    starts = rng.standard_normal((_INNER_RESTARTS, start_dim))
+    frames = _orthonormal(rng.standard_normal((restarts, rows, n)))
+    values = objective(frames, starts)
+    keep = np.argsort(values, kind="stable")[:_REFINE_TOP]
+    frames, values = frames[keep], values[keep]
+    step = np.full(len(frames), _STEP_START)
+    coords = np.eye(rows * n).reshape(rows * n, rows, n)
+    moves = np.concatenate([coords, -coords])
+    for _ in range(_MAX_ROUNDS):
+        live = np.flatnonzero(step >= _STEP_MIN)
+        if not live.size:
+            break
+        cands = _orthonormal(frames[live, None] + step[live, None, None, None] * moves)
+        cand_vals = objective(cands.reshape(-1, rows, n), starts).reshape(len(live), -1)
+        pick = np.argmin(cand_vals, axis=1)
+        best = cand_vals[np.arange(len(live)), pick]
+        took = best < values[live] - _DECREASE_RTOL * np.abs(values[live])
+        frames[live[took]] = cands[took, pick[took]]
+        values[live[took]] = best[took]
+        step[live[~took]] *= 0.5
+    top = int(np.argmin(values))
+    return float(values[top]), frames[top]
 
 
 def brute_force_kolmogorov(body: Body, target: Body, m: int, restarts: int = 256,
@@ -201,16 +190,13 @@ def brute_force_kolmogorov(body: Body, target: Body, m: int, restarts: int = 256
                              seed=seed)
         return WidthResult("kolmogorov", m, float(val), "brute_force", None)
 
-    def objective(frame):
-        return _sup_distance_to_span(body, target, frame, seed)
-
-    val, frame = _search_frames(objective, m, n, restarts, seed)
+    val, frame = _search_frames(partial(_sup_distances, body, target), m, n, n, restarts, seed)
     return WidthResult("kolmogorov", m, float(val), "brute_force", Subspace(frame))
 
 
 def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
                         seed=0) -> WidthResult:
-    """Best codimension-m section found: minimize the section radius.
+    """Best codimension-m section found: the smallest section radius.
 
     Subspaces of dimension n - m are searched directly; the witness is the
     best section subspace.
@@ -226,13 +212,8 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
         val = section_radius(body, target, full_space(n), restarts=max(restarts // 4, 8),
                              seed=seed)
         return WidthResult("gelfand", m, float(val), "brute_force", full_space(n))
-    rows = n - m
-
-    def objective(frame):
-        return section_radius(body, target, Subspace(frame), restarts=_INNER_RESTARTS,
-                              seed=_frame_seed(frame, seed))
-
-    val, frame = _search_frames(objective, rows, n, restarts, seed)
+    val, frame = _search_frames(partial(_section_radii, body, target), n - m, n, n - m,
+                                restarts, seed)
     return WidthResult("gelfand", m, float(val), "brute_force", Subspace(frame))
 
 

@@ -186,6 +186,10 @@ class TestVerify:
         with pytest.raises(ConfigError, match="unknown checks"):
             verify_all(seed=0, names=["nope"])
 
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ConfigError, match="no checks"):
+            verify_all(seed=0, names=[])
+
     def test_duplicate_check_rejected(self, monkeypatch):
         calls = []
         monkeypatch.setitem(CHECKS, "fourier-tail", lambda seed: calls.append(seed))
