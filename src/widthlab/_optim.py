@@ -15,23 +15,24 @@ iterations, judged on that problem's own rows.  Nothing refines the
 kernel's result afterwards.  Values returned are achieved values, hence
 certified lower bounds on the true maxima (and upper bounds on the minima
 of ``offset_minima``).
+
+The iteration is NumPy overhead more than arithmetic: rows are a few
+entries long, so the row norms and the tangent projection reduce by column
+in NumPy's order (``linalg._by_column``), the best-so-far bookkeeping
+writes through ``where=`` masks instead of boolean indexing, and each step
+reuses its gradient buffer for the next iterate.  The bits are those of the
+plain row-wise expressions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_generator
+from .linalg import _by_column, _unit_rows, as_generator
 
 _EPS = 1e-300
 STALL_RTOL = 1e-9
 PATIENCE = 60
-
-
-def _normalize_rows(y: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(y, axis=-1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return y / norms
 
 
 def _gauge_grad(base, maps, y: np.ndarray):
@@ -54,7 +55,7 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     each problem and a point where it is achieved, scaled to denominator
     gauge 1.  The value is the best iterate; no local search follows.
     """
-    y = _normalize_rows(np.asarray(starts, dtype=float))
+    y = _unit_rows(np.asarray(starts, dtype=float))
     n_prob, n_rows, _ = y.shape
     out_val = np.empty((n_prob, n_rows))
     out_y = np.empty_like(y)
@@ -72,16 +73,19 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
         gd, grad_d = _gauge_grad(denominator, dmaps, y)
         ratio = gn / np.maximum(gd, _EPS)
         improved = ratio > best_val
-        best_val[improved] = ratio[improved]
-        best_y[improved] = y[improved]
-        step[ratio < prev] *= 0.5
+        np.copyto(best_val, ratio, where=improved)
+        np.copyto(best_y, y, where=improved[..., None])
+        np.multiply(step, 0.5, out=step, where=ratio < prev)
         prev = ratio
-        grad = grad_n / np.maximum(gn, _EPS)[..., None] - grad_d / np.maximum(gd, _EPS)[..., None]
-        grad -= np.sum(grad * y, axis=-1, keepdims=True) * y
+        grad = grad_n / np.maximum(gn, _EPS)[..., None]
+        grad -= grad_d / np.maximum(gd, _EPS)[..., None]
+        grad -= _by_column(np.add, grad * y)[..., None] * y
         decay = 1.0 / (1.0 + 3.0 * it / max(iters, 1))
-        y = _normalize_rows(y + (step * decay)[..., None] * grad)
+        grad *= (step * decay)[..., None]
+        grad += y
+        y = _unit_rows(grad, out=grad)
 
-        new_top = best_val.max(axis=1)
+        new_top = _by_column(np.maximum, best_val)
         rose = new_top - top > STALL_RTOL * np.abs(new_top)
         stall = np.where(rose, 0, stall + 1)
         top = new_top

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
-from .linalg import DET_TOL, Subspace
-from .systems import OrthonormalSystem, _in_row_blocks, abs_power
+from .linalg import DET_TOL, Subspace, _by_column
+from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
 
 
 class Body:
@@ -60,12 +60,12 @@ class LpBall(Body):
     def gauge_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if np.isinf(self.p):
-            return np.max(np.abs(pts), axis=1)
+            return _by_column(np.maximum, np.abs(pts))
         if self.p == 2.0:
-            return np.linalg.norm(pts, axis=1)
+            return np.sqrt(_by_column(np.add, pts * pts))
         if self.p == 1.0:
-            return np.sum(np.abs(pts), axis=1)
-        return np.sum(np.abs(pts) ** self.p, axis=1) ** (1.0 / self.p)
+            return _by_column(np.add, np.abs(pts))
+        return _by_column(np.add, np.abs(pts) ** self.p) ** (1.0 / self.p)
 
     def gauge_grad_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -126,11 +126,18 @@ class InducedBall(Body):
             grad = (np.sign(f) * w) @ vals.T
             return g, grad
         # |f|^p = t*f*f and |f|^(p-1)*sign(f) = t*f with t = |f|^(p-2):
-        # one power evaluation feeds both the value and the gradient
-        tf = abs_power(np.maximum(np.abs(f), 1e-300), p - 2.0) * f
-        g = ((tf * f) @ w) ** (1.0 / p)
+        # one power evaluation feeds both the value and the gradient, and
+        # every step works in place on f and one |f| buffer
+        t = np.abs(f)
+        np.maximum(t, 1e-300, out=t)
+        t = _power_in_place(t, p - 2.0)
+        t *= f
+        f *= t
+        g = (f @ w) ** (1.0 / p)
         scale = np.maximum(g, 1e-300) ** (p - 1.0)
-        grad = ((tf * w) @ vals.T) / scale[:, None]
+        t *= w
+        grad = t @ vals.T
+        grad /= scale[:, None]
         return g, grad
 
     def descriptor(self):

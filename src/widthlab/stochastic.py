@@ -21,7 +21,7 @@ import numpy as np
 from . import _optim
 from .bodies import Body, LinearImageBody, LpBall
 from .errors import BadDimensions, Saturation, VarianceBlowup
-from .linalg import Subspace, as_generator
+from .linalg import Subspace, _unit_rows, as_generator
 
 _CHUNK = 65536
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -72,15 +72,19 @@ class NetReport:
         return len(self.packing_points)
 
 
+def _sample_count(value, low: int) -> int:
+    """A sample count: ``value`` if it is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise BadDimensions(f"a sample count must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def haar_sphere_sample(n: int, count: int, seed=0) -> np.ndarray:
     """``count`` unit vectors in R^n, rotation-invariant law, per-seed stable."""
     if n < 1:
         raise BadDimensions("n must be >= 1")
-    rng = as_generator(seed)
-    g = rng.standard_normal((int(count), n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms
+    g = as_generator(seed).standard_normal((_sample_count(count, 0), n))
+    return _unit_rows(g, out=g)
 
 
 def _stream(seed) -> np.random.Generator:
@@ -94,16 +98,13 @@ def _sphere_chunks(rng, n: int, total: int):
     while done < total:
         take = min(_CHUNK, total - done)
         g = rng.standard_normal((take, n))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        yield g / norms
+        yield _unit_rows(g, out=g)
         done += take
 
 
 def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
     """Mean of the gauge over the Haar-uniform unit sphere."""
-    if samples < 1000:
-        raise BadDimensions("need at least 1e3 samples")
+    samples = _sample_count(samples, 1000)
     total = s1 = s2 = 0.0
     for chunk in _sphere_chunks(_stream(seed), body.dim, samples):
         g = body.gauge_many(chunk)
@@ -144,6 +145,7 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
         raise BadDimensions("bodies must share a dimension")
     if n > 10:
         raise BadDimensions("volume ratios are limited to n <= 10")
+    samples = _sample_count(samples, 1)
     total = sx = sy = sxx = syy = sxy = 0.0
     for chunk in _sphere_chunks(_stream(seed), n, samples):
         x = body.gauge_many(chunk) ** float(-n)
@@ -246,8 +248,8 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetRe
     n = body.dim
     if n > 6:
         raise BadDimensions("greedy nets are limited to n <= 6")
-    if delta <= 0:
-        raise BadDimensions("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise BadDimensions(f"delta must be positive and finite, got {delta!r}")
     rng = as_generator(seed)
     cloud = _body_cloud(body, int(min(65536, max(8192, 4000 * 4**n))), rng)
 

@@ -53,25 +53,34 @@ def abs_power(a: np.ndarray, p: float) -> np.ndarray:
     """|a|^p with cheap paths for small integer and half-integer exponents.
 
     Monte-Carlo loops evaluate this on large arrays; np.power with a float
-    exponent dominates their run time otherwise.
+    exponent dominates their run time otherwise.  The result is float.
     """
-    a = np.abs(a)
+    return _power_in_place(np.abs(np.asarray(a, dtype=float)), p)
+
+
+def _power_in_place(a: np.ndarray, p: float) -> np.ndarray:
+    """a^p for a float array ``a`` of absolute values, by ``abs_power``'s
+    steps, reusing ``a``'s buffer: p = 0, 1/2, 1, 2, 4, 8 and every p off
+    the cheap paths make no other array, the rest one or two more."""
     twice = 2.0 * p
-    if twice == int(twice) and 0 <= twice <= 17:
-        half = int(twice)
-        out = np.sqrt(a) if half % 2 else None
-        base = a
-        acc = None
-        k = half // 2
-        while k:  # repeated squaring for the integer part
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            base = base * base if k else base  # no square past the last bit
-        if out is None:
-            return acc if acc is not None else np.ones_like(a)
-        return out if acc is None else acc * out
-    return a ** p
+    if not (twice == int(twice) and 0 <= twice <= 17):
+        return np.power(a, p, out=a)
+    half = int(twice)
+    k = half // 2
+    root = np.sqrt(a, out=None if k else a) if half % 2 else None
+    base = a
+    acc = None
+    while k:  # repeated squaring for the integer part
+        if k & 1:
+            acc = base if acc is None else np.multiply(acc, base, out=acc)
+        k >>= 1
+        if k:  # no square past the last bit
+            base = np.multiply(base, base, out=None if acc is base else base)
+    if acc is None:  # p = 0, or p = 1/2 with its root taken in place
+        if root is None:
+            a[...] = 1.0
+        return a
+    return acc if root is None else np.multiply(acc, root, out=acc)
 
 
 def _next_prime(m: int) -> int:
@@ -176,7 +185,7 @@ class OrthonormalSystem:
         w = self.quadrature.weights
         if p == 2.0:  # exact by quadrature construction, keep the fast path stable
             return np.sqrt((f * f) @ w)
-        return (abs_power(f, p) @ w) ** (1.0 / p)
+        return (_power_in_place(np.abs(f, out=f), p) @ w) ** (1.0 / p)
 
     def lp_norm(self, coeffs, p: float) -> float:
         return float(self.lp_norm_many(np.asarray(coeffs, dtype=float)[None, :], p)[0])

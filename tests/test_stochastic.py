@@ -232,6 +232,36 @@ class TestGreedyNet:
         with pytest.raises(BadDimensions):
             greedy_net(euclidean_ball(2), euclidean_ball(2), 0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, np.float64(-math.inf)])
+    def test_non_finite_delta_rejected(self, delta):
+        # NaN never satisfies dist < delta: the loop would run to the 1e6 cap
+        with pytest.raises(BadDimensions):
+            greedy_net(euclidean_ball(2), euclidean_ball(2), delta)
+
+
+_SUB = random_subspace(3, 2, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_volume_ratio(euclidean_ball(2), euclidean_ball(2), samples=0),
+    lambda: mc_volume_ratio(euclidean_ball(2), euclidean_ball(2), samples=-3),
+    lambda: mc_volume_ratio(euclidean_ball(2), euclidean_ball(2), samples=True),
+    lambda: projection_volume_ratio(euclidean_ball(3), _SUB, samples=0),
+    lambda: projection_volume_ratio(euclidean_ball(3), _SUB, samples=100.0),
+    lambda: expectation_norm(euclidean_ball(3), samples=1000.5),
+    lambda: expectation_norm(euclidean_ball(3), samples=999),
+    lambda: haar_sphere_sample(3, -1),
+    lambda: haar_sphere_sample(3, 2.0),
+], ids=["volume-0", "volume-negative", "volume-bool", "projection-0", "projection-float",
+        "expectation-fraction", "expectation-999", "haar-negative", "haar-float"])
+def test_bad_sample_counts_rejected(call):
+    with pytest.raises(BadDimensions):
+        call()
+
+
+def test_zero_haar_samples_allowed():
+    assert haar_sphere_sample(3, np.int64(0)).shape == (0, 3)
+
 
 class TestBrunnSections:
     def test_disk_chord_lengths(self):
