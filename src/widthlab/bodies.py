@@ -19,6 +19,15 @@ from .linalg import DET_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
 
 
+def _grad_scale(g: np.ndarray, p: float) -> np.ndarray:
+    """g^(p-1), the divisor of an L_p gauge gradient, with inf for a zero gauge:
+    such a row gets the subgradient 0, where 1e-300^(p-1) underflows from
+    p of about 2.08 on and would give 0/0."""
+    scale = np.maximum(g, 1e-300) ** (p - 1.0)
+    scale[g == 0] = np.inf
+    return scale
+
+
 class Body:
     """Base class: a symmetric convex body in R^dim given by its gauge."""
 
@@ -80,7 +89,7 @@ class LpBall(Body):
             return g, np.sign(pts)
         if self.p == 2.0:
             return g, pts / np.maximum(g, 1e-300)[:, None]
-        scale = np.maximum(g, 1e-300) ** (self.p - 1.0)
+        scale = _grad_scale(g, self.p)
         grad = np.abs(pts) ** (self.p - 1.0) * np.sign(pts) / scale[:, None]
         return g, grad
 
@@ -134,7 +143,7 @@ class InducedBall(Body):
         t *= f
         f *= t
         g = (f @ w) ** (1.0 / p)
-        scale = np.maximum(g, 1e-300) ** (p - 1.0)
+        scale = _grad_scale(g, p)
         t *= w
         grad = t @ vals.T
         grad /= scale[:, None]

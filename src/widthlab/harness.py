@@ -167,10 +167,13 @@ def check_net_chain(seed: int, seeds: int = 5) -> VerificationReport:
     ref = euclidean_ball(2)
     margins, details = [], {}
     for body, tag in ((euclidean_ball(2), "ball"), (LpBall(2, np.inf), "cube")):
+        nets = {}  # the coarse net at delta is the fine one at 2 * delta
         for delta in (0.25, 0.5, 1.0):
             for k in range(seeds):
-                fine = greedy_net(body, ref, delta, seed=s + k)
-                coarse = greedy_net(body, ref, 2.0 * delta, seed=s + k)
+                for d in (delta, 2.0 * delta):
+                    if (d, k) not in nets:
+                        nets[d, k] = greedy_net(body, ref, d, seed=s + k)
+                fine, coarse = nets[delta, k], nets[2.0 * delta, k]
                 margins.append(float(fine.net_size - coarse.packing_size))
                 margins.append(float(fine.packing_size - fine.net_size))
                 margins.append(1.0 if fine.certified else -1.0)

@@ -23,9 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 from .errors import BadDimensions, DimensionMismatch
+
+# Freeing a mmapped chunk raises glibc's mmap threshold to its size and the
+# trim threshold to twice that (dynamic threshold, mallopt(3)).  One 4 MiB
+# array freed here so keeps the node-space blocks' temporaries on the heap,
+# where they would otherwise be trimmed and refaulted on every call; other C
+# libraries ignore it.
+np.empty(1 << 19)
 
 #: tolerance on the Gram matrix deviating from the identity
 GRAM_TOL = 1e-8
@@ -245,19 +251,43 @@ def trig_system(max_degree: int) -> OrthonormalSystem:
     )
 
 
+def _legendre_rows(max_degree: int, t: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre functions at ``t``: ``P[k, m]`` is
+    sqrt((2k+1)(k-m)!/(k+m)!) P_k^m(t), Condon-Shortley phase kept, for
+    0 <= m <= k <= max_degree, and 0 above the diagonal.
+
+    Sectoral, first off-sectoral and three-term recurrences in m and k
+    (Holmes and Featherstone, J. Geodesy 76, 2002); no factorial is formed.
+    """
+    u = np.sqrt((1.0 - t) * (1.0 + t))
+    P = np.zeros((max_degree + 1, max_degree + 1, len(t)))
+    P[0, 0] = 1.0
+    for m in range(max_degree + 1):
+        if m:
+            P[m, m] = -math.sqrt((2 * m + 1) / (2 * m)) * u * P[m - 1, m - 1]
+        if m < max_degree:
+            P[m + 1, m] = math.sqrt(2 * m + 3) * t * P[m, m]
+        for k in range(m + 2, max_degree + 1):
+            d = (k - m) * (k + m)
+            a = math.sqrt((2 * k - 1) * (2 * k + 1) / d)
+            b = math.sqrt((2 * k + 1) * (k + m - 1) * (k - m - 1) / (d * (2 * k - 3)))
+            P[k, m] = a * t * P[k - 1, m] - b * P[k - 2, m]
+    return P
+
+
 def _real_harmonic_rows(max_degree: int, t: np.ndarray, phi: np.ndarray):
     """Rows of real spherical harmonics at points (cos polar = t, azimuth = phi).
 
     Orthonormal with respect to the *normalized* surface measure, so the
     constant is 1 and the degree-1 zonal is sqrt(3) * cos(polar angle).
     """
+    legendre = _legendre_rows(max_degree, t)
     rows = []
     labels = []
     for k in range(max_degree + 1):
         for order in range(-k, k + 1):
             m = abs(order)
-            norm = np.exp(0.5 * (np.log(2 * k + 1) + gammaln(k - m + 1) - gammaln(k + m + 1)))
-            base = norm * lpmv(m, k, t)
+            base = legendre[k, m]
             if order == 0:
                 rows.append(base)
             elif order > 0:

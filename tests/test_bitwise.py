@@ -156,6 +156,15 @@ def _ratio_ascent_old(numerator, denominator, starts, iters=300, num_maps=None,
     return values, top_y / np.maximum(gd, eps)
 
 
+def _same_grads(got, ref, zero) -> bool:
+    """Gauges bit for bit, gradients bit for bit but on the rows ``zero``,
+    which must be 0: rows of zero gauge off the closed-form p = 1, 2, inf
+    branches, where the replaced code divided by 1e-300^(p-1), 0/0 from p of
+    about 2.08 on."""
+    return (_same_bits(got[0], ref[0]) and _same_bits(got[1][~zero], ref[1][~zero])
+            and bool(np.all(got[1][zero] == 0)))
+
+
 # --- the tests ---------------------------------------------------------------
 
 SHAPES = [(), (50,), (4, 9)]
@@ -196,7 +205,7 @@ def test_lp_ball_gauges_unchanged(p, n):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             assert _same_bits(ball.gauge_many(pts), _lp_gauge_old(p, pts))
             got, ref = ball.gauge_grad_many(pts), _lp_gauge_grad_old(p, pts)
-        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+        assert _same_grads(got, ref, (got[0] == 0) & (p not in (1.0, 2.0, np.inf)))
 
 
 @pytest.mark.parametrize("system", [trig_system(1), trig_system(4)], ids=lambda s: s.name)
@@ -205,13 +214,12 @@ def test_induced_gauge_grad_unchanged(system, p):
     nodes = len(system.quadrature)
     rows = 3 * max(8, 2**15 // nodes // 8 * 8) + 7  # three blocks and a tail
     pts = np.random.default_rng(5).standard_normal((rows, system.n))
-    pts[0] = 0.0  # from p = 3 on its gradient is 0 / 0: NaN, in both
+    pts[0] = 0.0  # from p = 3 on the replaced code gives it 0/0: NaN
     pts[1, 1:] = 0.0
     with np.errstate(invalid="ignore"):
-        g, grad = InducedBall(system, p).gauge_grad_many(pts)
-        ref_g, ref_grad = _in_row_blocks(lambda b: _induced_block_old(system, p, b), pts,
-                                         nodes)
-    assert _same_bits(g, ref_g) and _same_bits(grad, ref_grad)
+        got = InducedBall(system, p).gauge_grad_many(pts)
+        ref = _in_row_blocks(lambda b: _induced_block_old(system, p, b), pts, nodes)
+    assert got[0][0] == 0.0 and _same_grads(got, ref, got[0] == 0)
 
 
 def test_ratio_ascent_support_problem_unchanged():

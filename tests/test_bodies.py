@@ -53,6 +53,22 @@ class TestGaugeAxioms:
             assert body.gauge(np.eye(3)[k]) > 1e-12
 
 
+@pytest.mark.parametrize("p", [2.0, 2.05, 2.1, 2.5, 3.0, 4.0])
+def test_zero_row_has_zero_subgradient(trig3, p):
+    # 1e-300^(p-1) underflows from p of about 2.08 on; the zero rows must
+    # still get the subgradient 0, not 0/0, and the other row its gradient
+    # (test_bitwise pins its bits)
+    x = np.array([[0.0, 0.0, 0.0], [0.3, -1.2, 0.5], [-0.0, 0.0, -0.0]])
+    for body in (LpBall(3, p), induced_ball(trig3, p)):
+        with np.errstate(divide="raise", invalid="raise"):
+            g, grad = body.gauge_grad_many(x)
+        assert g[0] == 0.0 and g[2] == 0.0
+        assert np.all(grad[[0, 2]] == 0.0)
+        g1, grad1 = body.gauge_grad_many(x[1:2])
+        assert g[1] == pytest.approx(g1[0], rel=1e-14)
+        np.testing.assert_allclose(grad[1], grad1[0], rtol=1e-13)
+
+
 class TestInducedBall:
     def test_p2_unit_vectors(self, trig3):
         body = induced_ball(trig3, 2.0)

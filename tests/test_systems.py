@@ -7,8 +7,9 @@ import pytest
 
 from widthlab.errors import BadDimensions, DimensionMismatch
 from widthlab.linalg import Subspace
-from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, QuadratureRule, abs_power,
-                              sphere_harmonics_system, trig_prefix_system, trig_system)
+from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, QuadratureRule, _legendre_rows,
+                              abs_power, sphere_harmonics_system, trig_prefix_system,
+                              trig_system)
 
 NORM_COS_L1 = 2.0 * math.sqrt(2.0) / math.pi          # (1/2pi) int |sqrt2 cos| dt
 NORM_COS_L4 = 1.5 ** 0.25                             # (1/2pi) int (sqrt2 cos)^4 = 3/2
@@ -91,7 +92,20 @@ class TestSphereSystem:
     def test_gram_identity_degree_twelve(self):
         s = sphere_harmonics_system(12)
         assert s.n == 169
-        assert np.max(np.abs(s.gram() - np.eye(169))) < 1e-8
+        assert np.max(np.abs(s.gram() - np.eye(169))) < 1e-13
+
+    def test_legendre_recurrence_matches_closed_form(self):
+        from scipy.special import gammaln, lpmv
+
+        t = np.concatenate([np.polynomial.legendre.leggauss(26)[0], [1.0, -1.0, 0.0, 0.3]])
+        table = _legendre_rows(12, t)
+        for k in range(13):
+            for m in range(k + 1):
+                norm = np.exp(0.5 * (np.log(2 * k + 1) + gammaln(k - m + 1)
+                                     - gammaln(k + m + 1)))
+                np.testing.assert_allclose(table[k, m], norm * lpmv(m, k, t),
+                                           rtol=0, atol=1e-13, err_msg=f"k={k}, m={m}")
+        assert not np.any(table[np.triu_indices(13, 1)])
 
     def test_zonal_degree_one(self, sphere9):
         # index 2 is the (k=1, order=0) harmonic sqrt(3) cos(polar)

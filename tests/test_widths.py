@@ -176,11 +176,13 @@ class TestBruteForce:
         assert d["kind"] == "gelfand" and d["m"] == 2 and d["value"] == 0.0
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, widthlab; print('scipy.optimize' in sys.modules)"
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    code = ("import sys, widthlab, widthlab.cli; widthlab.sphere_harmonics_system(12); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 class TestQuotientNorm:
