@@ -67,7 +67,6 @@ from .widths import (
     lq_section_radius_bound,
     radius_bound_violations,
     sobolev_width_order,
-    width_duality_check,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Everything that needs "maximize one norm over the unit ball of another"
 funnels through ``ratio_ascent``: support functions, section radii,
-projection and quotient gauges (``offset_minima``), and the inner loops of
-the brute-force width searches.  A problem k maximizes
+projection gauges (``offset_minima``), and the inner loops of the
+brute-force width searches.  A problem k maximizes
 g_num(y @ N_k) / g_den(y @ D_k) for two base bodies and a linear map each
 (none is the identity); every iteration stacks the rows of all live
 problems into one ``gauge_grad_many`` call per base body.  The objective is
@@ -11,7 +11,9 @@ problems into one ``gauge_grad_many`` call per base body.  The objective is
 
 ``iters`` is a cap: a problem freezes once its best value has not risen by
 more than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive
-iterations, judged on that problem's own rows.  Nothing refines the
+iterations, judged on that problem's own rows.  On the sphere of R^1 the
+tangent step is exactly 0, so 1-D problems (every codimension-1 section in
+the plane) stop after their first, scoring pass.  Nothing refines the
 kernel's result afterwards.  Values returned are achieved values, hence
 certified lower bounds on the true maxima (and upper bounds on the minima
 of ``offset_minima``).
@@ -56,7 +58,9 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     gauge 1.  The value is the best iterate; no local search follows.
     """
     y = _unit_rows(np.asarray(starts, dtype=float))
-    n_prob, n_rows, _ = y.shape
+    n_prob, n_rows, dim = y.shape
+    if dim == 1:  # iterates are +-1: the first pass scores all there is
+        iters = min(iters, 1)
     out_val = np.empty((n_prob, n_rows))
     out_y = np.empty_like(y)
 
@@ -134,13 +138,14 @@ def offset_minima(body, anchors, directions):
 
 
 def support_values(body, targets: np.ndarray, restarts: int = 6,
-                   iters: int = 350, seed=0) -> np.ndarray:
+                   iters: int = 350, seed=0):
     """Support function of ``body`` at each target row, by batched ascent.
 
     Each target x is one problem: maximize |<x, y>| / gauge(y), the
     numerator being the 1-D ball |t| under the map y -> <x, y>.  The target
     direction itself is used as a smart start (exact whenever the body is
-    the Euclidean ball).
+    the Euclidean ball).  Returns the values and the maximizers y, scaled
+    to gauge 1.
     """
     from .bodies import LpBall
 
@@ -152,6 +157,5 @@ def support_values(body, targets: np.ndarray, restarts: int = 6,
     y = rng.standard_normal((n_samples * r, dim))
     y[::r] = x  # smart start on the first restart of each sample
     y[np.linalg.norm(y, axis=1) == 0] = 1.0
-    values, _ = ratio_ascent(LpBall(1, 1.0), body, y.reshape(n_samples, r, dim),
-                             iters=iters, num_maps=x[:, :, None])
-    return values
+    return ratio_ascent(LpBall(1, 1.0), body, y.reshape(n_samples, r, dim),
+                        iters=iters, num_maps=x[:, :, None])

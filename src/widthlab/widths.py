@@ -1,33 +1,35 @@
 """Width computations and section-radius lower bounds.
 
 Exact Kolmogorov widths for ellipsoids (the tail semiaxis), brute-force
-Gelfand/Kolmogorov searches at small n, the duality cross-check, the
-truncated-multiplier tail identity, the lower-bound evaluators for section
-radii of coefficient bodies, and the smoothness-scaling fits.
+Gelfand/Kolmogorov searches at small n, the truncated-multiplier tail
+identity, the lower-bound evaluators for section radii of coefficient
+bodies, and the smoothness-scaling fits.
 
 The brute-force searches are upper-bound constructions (best subspace
 found by a batched compass search over frames, every objective scoring a
 whole stack of frames at once); the radius evaluators are lower bounds
 with an empirically calibrated constant.  Tests therefore compare the two
 against exact oracles only where those exist, and otherwise check
-one-sided validity.
+one-sided validity.  One frame search serves both widths: by polar
+duality d_m(K, Z) = d^m(Z^o, K^o) for symmetric convex bodies in finite
+dimensions (Ioffe and Tikhomirov 1968; Pinkus, n-Widths in Approximation
+Theory, 1985, ch. II), so a Kolmogorov width is the Gelfand width of the
+polars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import _optim
-from .bodies import Body, LpBall, euclidean_ball, induced_ball, linear_image
+from .bodies import Body, _polar, induced_ball
 from .errors import BadDimensions, BadOrder, NotMonotone
 from .linalg import Subspace, as_generator, full_space, min_singular_value, random_subspace
 from .manifolds import TwoPointSpace
-from .stochastic import (_euclidean_image_matrix, _section_radii, expectation_norm,
-                         section_radius)
+from .stochastic import _section_radii, expectation_norm, section_radius
 from .systems import trig_prefix_system
 
 #: calibration keeps this fraction of the smallest training ratio as a
@@ -54,15 +56,6 @@ class WidthResult:
     value: float
     method: str               # "exact", "brute_force", "lower_bound"
     witness: Subspace | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.order,
-            "value": self.value,
-            "method": self.method,
-            "witness": None if self.witness is None else self.witness.frame.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -95,59 +88,24 @@ def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
     return float(a[m])
 
 
-class _QuotientNorm(Body):
-    """Seminorm x -> min_y in span ||x - y||_Z, for a general target gauge."""
-
-    def __init__(self, target: Body, frame: np.ndarray):
-        self.target = target
-        self.frame = np.asarray(frame, dtype=float)
-        self.dim = self.frame.shape[1]
-        self.label = f"dist-to-span[{target.label}]"
-
-    def gauge_many(self, points):
-        return self.gauge_grad_many(points)[0]
-
-    def gauge_grad_many(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        g, offsets = _optim.offset_minima(self.target, x, -self.frame)
-        # envelope: the distance gradient is the gauge gradient at the residual
-        return g, self.target.gauge_grad_many(x - offsets @ self.frame)[1]
-
-
 def _orthonormal(mats: np.ndarray) -> np.ndarray:
     """Orthonormal frames spanning the rows of each matrix of a stack."""
     q, _ = np.linalg.qr(np.swapaxes(mats, -1, -2))
     return np.swapaxes(q, -1, -2)
 
 
-def _sup_distances(body: Body, target: Body, frames: np.ndarray,
-                   starts: np.ndarray) -> np.ndarray:
-    """sup over the body of the target-gauge distance to the span of each
-    frame of a (k, m, n) stack, from the shared (restarts, n) ``starts``."""
-    n = body.dim
-    if isinstance(target, LpBall) and target.p == 2.0:
-        proj = np.eye(n) - frames.transpose(0, 2, 1) @ frames
-        a = _euclidean_image_matrix(body)
-        if a is not None:
-            return np.linalg.svd(proj @ a, compute_uv=False)[:, 0]
-        values, _ = _optim.ratio_ascent(target, body,
-                                        np.broadcast_to(starts, (len(frames),) + starts.shape),
-                                        num_maps=proj)
-        return values
-    return np.array([_optim.ratio_ascent(_QuotientNorm(target, frame), body, starts[None])[0][0]
-                     for frame in frames])
-
-
-def _search_frames(objective, rows: int, n: int, start_dim: int, restarts: int,
+def _search_frames(body: Body, target: Body, rows: int, restarts: int,
                    seed) -> tuple[float, np.ndarray]:
-    """Smallest ``objective(frames, starts)`` found over (rows, n) frames by a
-    batched compass search: each round moves every live frame by +-step along
-    each coordinate matrix and scores all the moves in one call.  The inner
-    ``starts`` are drawn once, so a frame's value depends on that frame alone."""
+    """Smallest section radius of ``body`` in the ``target`` gauge found over
+    (rows, n) frames by a batched compass search: each round moves every live
+    frame by +-step along each coordinate matrix and scores all the moves in
+    one call.  The inner ``starts`` are drawn once, so a frame's value
+    depends on that frame alone."""
+    n = body.dim
     rng = as_generator(seed)
-    starts = rng.standard_normal((_INNER_RESTARTS, start_dim))
+    starts = rng.standard_normal((_INNER_RESTARTS, rows))
     frames = _orthonormal(rng.standard_normal((restarts, rows, n)))
-    values = objective(frames, starts)
+    values = _section_radii(body, target, frames, starts)
     keep = np.argsort(values, kind="stable")[:_REFINE_TOP]
     frames, values = frames[keep], values[keep]
     step = np.full(len(frames), _STEP_START)
@@ -158,7 +116,8 @@ def _search_frames(objective, rows: int, n: int, start_dim: int, restarts: int,
         if not live.size:
             break
         cands = _orthonormal(frames[live, None] + step[live, None, None, None] * moves)
-        cand_vals = objective(cands.reshape(-1, rows, n), starts).reshape(len(live), -1)
+        cand_vals = _section_radii(body, target, cands.reshape(-1, rows, n),
+                                   starts).reshape(len(live), -1)
         pick = np.argmin(cand_vals, axis=1)
         best = cand_vals[np.arange(len(live)), pick]
         took = best < values[live] - _DECREASE_RTOL * np.abs(values[live])
@@ -171,27 +130,21 @@ def _search_frames(objective, rows: int, n: int, start_dim: int, restarts: int,
 
 def brute_force_kolmogorov(body: Body, target: Body, m: int, restarts: int = 256,
                            seed=0) -> WidthResult:
-    """Best m-dimensional approximating subspace found by random + local search.
+    """Best m-dimensional approximating subspace, as the Gelfand search of the
+    polars: d_m(body, target) = d^m(target^o, body^o).
 
-    The returned value is an upper bound on the true width; for ellipsoids in
-    the Euclidean norm the inner supremum is exact (largest singular value of
-    the complementary restriction), so the search quality is testable against
-    the closed-form oracle.
+    The sup over the body of the target distance to a subspace L is the
+    radius of the section of target^o by the complement of L, in the body^o
+    gauge, so the witness is the complement of the best section found.  For
+    ellipsoids in the Euclidean norm the polars are ellipsoids and the
+    section radii are exact, so the search quality is testable against the
+    closed-form oracle.
     """
+    gel = brute_force_gelfand(_polar(target), _polar(body), m, restarts=restarts, seed=seed)
     n = body.dim
-    if n > 5:
-        raise BadDimensions("brute-force widths are limited to n <= 5")
-    if not 0 <= m <= n:
-        raise BadOrder(f"order must be in 0..{n}")
-    if m == n:
-        return WidthResult("kolmogorov", m, 0.0, "brute_force", full_space(n))
-    if m == 0:
-        val = section_radius(body, target, full_space(n), restarts=max(restarts // 4, 8),
-                             seed=seed)
-        return WidthResult("kolmogorov", m, float(val), "brute_force", None)
-
-    val, frame = _search_frames(partial(_sup_distances, body, target), m, n, n, restarts, seed)
-    return WidthResult("kolmogorov", m, float(val), "brute_force", Subspace(frame))
+    witness = (full_space(n) if gel.witness is None else
+               None if gel.witness.dim == n else gel.witness.complement())
+    return WidthResult("kolmogorov", m, gel.value, "brute_force", witness)
 
 
 def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
@@ -212,8 +165,7 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
         val = section_radius(body, target, full_space(n), restarts=max(restarts // 4, 8),
                              seed=seed)
         return WidthResult("gelfand", m, float(val), "brute_force", full_space(n))
-    val, frame = _search_frames(partial(_section_radii, body, target), n - m, n, n - m,
-                                restarts, seed)
+    val, frame = _search_frames(body, target, n - m, restarts, seed)
     return WidthResult("gelfand", m, float(val), "brute_force", Subspace(frame))
 
 
@@ -225,24 +177,6 @@ def linear_cowidth(body: Body, target: Body, m: int, restarts: int = 256,
     """
     gel = brute_force_gelfand(body, target, m, restarts=restarts, seed=seed)
     return WidthResult("cowidth", m, 2.0 * gel.value, gel.method, gel.witness)
-
-
-def width_duality_check(matrix, m: int, restarts: int = 64, seed=0,
-                        tol: float = 1e-2) -> bool:
-    """Gelfand width of the adjoint image vs Kolmogorov width of the image.
-
-    For a linear map between Euclidean spaces the two agree; checked here by
-    running both brute-force searches.
-    """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    if n > 5:
-        raise BadDimensions("duality checks are limited to n <= 5")
-    kol = brute_force_kolmogorov(linear_image(euclidean_ball(n), a), LpBall(n, 2.0),
-                                 m, restarts=restarts, seed=seed)
-    gel = brute_force_gelfand(linear_image(euclidean_ball(n), a.T), LpBall(n, 2.0),
-                              m, restarts=restarts, seed=seed)
-    return abs(kol.value - gel.value) <= tol
 
 
 def fourier_tail_sup(values, m: int) -> float:

@@ -253,3 +253,48 @@ def test_ratio_ascent_mapped_section_radii_unchanged():
     values, points = _optim.ratio_ascent(*args, **kwargs)
     ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
     assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
+
+
+class _Counting:
+    """A body that counts its gradient-oracle calls."""
+
+    def __init__(self, body):
+        self.body, self.dim, self.calls = body, body.dim, 0
+
+    def gauge_grad_many(self, points):
+        self.calls += 1
+        return self.body.gauge_grad_many(points)
+
+
+def test_one_dimensional_problems_stop_after_scoring():
+    """Codimension-1 sections of the plane, as in the planar Gelfand search:
+    1-D iterates are +-1, where the tangent step is exactly 0, so one scoring
+    pass gives the looped kernel's values and points bit for bit."""
+    system = trig_prefix_system(2)
+    rng = as_generator(11)
+    frames = _unit_rows(rng.standard_normal((30, 1, 2)))
+    starts = rng.standard_normal((30, 12, 1))
+    starts[0, 0] = 0.0  # a zero start stays zero
+    num, den = _Counting(InducedBall(system, 1.0)), _Counting(InducedBall(system, 4.0))
+    values, points = _optim.ratio_ascent(num, den, starts, num_maps=frames, den_maps=frames)
+    ref_values, ref_points = _ratio_ascent_old(InducedBall(system, 1.0),
+                                               InducedBall(system, 4.0), starts,
+                                               num_maps=frames, den_maps=frames)
+    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
+    # one gradient call per base body; the denominator's second call is the
+    # final scaling to gauge 1 that every ascent makes
+    assert (num.calls, den.calls) == (1, 2)
+
+
+def test_one_dimensional_support_problem_unchanged():
+    """``support_values``'s problem form on a 1-D body: the lifted numerator
+    |t| is 1-D, and so is every iterate."""
+    body = LpBall(1, 3.0)
+    x = as_generator(4).standard_normal((25, 1))
+    starts = as_generator(5).standard_normal((25, 4, 1))
+    args = (LpBall(1, 1.0), body, starts)
+    kwargs = dict(num_maps=x[:, :, None])
+    values, points = _optim.ratio_ascent(*args, **kwargs)
+    ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
+    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
+    assert np.array_equal(values, np.abs(x[:, 0]))

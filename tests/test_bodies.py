@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab.bodies import (LpBall, MultiplierSpec, PolarBody, dual_gauge,
-                             euclidean_ball, induced_ball, linear_image,
+from widthlab.bodies import (LinearImageBody, LpBall, MultiplierSpec, PolarBody, _polar,
+                             dual_gauge, euclidean_ball, induced_ball, linear_image,
                              multiplier_diagonal, support_function)
-from widthlab.errors import BadDimensions, SingularMatrix, SpectrumExhausted
+from widthlab.errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
+from widthlab.harness import _build_body
 from widthlab.manifolds import sphere
 from widthlab.systems import _BLOCK_VALUES, abs_power, sphere_harmonics_system, trig_system
 
@@ -128,12 +128,23 @@ class TestLinearImage:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             linear_image(euclidean_ball(2), np.zeros((2, 2)))
+        with pytest.raises(SingularMatrix):
+            linear_image(euclidean_ball(2), [[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        with pytest.raises(DimensionMismatch):
+            linear_image(euclidean_ball(2), [[1.0, 0.0], [0.0, np.nan]])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_invertibility_is_scale_free(self, scale):
+        # |det| = 1e-15 or 1e15: a matrix and its inverse transpose (the
+        # polar's) are both accepted
+        body = linear_image(euclidean_ball(5), scale * np.eye(5))
+        assert _polar(body).gauge(np.full(5, 1.0 / (scale * 5**0.5))) == pytest.approx(1.0)
 
     def test_descriptor(self):
-        body = linear_image(euclidean_ball(2), np.diag([2.0, 1.0]))
-        desc = body.descriptor()
-        assert desc["matrix"] == {"diagonal": [2.0, 1.0]}
-        json.dumps(desc)  # serializable
+        # a configuration descriptor builds the image it describes
+        body = _build_body({"kind": "linear_image", "base": {"kind": "lp", "dim": 2},
+                            "matrix": {"diagonal": [2.0, 1.0]}})
+        assert np.array_equal(body.matrix, np.diag([2.0, 1.0]))
 
 
 class TestDualGauge:
@@ -160,7 +171,7 @@ class TestDualGauge:
         p_dual = p / (p - 1.0)
         rng = np.random.default_rng(int(p))
         x = rng.standard_normal((500, 3))
-        h = support_values(induced_ball(trig3, p), x, restarts=4, iters=250, seed=0)
+        h, _ = support_values(induced_ball(trig3, p), x, restarts=4, iters=250, seed=0)
         dom = trig3.lp_norm_many(x, p_dual)
         assert np.all(h <= dom + 1e-6)
 
@@ -170,7 +181,7 @@ class TestDualGauge:
         body = induced_ball(trig3, 4.0)
         x = np.array([0.3, -0.7, 0.2])
         assert support_function(body, x, restarts=5, iters=120, seed=3) == \
-            support_values(body, x[None], 5, 120, 3)[0]
+            support_values(body, x[None], 5, 120, 3)[0][0]
 
     def test_polar_body_matches_support_function(self, trig3):
         body = induced_ball(trig3, 4.0)
@@ -178,6 +189,53 @@ class TestDualGauge:
         x = np.array([0.3, -0.7, 0.2])
         assert polar.gauge(x) == pytest.approx(
             support_function(body, x, restarts=8), rel=1e-4)
+
+    def test_polar_body_gradient_is_danskin(self, trig3):
+        # the gradient of the support function is the maximizer: central
+        # differences of the gauge agree with it, and Euler's identity holds
+        polar = PolarBody(induced_ball(trig3, 4.0), restarts=6, iters=300, seed=0)
+        x = np.random.default_rng(6).standard_normal((5, 3))
+        g, grad = polar.gauge_grad_many(x)
+        assert np.array_equal(g, polar.gauge_many(x))
+        assert np.allclose(np.sum(grad * x, axis=1), g, rtol=1e-12)
+        h = 1e-5
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            fd = (polar.gauge_many(x + e) - polar.gauge_many(x - e)) / (2 * h)
+            assert np.allclose(fd, grad[:, j], atol=1e-4)
+
+    def test_polar_body_gradient_at_zero(self, trig3):
+        g, grad = PolarBody(induced_ball(trig3, 1.5)).gauge_grad_many(np.zeros((1, 3)))
+        assert g[0] == 0.0 and np.all(grad == 0.0)
+
+
+class TestPolarRules:
+    @pytest.mark.parametrize("p, dual", [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0),
+                                         (4.0, 4.0 / 3.0), (np.inf, 1.0)])
+    def test_lp_ball_goes_to_dual_exponent(self, p, dual):
+        polar = _polar(LpBall(3, p))
+        assert isinstance(polar, LpBall) and polar.dim == 3 and polar.p == dual
+
+    def test_linear_image_goes_to_inverse_transpose(self):
+        a = np.array([[2.0, 1.0], [0.0, 1.0]])
+        polar = _polar(linear_image(LpBall(2, 1.0), a))
+        assert isinstance(polar, LinearImageBody)
+        assert isinstance(polar.base, LpBall) and polar.base.p == np.inf
+        assert np.allclose(polar.matrix, np.linalg.inv(a).T, rtol=0, atol=1e-15)
+        # h_{A V}(x) = h_V(A^T x), and the support function of the cross-polytope
+        # is the max norm
+        x = np.random.default_rng(1).standard_normal((20, 2))
+        assert np.allclose(polar.gauge_many(x), np.max(np.abs(x @ a), axis=1), rtol=1e-14)
+
+    def test_polar_of_polar_is_the_body(self, trig3):
+        body = induced_ball(trig3, 4.0)
+        assert _polar(PolarBody(body)) is body
+
+    def test_other_bodies_become_polar_bodies(self, trig3):
+        body = induced_ball(trig3, 4.0)
+        polar = _polar(body)
+        assert isinstance(polar, PolarBody) and polar.base is body
 
 
 class TestMultiplier:
@@ -221,15 +279,18 @@ class TestMultiplier:
 
 
 def test_descriptors_roundtrip(trig3):
-    bodies = [
-        LpBall(2, np.inf),
-        induced_ball(trig3, 1.5),
-        linear_image(euclidean_ball(2), np.array([[2.0, 1.0], [0.0, 1.0]])),
+    # every kind of configuration descriptor builds the body built directly
+    dense = [[2.0, 1.0], [0.0, 1.0]]
+    cases = [
+        ({"kind": "lp", "dim": 2, "p": "inf"}, LpBall(2, np.inf)),
+        ({"kind": "induced", "system": {"kind": "trig", "max_degree": 1}, "p": 1.5},
+         induced_ball(trig3, 1.5)),
+        ({"kind": "linear_image", "base": {"kind": "lp", "dim": 2},
+          "matrix": {"dense": dense}}, linear_image(euclidean_ball(2), np.array(dense))),
     ]
-    for body in bodies:
-        desc = body.descriptor()
-        assert "kind" in desc
-        json.dumps(desc)
+    for desc, body in cases:
+        x = np.random.default_rng(0).standard_normal((20, body.dim))
+        assert np.array_equal(_build_body(desc).gauge_many(x), body.gauge_many(x))
 
 
 def _gauge_grad_reference(system, p, pts):

@@ -50,14 +50,9 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} in JSON output")
 
 
-def run_cli(args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "widthlab.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
 
 
 class TestConfig:
@@ -315,12 +310,3 @@ class TestCli:
         assert res.stderr.startswith("configuration error: "), res.stderr
         assert "all checks passed" not in res.stdout
 
-    def test_threads_env_does_not_change_results(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        for out, threads in ((out1, "1"), (out2, "3")):
-            res = run_cli(["verify", "--checks", "weyl-ratio,fourier-tail",
-                           "--seed", "5", "--out", str(out)],
-                          env={"WIDTHLAB_THREADS": threads})
-            assert res.returncode == 0
-        assert (out1 / "verify_summary.json").read_bytes() == \
-            (out2 / "verify_summary.json").read_bytes()

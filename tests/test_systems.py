@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -177,15 +176,6 @@ def _trig3_with_nan(field, idx):
 def test_nan_input_rejected(build, error):
     with pytest.raises(error):
         build()
-
-
-class TestSerialization:
-    def test_json_fields(self, trig3):
-        payload = json.loads(trig3.to_json())
-        assert payload["name"] == "trig-3"
-        assert payload["n"] == 3
-        assert len(payload["weights"]) == len(payload["nodes"])
-        assert payload["sup_norms"] == pytest.approx([1.0, math.sqrt(2), math.sqrt(2)])
 
 
 def test_abs_power_matches_numpy():

@@ -10,13 +10,12 @@ from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder, NotMonotone
 from widthlab.manifolds import sphere
 from widthlab.systems import trig_prefix_system, trig_system
-from widthlab.widths import (CalibrationConstant, _QuotientNorm,
-                             brute_force_gelfand, brute_force_kolmogorov,
-                             calibrate_radius_constant, ellipsoid_kolmogorov_exact,
-                             fourier_tail_sup, l1_section_radius_bound,
-                             lq_section_radius_bound, radius_bound_violations,
-                             radius_ratio_samples, sobolev_width_order,
-                             width_duality_check)
+from widthlab.widths import (CalibrationConstant, brute_force_gelfand,
+                             brute_force_kolmogorov, calibrate_radius_constant,
+                             ellipsoid_kolmogorov_exact, fourier_tail_sup,
+                             l1_section_radius_bound, lq_section_radius_bound,
+                             radius_bound_violations, radius_ratio_samples,
+                             sobolev_width_order)
 
 # radius_ratio_samples("lq", range(2), dims=(3, 4), ps=(2.0,)) as computed by
 # one independent ascent per section (fixed 300 iterations, no early stop);
@@ -63,7 +62,7 @@ class TestBruteForce:
             res = brute_force_kolmogorov(body, LpBall(3, 2.0), m,
                                          restarts=96, seed=0)
             assert res.value == pytest.approx(
-                ellipsoid_kolmogorov_exact(axes, m), abs=1e-3)
+                ellipsoid_kolmogorov_exact(axes, m), abs=1e-6)
             assert res.kind == "kolmogorov"
 
     def test_gelfand_matches_oracle(self):
@@ -169,12 +168,6 @@ class TestBruteForce:
         assert co.kind == "cowidth"
         assert co.value == pytest.approx(4.0, abs=2e-3)
 
-    def test_result_json(self):
-        res = brute_force_gelfand(euclidean_ball(2), LpBall(2, 2.0), 2,
-                                  restarts=16, seed=0)
-        d = res.to_json_dict()
-        assert d["kind"] == "gelfand" and d["m"] == 2 and d["value"] == 0.0
-
 
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy is for the tests alone
@@ -185,28 +178,68 @@ def test_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "[]"
 
 
-class TestQuotientNorm:
-    def test_euclidean_distance_to_axis(self):
-        q = _QuotientNorm(LpBall(2, 2.0), np.array([[1.0, 0.0]]))
-        assert q.gauge_many(np.array([[0.3, 0.8]]))[0] == pytest.approx(0.8, abs=1e-6)
+class TestKolmogorovByPolars:
+    def test_witness_is_complement_of_best_section(self):
+        body = linear_image(euclidean_ball(3), np.diag([3.0, 2.0, 1.0]))
+        for m in range(4):
+            res = brute_force_kolmogorov(body, LpBall(3, 2.0), m, restarts=32, seed=0)
+            if m == 0:
+                assert res.witness is None
+                continue
+            assert res.witness.dim == m
+            if m == 3:
+                continue
+            # the residual of every semiaxis off the witness is at most the width
+            resid = np.eye(3) * [3.0, 2.0, 1.0] - res.witness.project(np.diag([3.0, 2.0, 1.0]))
+            assert np.linalg.norm(resid, 2) == pytest.approx(res.value, abs=1e-9)
 
-    def test_sup_distance_to_diagonal(self):
-        q = _QuotientNorm(LpBall(2, np.inf), np.array([[1.0, 1.0]]) / math.sqrt(2))
-        # dist_inf((2,1), diagonal) = 0.5 attained at c = 1.5
-        assert q.gauge_many(np.array([[2.0, 1.0]]))[0] == pytest.approx(0.5, abs=1e-6)
+    def test_large_ellipsoid(self):
+        # the polar's matrix has determinant 1e-15
+        body = linear_image(euclidean_ball(5), np.diag([1e3, 1e3, 1e3, 1e3, 1e3]))
+        res = brute_force_kolmogorov(body, LpBall(5, 2.0), 2, restarts=8, seed=0)
+        assert res.value == pytest.approx(1e3, rel=1e-12)
+
+    def test_cube_in_euclidean_norm_three_dims(self):
+        # every section of the polar (the ball) by a line meets the cube's
+        # polar gauge (the 1-norm) at least at 1, with equality on the axes
+        res = brute_force_kolmogorov(LpBall(3, np.inf), LpBall(3, 2.0), 2, restarts=16,
+                                     seed=0)
+        assert abs(res.value - 1.0) <= 1e-6
+        assert res.witness.dim == 2
+
+    def test_non_structured_body_goes_through_polar_body(self):
+        # the induced 2-ball of an orthonormal system is the Euclidean ball,
+        # here reached through PolarBody and its Danskin gradient
+        body = induced_ball(trig_prefix_system(2), 2.0)
+        res = brute_force_kolmogorov(body, LpBall(2, 2.0), 1, restarts=4, seed=0)
+        assert res.value == pytest.approx(1.0, abs=1e-6)
+
+
+def _duality_gap(matrix, m, restarts, seed):
+    """|Kolmogorov width of A B2 - Gelfand width of A^T B2|, both in l2."""
+    a = np.asarray(matrix, dtype=float)
+    n = len(a)
+    kol = brute_force_kolmogorov(linear_image(euclidean_ball(n), a), LpBall(n, 2.0), m,
+                                 restarts=restarts, seed=seed)
+    gel = brute_force_gelfand(linear_image(euclidean_ball(n), a.T), LpBall(n, 2.0), m,
+                              restarts=restarts, seed=seed)
+    return abs(kol.value - gel.value)
 
 
 class TestDuality:
     def test_diagonal_case(self):
-        assert width_duality_check(np.diag([3.0, 2.0, 1.0]), 1,
-                                   restarts=64, seed=0)
+        assert _duality_gap(np.diag([3.0, 2.0, 1.0]), 1, restarts=64, seed=0) <= 1e-2
 
     def test_identity_all_orders(self):
         for m in (1, 2):
-            assert width_duality_check(np.eye(3), m, restarts=32, seed=1)
+            assert _duality_gap(np.eye(3), m, restarts=32, seed=1) <= 1e-2
 
     def test_full_order(self):
-        assert width_duality_check(np.diag([2.0, 1.0]), 2, restarts=16, seed=2)
+        assert _duality_gap(np.diag([2.0, 1.0]), 2, restarts=16, seed=2) <= 1e-2
+
+    def test_dense_matrix(self):
+        a = np.array([[2.0, 0.5, 0.0], [0.3, 1.0, -0.4], [0.0, 0.2, 0.7]])
+        assert _duality_gap(a, 1, restarts=32, seed=3) <= 1e-6
 
 
 class TestFourierTail:
