@@ -10,13 +10,11 @@ from .bodies import (
     InducedBall,
     LinearImageBody,
     LpBall,
-    MultiplierSpec,
     PolarBody,
     dual_gauge,
     euclidean_ball,
     induced_ball,
     linear_image,
-    multiplier_diagonal,
     support_function,
 )
 from .errors import WidthLabError
@@ -31,6 +29,7 @@ from .manifolds import (
     TwoPointSpace,
     cayley_plane,
     complex_projective,
+    multiplier_diagonal,
     quaternionic_projective,
     real_projective,
     sobolev_multiplier,
@@ -55,17 +54,13 @@ from .systems import (
     trig_system,
 )
 from .widths import (
-    CalibrationConstant,
     WidthResult,
     brute_force_gelfand,
     brute_force_kolmogorov,
-    calibrate_radius_constant,
     ellipsoid_kolmogorov_exact,
-    fourier_tail_sup,
     l1_section_radius_bound,
     linear_cowidth,
     lq_section_radius_bound,
-    radius_bound_violations,
     sobolev_width_order,
 )
 

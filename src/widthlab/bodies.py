@@ -8,13 +8,10 @@ images, sections and polars are thin wrappers over a base gauge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import _optim
-from .errors import BadDimensions, DimensionMismatch, SingularMatrix, SpectrumExhausted
+from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
 
@@ -289,59 +286,3 @@ def dual_gauge(system: OrthonormalSystem, p: float, x, restarts: int = 32, seed=
     the orthonormal system is an L_2 inner product, so Hoelder applies.
     """
     return support_function(induced_ball(system, p), x, restarts=restarts, seed=seed)
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """A multiplier sequence: a positive rate function of the eigenvalue,
-    or an explicit per-coordinate sequence.
-
-    ``regularly_varying`` marks rates that decay like a power: decreasing,
-    continuous, with lambda(C*t)/lambda(t) bounded below as t grows.
-    """
-
-    lambda_fn: Callable | None = None
-    sequence: np.ndarray | None = None
-    regularly_varying: bool = False
-
-    def __post_init__(self):
-        if self.lambda_fn is None and self.sequence is None:
-            raise BadDimensions("need a rate function or an explicit sequence")
-        if self.sequence is not None:
-            seq = np.array(self.sequence, dtype=float)
-            if np.any(seq <= 0):
-                raise BadDimensions("multiplier entries must be positive")
-            if self.regularly_varying and np.any(np.diff(seq) > 1e-12):
-                raise BadDimensions("a regularly varying sequence must be nonincreasing")
-            seq.setflags(write=False)
-            object.__setattr__(self, "sequence", seq)
-
-    def rate(self, t: float) -> float:
-        if self.lambda_fn is None:
-            raise BadDimensions("this spec has no rate function")
-        return float(self.lambda_fn(t))
-
-
-def multiplier_diagonal(spec: MultiplierSpec, spectral, n: int) -> np.ndarray:
-    """First n diagonal entries of the truncated multiplier operator.
-
-    With spectral data, the rate at the k-th eigenvalue is repeated once per
-    eigenspace dimension, k >= 1 (the constant term is excluded).  Without
-    spectral data an explicit sequence is consumed directly.
-    """
-    if n < 1:
-        raise BadDimensions("n must be >= 1")
-    if spectral is not None and spec.lambda_fn is not None:
-        entries = []
-        k = 1
-        while len(entries) < n:
-            if k > 100_000:
-                raise SpectrumExhausted("eigenvalue index cap reached")
-            entries.extend([spec.rate(spectral.eigenvalue(k))] * spectral.eigenspace_dim(k))
-            k += 1
-        return np.array(entries[:n])
-    if spec.sequence is None:
-        raise SpectrumExhausted("no spectral data and no explicit sequence")
-    if len(spec.sequence) < n:
-        raise SpectrumExhausted(f"sequence has {len(spec.sequence)} entries, need {n}")
-    return np.array(spec.sequence[:n])

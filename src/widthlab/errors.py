@@ -21,10 +21,6 @@ class SingularMatrix(WidthLabError):
     """A matrix required to be invertible is (numerically) singular."""
 
 
-class SpectrumExhausted(WidthLabError):
-    """A multiplier truncation asked for more entries than are available."""
-
-
 class VarianceBlowup(WidthLabError):
     """A Monte-Carlo estimate has a confidence interval too wide to be useful."""
 
@@ -35,10 +31,6 @@ class Saturation(WidthLabError):
 
 class BadOrder(WidthLabError):
     """A width order m is outside 0..n or the axis list is not sorted."""
-
-
-class NotMonotone(WidthLabError):
-    """A multiplier sequence expected to be nonincreasing is not."""
 
 
 class ConfigError(WidthLabError):

@@ -23,8 +23,6 @@ from .errors import BadDimensions, DimensionMismatch, RankDeficient, SingularMat
 ORTHO_TOL = 1e-10
 #: rank tolerance, relative to the largest singular value
 RANK_TOL = 1e-10
-#: determinant magnitude below which a matrix is treated as singular
-DET_TOL = 1e-12
 #: hard cap on matrix dimensions; larger problems are out of scope
 MAX_DIM = 64
 
@@ -83,12 +81,13 @@ def min_singular_value(a) -> float:
     of the unit ball under ``a``; for a diagonal matrix it is the smallest
     absolute diagonal entry.
 
-    Raises :class:`SingularMatrix` when ``|det a|`` is below :data:`DET_TOL`.
+    Raises :class:`SingularMatrix` when it is at most :data:`RANK_TOL` times
+    the largest one, a rule that does not depend on the scale of ``a``.
     """
-    a = _check_matrix(a)
-    if abs(np.linalg.det(a)) <= DET_TOL:
+    sv = np.linalg.svd(_check_matrix(a), compute_uv=False)
+    if sv[-1] <= RANK_TOL * sv[0]:
         raise SingularMatrix("matrix is numerically singular")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    return float(sv[-1])
 
 
 @dataclass(frozen=True)

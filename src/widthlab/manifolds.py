@@ -6,7 +6,9 @@ quaternions, and octonions.  Eigenvalues follow the Jacobi parametrization
 theta_k = k(k + alpha + beta + 1); real projective spaces carry only even
 degrees, handled by internal reindexing.  Dimensions use the exact
 Jacobi-weight closed form rather than just their k^(d-1) order, because
-multiplier truncations need exact cumulative counts.
+multiplier truncations need exact cumulative counts.  The multiplier
+diagonals themselves, and the power rates of Sobolev smoothness, are built
+here too.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
-from .bodies import MultiplierSpec
+import numpy as np
+
 from .errors import BadDimensions
 
+#: longest multiplier diagonal built, 64 MiB of float64
+_MAX_DIAGONAL = 2**23
 _FAMILIES = ("sphere", "real_projective", "complex_projective",
              "quaternionic_projective", "cayley_plane")
 
@@ -119,13 +125,29 @@ def all_families() -> list[TwoPointSpace]:
             quaternionic_projective(8), cayley_plane()]
 
 
-def sobolev_multiplier(space: TwoPointSpace, gamma: float) -> MultiplierSpec:
-    """Multiplier with rate t^(-gamma/2): smoothness gamma on the space.
+def multiplier_diagonal(rate: Callable[[float], float], space: TwoPointSpace,
+                        n: int) -> np.ndarray:
+    """First n diagonal entries of the truncated multiplier operator.
 
-    Entries start at the first nonzero eigenvalue (constants are excluded)
-    and the rate is a power, hence regularly varying.
+    The rate at the k-th eigenvalue is repeated once per dimension of the
+    k-th eigenspace, k >= 1 (the constant term is excluded), and the last
+    block is cut at n.  Every eigenspace has dimension >= 1, so at most n
+    levels are visited.
     """
+    if not 1 <= n <= _MAX_DIAGONAL:
+        raise BadDimensions(f"n must be in 1..{_MAX_DIAGONAL}, got {n}")
+    rates, dims, total = [], [], 0
+    while total < n:
+        k = len(dims) + 1
+        rates.append(float(rate(space.eigenvalue(k))))
+        dims.append(min(space.eigenspace_dim(k), n - total))
+        total += dims[-1]
+    return np.repeat(rates, dims)
+
+
+def sobolev_multiplier(gamma: float) -> Callable[[float], float]:
+    """The rate t^(-gamma/2) of smoothness gamma: a power, hence regularly
+    varying (a fixed dilation of t changes it by a constant factor)."""
     if gamma <= 0:
         raise BadDimensions("gamma must be positive")
-    return MultiplierSpec(lambda_fn=lambda t: float(t) ** (-gamma / 2.0),
-                          regularly_varying=True)
+    return lambda t: float(t) ** (-gamma / 2.0)

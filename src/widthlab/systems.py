@@ -128,32 +128,21 @@ class QuadratureRule:
 class OrthonormalSystem:
     """A finite orthonormal system with precomputed node values.
 
-    ``values[k, i]`` is the k-th function at the i-th quadrature node;
-    ``sup_norms[k]`` is a certified upper bound for its sup norm (never
-    smaller than the max over nodes).
+    ``values[k, i]`` is the k-th function at the i-th quadrature node.
     """
 
     name: str
     quadrature: QuadratureRule
     values: np.ndarray
-    sup_norms: np.ndarray
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        sup = np.array(self.sup_norms, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(self.quadrature):
             raise DimensionMismatch("values must be (n_functions, n_nodes)")
-        if sup.shape != (values.shape[0],):
-            raise DimensionMismatch("need one sup-norm bound per function")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(sup))):
-            raise BadDimensions("values and sup-norm bounds must be finite")
-        grid_max = np.max(np.abs(values), axis=1)
-        if np.any(sup < grid_max - 1e-12):
-            raise BadDimensions("sup-norm bounds fall below observed node maxima")
+        if not np.all(np.isfinite(values)):
+            raise BadDimensions("values must be finite")
         values.setflags(write=False)
-        sup.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sup_norms", sup)
 
     @property
     def n(self) -> int:
@@ -202,7 +191,6 @@ class OrthonormalSystem:
             name=f"{self.name}[:{n}]",
             quadrature=self.quadrature,
             values=self.values[:n],
-            sup_norms=self.sup_norms[:n],
         )
 
 
@@ -223,17 +211,14 @@ def trig_system(max_degree: int) -> OrthonormalSystem:
     weights = np.full(m, 1.0 / m)
 
     rows = [np.ones(m)]
-    sup = [1.0]
     for deg in range(1, k + 1):
         rows.append(np.sqrt(2.0) * np.cos(deg * theta))
         rows.append(np.sqrt(2.0) * np.sin(deg * theta))
-        sup.extend([np.sqrt(2.0), np.sqrt(2.0)])
 
     return OrthonormalSystem(
         name=f"trig-{2 * k + 1}",
         quadrature=QuadratureRule(theta, weights),
         values=np.array(rows),
-        sup_norms=np.array(sup),
     )
 
 
@@ -261,7 +246,7 @@ def _legendre_rows(max_degree: int, t: np.ndarray) -> np.ndarray:
     return P
 
 
-def _real_harmonic_rows(max_degree: int, t: np.ndarray, phi: np.ndarray):
+def _real_harmonic_rows(max_degree: int, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Rows of real spherical harmonics at points (cos polar = t, azimuth = phi).
 
     Orthonormal with respect to the *normalized* surface measure, so the
@@ -269,7 +254,6 @@ def _real_harmonic_rows(max_degree: int, t: np.ndarray, phi: np.ndarray):
     """
     legendre = _legendre_rows(max_degree, t)
     rows = []
-    labels = []
     for k in range(max_degree + 1):
         for order in range(-k, k + 1):
             m = abs(order)
@@ -280,8 +264,7 @@ def _real_harmonic_rows(max_degree: int, t: np.ndarray, phi: np.ndarray):
                 rows.append(np.sqrt(2.0) * base * np.cos(m * phi))
             else:
                 rows.append(np.sqrt(2.0) * base * np.sin(m * phi))
-            labels.append((k, order))
-    return np.array(rows), labels
+    return np.array(rows)
 
 
 def sphere_harmonics_system(max_degree: int) -> OrthonormalSystem:
@@ -308,15 +291,12 @@ def sphere_harmonics_system(max_degree: int) -> OrthonormalSystem:
     w = np.concatenate([w, [0.0, 0.0]])
     w = w / w.sum()
 
-    rows, labels = _real_harmonic_rows(k, t, phi)
-    # certified bound: sum over an eigenspace of squares is 2k+1 pointwise
-    sup = np.array([np.sqrt(2 * deg + 1) for deg, _ in labels])
+    rows = _real_harmonic_rows(k, t, phi)
 
     return OrthonormalSystem(
         name=f"sphere-{(k + 1) ** 2}",
         quadrature=QuadratureRule(np.column_stack([t, phi]), w),
         values=rows,
-        sup_norms=sup,
     )
 
 

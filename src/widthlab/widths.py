@@ -1,15 +1,17 @@
 """Width computations and section-radius lower bounds.
 
-Exact Kolmogorov widths for ellipsoids (the tail semiaxis), brute-force
-Gelfand/Kolmogorov searches at small n, the truncated-multiplier tail
-identity, the lower-bound evaluators for section radii of coefficient
-bodies, and the smoothness-scaling fits.
+Exact Kolmogorov widths of diagonal operators (the tail semiaxis), which
+also give the worst truncation error of a multiplier; brute-force
+Gelfand/Kolmogorov searches at small n; the lower-bound factors and
+observed ratios for section radii of coefficient bodies; and the
+smoothness-scaling fits.
 
 The brute-force searches are upper-bound constructions (best subspace
 found by a batched compass search over frames, every objective scoring a
 whole stack of frames at once); the radius evaluators are lower bounds
-with an empirically calibrated constant.  Tests therefore compare the two
-against exact oracles only where those exist, and otherwise check
+with an empirically calibrated constant, which the harness fits on
+training seeds and validates on fresh ones.  Tests therefore compare the
+two against exact oracles only where those exist, and otherwise check
 one-sided validity.  One frame search serves both widths: by polar
 duality d_m(K, Z) = d^m(Z^o, K^o) for symmetric convex bodies in finite
 dimensions (Ioffe and Tikhomirov 1968; Pinkus, n-Widths in Approximation
@@ -26,16 +28,12 @@ import numpy as np
 
 from . import _optim
 from .bodies import Body, _polar, induced_ball
-from .errors import BadDimensions, BadOrder, NotMonotone
+from .errors import BadDimensions, BadOrder
 from .linalg import Subspace, as_generator, full_space, min_singular_value, random_subspace
-from .manifolds import TwoPointSpace
+from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
 from .stochastic import _section_radii, expectation_norm, section_radius
 from .systems import trig_prefix_system
 
-#: calibration keeps this fraction of the smallest training ratio as a
-#: safety margin for out-of-sample validity (the constant is only asserted
-#: to exist, not to have a particular value)
-CALIBRATION_MARGIN = 0.75
 #: random starts of each inner supremum in the brute-force frame searches,
 #: drawn once per search and shared by every frame
 _INNER_RESTARTS = 12
@@ -58,23 +56,13 @@ class WidthResult:
     witness: Subspace | None = None
 
 
-@dataclass(frozen=True)
-class CalibrationConstant:
-    context: str
-    value: float
-    trials: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise BadDimensions("calibrated constants must be finite and positive")
-
-
 def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
     """Kolmogorov width of an axis-aligned ellipsoid in the Euclidean norm.
 
     With semiaxes sorted descending the best m-dimensional approximating
     subspace spans the m longest axes and the width is the next semiaxis;
-    m = n gives 0.
+    m = n gives 0 (Kolmogorov 1936).  For the diagonal of a nonincreasing
+    multiplier this is also the worst L_2 error of keeping m coefficients.
     """
     a = np.asarray(semiaxes, dtype=float)
     if a.ndim != 1 or len(a) == 0 or np.any(a <= 0):
@@ -179,25 +167,6 @@ def linear_cowidth(body: Body, target: Body, m: int, restarts: int = 256,
     return WidthResult("cowidth", m, 2.0 * gel.value, gel.method, gel.witness)
 
 
-def fourier_tail_sup(values, m: int) -> float:
-    """Worst L_2 truncation error over the multiplier image of the unit ball.
-
-    For a nonincreasing multiplier sequence the supremum of the tail after
-    keeping m coefficients is exactly the next entry.
-    """
-    seq = np.asarray(getattr(values, "sequence", values), dtype=float)
-    if seq is None or seq.ndim != 1 or len(seq) == 0:
-        raise BadOrder("need a 1-D multiplier sequence")
-    mags = np.abs(seq)
-    if np.any(np.diff(mags) > 1e-12):
-        raise NotMonotone("multiplier magnitudes must be nonincreasing")
-    if not 0 <= m <= len(seq):
-        raise BadOrder(f"order must be in 0..{len(seq)}")
-    if m == len(seq):
-        return 0.0
-    return float(mags[m])
-
-
 # --------------------------------------------------------------------------
 # section-radius lower bounds for coefficient bodies
 # --------------------------------------------------------------------------
@@ -221,8 +190,8 @@ def l1_section_radius_bound(matrix, system, p: float) -> float:
     E[induced p-gauge]^{-3/2}, for p >= 2.
 
     A calibrated constant times this factor bounds the radius of sections
-    by subspaces of dimension >= 2n/3 from below; ``calibrate_radius_constant``
-    fits the constant and the harness validates it on fresh seeds.
+    by subspaces of dimension >= 2n/3 from below; the harness fits the
+    constant on training seeds and validates it on fresh ones.
     """
     if p < 2:
         raise BadDimensions("the bound needs p >= 2")
@@ -298,30 +267,6 @@ def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
     return ratios.ravel().tolist()
 
 
-def calibrate_radius_constant(kind: str, seeds, **grid) -> CalibrationConstant:
-    """Fit the universal constant as the smallest training ratio, shrunk by
-    :data:`CALIBRATION_MARGIN` for out-of-sample headroom, then freeze it.  A
-    non-finite or non-positive smallest ratio raises ``BadDimensions``."""
-    ratios = radius_ratio_samples(kind, seeds, **grid)
-    return CalibrationConstant(context=f"radius-{kind}",
-                               value=CALIBRATION_MARGIN * float(np.min(ratios)),
-                               trials=len(ratios))
-
-
-def radius_bound_violations(kind: str, constant: CalibrationConstant, seeds,
-                            **grid) -> tuple[int, int, float]:
-    """Validation pass: (trials, violations, worst relative margin).
-
-    A violation is a sampled section whose found radius falls below the
-    calibrated bound, or whose ratio is not finite; the margin is
-    min(ratio/const - 1), NaN when a ratio is NaN.
-    """
-    ratios = radius_ratio_samples(kind, seeds, **grid)
-    arr = np.asarray(ratios) / constant.value
-    violations = int(np.sum(~(np.isfinite(arr) & (arr >= 1.0))))
-    return len(arr), violations, float(arr.min() - 1.0)
-
-
 # --------------------------------------------------------------------------
 # smoothness scaling
 # --------------------------------------------------------------------------
@@ -340,8 +285,7 @@ def sobolev_width_order(space: TwoPointSpace, gamma: float, n_levels,
     tau_(min level) and tau_(max level); the dense staircase averages out
     the eigenspace blocks.
     """
-    if gamma <= 0:
-        raise BadDimensions("gamma must be positive")
+    rate = sobolev_multiplier(gamma)
     levels = sorted(int(N) for N in n_levels)
     if len(levels) < 2 or levels[0] < 1:
         raise BadDimensions("need at least two levels >= 1")
@@ -350,17 +294,12 @@ def sobolev_width_order(space: TwoPointSpace, gamma: float, n_levels,
     if method == "bound":
         xs = np.array([taus[N] for N in levels], dtype=float)
         ys = xs ** (2.0 / d)
-        vals = np.array([v ** (-gamma / 2.0) for v in ys])
+        vals = np.array([rate(v) for v in ys])
         return float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
     if method == "exact":
-        top = levels[-1] + 1
-        lams = np.concatenate([
-            np.full(space.eigenspace_dim(k), space.eigenvalue(k) ** (-gamma / 2.0))
-            for k in range(1, top + 1)
-        ])
-        start = int(taus[levels[0]])
-        stop = int(taus[levels[-1]])
+        start, stop = taus[levels[0]], taus[levels[-1]]
+        lams = multiplier_diagonal(rate, space, stop + 1)
         ms = np.arange(start, stop + 1)
-        widths = lams[ms]  # width of order m is the (m+1)-th semiaxis
+        widths = lams[start:]  # width of order m is the (m+1)-th semiaxis
         return float(np.polyfit(np.log(ms), np.log(widths), 1)[0])
     raise BadDimensions("method must be 'bound' or 'exact'")

@@ -12,13 +12,13 @@ import time
 import numpy as np
 
 from widthlab.bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
+from widthlab.harness import _radius_check
 from widthlab.manifolds import all_families, sphere
 from widthlab.stochastic import (expectation_norm, expected_norm_bound, greedy_net,
                                  mc_volume_ratio)
 from widthlab.systems import trig_system
 from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
-                             calibrate_radius_constant, ellipsoid_kolmogorov_exact,
-                             radius_bound_violations, sobolev_width_order)
+                             ellipsoid_kolmogorov_exact, sobolev_width_order)
 
 _t0 = {}
 
@@ -148,14 +148,12 @@ def test_criterion_07_radius_bounds():
     grid_l1 = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), subspaces=2, restarts=16)
     grid_lq = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), qs=(1.25, 1.5, 2.0),
                    subspaces=2, restarts=16)
-    const_l1 = calibrate_radius_constant("l1", range(0, 10), **grid_l1)
-    const_lq = calibrate_radius_constant("lq", range(0, 10), **grid_lq)
-    t1, v1, w1 = radius_bound_violations("l1", const_l1, range(10, 60), **grid_l1)
-    t2, v2, w2 = radius_bound_violations("lq", const_lq, range(10, 60), **grid_lq)
-    ok = v1 == 0 and v2 == 0
+    l1 = _radius_check("l1", 1.0, range(0, 10), range(10, 60), grid_l1)
+    lq = _radius_check("lq", 1.0, range(0, 10), range(10, 60), grid_lq)
+    ok = l1.passed and lq.passed
     _finish("radius-bounds", ok,
-            f"l1: {v1}/{t1} violations (margin {w1:.3f}); "
-            f"lq: {v2}/{t2} violations (margin {w2:.3f})")
+            f"l1: {l1.violations}/{l1.trials} violations (margin {l1.worst_margin:.3f}); "
+            f"lq: {lq.violations}/{lq.trials} violations (margin {lq.worst_margin:.3f})")
 
 
 def test_criterion_08_sobolev_scaling():

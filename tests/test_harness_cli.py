@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab.bodies import Body
-from widthlab.errors import ConfigError
+from widthlab.errors import BadDimensions, ConfigError
 from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
                               _build_body, _build_system, _report, check_radius_l1,
                               check_santalo, check_seed, run, verify_all)
@@ -273,6 +275,7 @@ class TestCli:
     @pytest.mark.parametrize("task, raw", [
         ("widths", {"task": "widths", "seed": 1}),
         ("scaling", {"task": "scaling", "seed": 1, "levels": [4]}),
+        ("scaling", {"task": "scaling", "seed": 1, "levels": [4, 65]}),
         ("expect", {"task": "expect", "seed": True}),
         ("expect", {"task": "expect", "seed": 1, "p": "abc"}),
         ("volume", {"task": "volume", "seed": 1, "body": {"kind": "lp"}}),
@@ -281,7 +284,8 @@ class TestCli:
         ("expect", 5),
         ("expect", "abc"),
         ("verify", {"task": "verify", "seed": 1, "checks": []}),
-    ], ids=["widths-without-semiaxes", "scaling-one-level", "bool-seed",
+    ], ids=["widths-without-semiaxes", "scaling-one-level", "scaling-level-above-64",
+            "bool-seed",
             "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces",
             "list-config", "number-config", "string-config", "empty-checks"])
     def test_invalid_config_is_config_error(self, tmp_path, task, raw):
@@ -291,6 +295,24 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("configuration error: "), res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_unfinishable_scaling_fails_fast(self, tmp_path):
+        # levels 4..12 on the Cayley plane need a 374,332,453-entry multiplier
+        # diagonal, about 3 GB of float64, above the 2^23-entry cap; the child's
+        # address-space limit keeps a regression from exhausting the machine
+        raw = {"task": "scaling", "seed": 0, "family": "cayley_plane"}
+        cfg = tmp_path / "cayley.json"
+        cfg.write_text(json.dumps(raw))
+        res = subprocess.run(
+            [sys.executable, "-m", "widthlab.cli", "scaling", "--config", str(cfg)],
+            capture_output=True, text=True, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (4 << 30, resource.RLIM_INFINITY)))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: "), res.stderr
+        t0 = time.perf_counter()
+        with pytest.raises(BadDimensions):
+            run(ExperimentConfig.from_dict(raw))
+        assert time.perf_counter() - t0 < 0.5
 
     def test_duplicate_check_names_are_config_error(self, tmp_path):
         res = run_cli(["verify", "--checks", "fourier-tail,fourier-tail",

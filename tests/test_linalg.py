@@ -5,6 +5,8 @@ from widthlab.errors import (BadDimensions, DimensionMismatch, RankDeficient,
                              SingularMatrix)
 from widthlab.linalg import (Subspace, full_space, min_singular_value, orthonormalize,
                              random_subspace)
+from widthlab.systems import trig_prefix_system
+from widthlab.widths import l1_section_radius_bound
 
 
 class TestOrthonormalize:
@@ -100,6 +102,13 @@ class TestSingularValues:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
             min_singular_value([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_small_scale_is_not_singular(self):
+        # singularity is judged relative to the largest singular value, so a
+        # well-conditioned matrix of tiny determinant (1e-15 here) passes
+        assert min_singular_value(1e-3 * np.eye(5)) == 1e-3
+        bound = l1_section_radius_bound(1e-3 * np.eye(3), trig_prefix_system(3), 2.0)
+        assert np.isfinite(bound) and bound > 0
 
     def test_inscribed_ball(self):
         # boundary of the smallest-singular-value ball stays inside the image

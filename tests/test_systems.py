@@ -113,10 +113,6 @@ class TestSphereSystem:
         assert sphere9.lp_norm(y10, 4.0) ** 4 == pytest.approx(9.0 / 5.0, abs=1e-10)
         assert sphere9.lp_norm(y10, np.inf) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
-    def test_sup_bounds_certified(self, sphere9):
-        grid_max = np.max(np.abs(sphere9.values), axis=1)
-        assert np.all(sphere9.sup_norms >= grid_max - 1e-12)
-
     def test_degree_cap(self):
         with pytest.raises(BadDimensions):
             sphere_harmonics_system(13)
@@ -160,19 +156,18 @@ class TestPrefix:
             trig3.prefix(4)
 
 
-def _trig3_with_nan(field, idx):
+def _trig3_with_nan(idx):
     trig3 = trig_system(1)
-    parts = {"values": trig3.values.copy(), "sup_norms": trig3.sup_norms.copy()}
-    parts[field][idx] = np.nan
-    return OrthonormalSystem("trig-3", trig3.quadrature, **parts)
+    values = trig3.values.copy()
+    values[idx] = np.nan
+    return OrthonormalSystem("trig-3", trig3.quadrature, values)
 
 
 @pytest.mark.parametrize("build, error", [
     (lambda: Subspace(np.array([[np.nan, 0.0]])), DimensionMismatch),
     (lambda: QuadratureRule(np.array([0.0, 1.0]), np.array([np.nan, 1.0])), BadDimensions),
-    (lambda: _trig3_with_nan("values", (1, 4)), BadDimensions),
-    (lambda: _trig3_with_nan("sup_norms", 1), BadDimensions),
-], ids=["subspace-frame", "quadrature-weight", "system-values", "system-sup-norms"])
+    (lambda: _trig3_with_nan((1, 4)), BadDimensions),
+], ids=["subspace-frame", "quadrature-weight", "system-values"])
 def test_nan_input_rejected(build, error):
     with pytest.raises(error):
         build()

@@ -7,14 +7,13 @@ import pytest
 
 from widthlab import widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
-from widthlab.errors import BadDimensions, BadOrder, NotMonotone
-from widthlab.manifolds import sphere
+from widthlab.errors import BadDimensions, BadOrder
+from widthlab.harness import _radius_check
+from widthlab.manifolds import quaternionic_projective, sphere
 from widthlab.systems import trig_prefix_system, trig_system
-from widthlab.widths import (CalibrationConstant, brute_force_gelfand,
-                             brute_force_kolmogorov, calibrate_radius_constant,
-                             ellipsoid_kolmogorov_exact, fourier_tail_sup,
-                             l1_section_radius_bound, lq_section_radius_bound,
-                             radius_bound_violations, radius_ratio_samples,
+from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
+                             ellipsoid_kolmogorov_exact, l1_section_radius_bound,
+                             lq_section_radius_bound, radius_ratio_samples,
                              sobolev_width_order)
 
 # radius_ratio_samples("lq", range(2), dims=(3, 4), ps=(2.0,)) as computed by
@@ -243,22 +242,20 @@ class TestDuality:
 
 
 class TestFourierTail:
+    # the worst L_2 error of keeping m coefficients of a nonincreasing
+    # multiplier is the Kolmogorov width of its diagonal
     def test_harmonic_sequence(self):
         seq = 1.0 / np.arange(1, 10)
-        assert fourier_tail_sup(seq, 1) == 0.5
-        assert fourier_tail_sup(seq, 0) == 1.0
-        assert fourier_tail_sup(seq, 9) == 0.0
+        assert ellipsoid_kolmogorov_exact(seq, 1) == 0.5
+        assert ellipsoid_kolmogorov_exact(seq, 0) == 1.0
+        assert ellipsoid_kolmogorov_exact(seq, 9) == 0.0
 
     def test_numeric_maximization_agrees(self):
         lam = np.array([1.0, 0.7, 0.3, 0.1])
         for m in range(4):
             tail = np.diag(np.concatenate([np.zeros(m), lam[m:]]))
             numeric = float(np.linalg.norm(tail, 2))
-            assert abs(numeric - fourier_tail_sup(lam, m)) < 1e-9
-
-    def test_not_monotone_rejected(self):
-        with pytest.raises(NotMonotone):
-            fourier_tail_sup(np.array([0.5, 1.0]), 0)
+            assert abs(numeric - ellipsoid_kolmogorov_exact(lam, m)) < 1e-9
 
 
 class TestRadiusBounds:
@@ -298,19 +295,11 @@ class TestRadiusBounds:
 
     def test_calibrate_then_validate_small_grid(self):
         grid = dict(dims=(3, 4), ps=(2.0,), subspaces=2, restarts=16)
-        const = calibrate_radius_constant("l1", range(0, 4), **grid)
-        assert const.value > 0
-        trials, violations, worst = radius_bound_violations(
-            "l1", const, range(4, 8), **grid)
-        assert trials == 16
-        assert violations == 0
-        assert worst > 0
-
-    def test_constant_validation(self):
-        with pytest.raises(BadDimensions):
-            CalibrationConstant("x", 0.0, 1)
-        with pytest.raises(BadDimensions):
-            CalibrationConstant("x", float("nan"), 1)
+        report = _radius_check("l1", 1.0, range(0, 4), range(4, 8), grid)
+        assert report.details["constant"] > 0
+        assert report.details["training_trials"] == 16
+        assert (report.trials, report.violations) == (16, 0)
+        assert report.worst_margin > 0
 
     def test_batched_ratios_match_pinned_values(self):
         ratios = radius_ratio_samples("lq", range(0, 2), dims=(3, 4), ps=(2.0,))
@@ -319,20 +308,42 @@ class TestRadiusBounds:
     @pytest.mark.parametrize("ratios", [[1.0, float("nan")], [float("nan"), 1.0],
                                         [0.0, 1.0], [-float("inf"), 1.0]])
     def test_calibration_rejects_bad_minimum(self, monkeypatch, ratios):
+        # a NaN, zero or negative training minimum fails every validation ratio
         monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
-        with pytest.raises(BadDimensions):
-            calibrate_radius_constant("l1", range(2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = _radius_check("l1", 1.0, range(2), range(2), {})
+        assert not report.passed
+        assert report.violations == report.trials == 2
 
     def test_non_finite_ratio_is_a_violation(self, monkeypatch):
-        const = CalibrationConstant("radius-l1", 1.0, 3)
         for bad in (float("nan"), float("inf")):
+            calls = iter([[4.0], [4.0, bad, 6.0]])  # training, then validation
             monkeypatch.setattr(widths, "radius_ratio_samples",
-                                lambda *a, **k: [2.0, bad, 3.0])
-            trials, violations, _ = radius_bound_violations("l1", const, range(3))
-            assert (trials, violations) == (3, 1)
+                                lambda *a, **k: next(calls))
+            report = _radius_check("l1", 1.0, range(1), range(3), {})
+            assert report.details["constant"] == 3.0
+            assert (report.trials, report.violations) == (3, 1)
+            assert math.isnan(report.worst_margin)
+
+
+# sobolev_width_order(..., range(4, 13), method="exact") of the former
+# inline staircase, which the shared multiplier diagonal must reproduce
+PINNED_EXACT_SLOPES = {
+    ("sphere-d2", 1.0): -0.4869902615031181,
+    ("sphere-d2", 2.0): -0.973980523006236,
+    ("quaternionic_projective-d8", 1.0): -0.1261659566007181,
+    ("quaternionic_projective-d8", 2.0): -0.25233191320143594,
+}
 
 
 class TestSobolevOrder:
+    @pytest.mark.parametrize("space", [sphere(2), quaternionic_projective(8)],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_exact_slopes_match_pinned_values(self, space, gamma):
+        slope = sobolev_width_order(space, gamma, range(4, 13), method="exact")
+        assert slope == PINNED_EXACT_SLOPES[space.name, gamma]
+
     def test_bound_slope_exact(self):
         space = sphere(2)
         for gamma in (1.0, 2.0):
