@@ -13,10 +13,14 @@ problems into one ``gauge_grad_many`` call per base body.  The objective is
 more than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive
 iterations, judged on that problem's own rows.  On the sphere of R^1 the
 tangent step is exactly 0, so 1-D problems (every codimension-1 section in
-the plane) stop after their first, scoring pass.  Nothing refines the
-kernel's result afterwards.  Values returned are achieved values, hence
-certified lower bounds on the true maxima (and upper bounds on the minima
-of ``offset_minima``).
+the plane) stop after their first, scoring pass.  Support values have a
+third stop, on the duality gap: a caller may pass an upper bound on each
+problem's maximum, evaluated on the first pass and every ``GAP_EVERY``-th
+after, and a problem freezes once its best value is within ``GAP_RTOL``
+(relative) of the lowest bound seen.  Nothing refines the kernel's result
+afterwards.  Values returned are achieved values, hence certified lower
+bounds on the true maxima (and upper bounds on the minima of
+``offset_minima``).
 
 The iteration is NumPy overhead more than arithmetic: rows are a few
 entries long, so the row norms and the tangent projection reduce by column
@@ -35,6 +39,8 @@ from .linalg import _by_column, _unit_rows, as_generator
 _EPS = 1e-300
 STALL_RTOL = 1e-9
 PATIENCE = 60
+GAP_RTOL = 1e-6
+GAP_EVERY = 8
 
 
 def _gauge_grad(base, maps, y: np.ndarray):
@@ -48,7 +54,7 @@ def _gauge_grad(base, maps, y: np.ndarray):
 
 
 def ratio_ascent(numerator, denominator, starts, iters: int = 300,
-                 num_maps=None, den_maps=None):
+                 num_maps=None, den_maps=None, _bound=None):
     """Maximize numerator(y @ N_k) / denominator(y @ D_k) for every problem k.
 
     ``starts`` holds the initial directions (any nonzero length), shape
@@ -56,6 +62,11 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     stacks or None.  Returns ``(values, points)``: the best achieved ratio of
     each problem and a point where it is achieved, scaled to denominator
     gauge 1.  The value is the best iterate; no local search follows.
+
+    ``_bound(live, y, ratio, grad)``, if given, returns upper bounds on the
+    maxima of the problems ``live`` from each one's best row ``y`` of the
+    pass, its ratio and the denominator gradient there; the gap stop reads
+    their running minimum, and a NaN bound is ignored.
     """
     y = _unit_rows(np.asarray(starts, dtype=float))
     n_prob, n_rows, dim = y.shape
@@ -71,6 +82,7 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     best_y = y.copy()
     prev = np.full((n_prob, n_rows), -np.inf)
     top = np.full(n_prob, -np.inf)
+    upper = np.full(n_prob, np.inf)
     stall = np.zeros(n_prob, dtype=int)
     for it in range(iters):
         gn, grad_n = _gauge_grad(numerator, nmaps, y)
@@ -79,6 +91,10 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
         improved = ratio > best_val
         np.copyto(best_val, ratio, where=improved)
         np.copyto(best_y, y, where=improved[..., None])
+        if _bound is not None and it % GAP_EVERY == 0:
+            rows, pick = np.arange(live.size), np.argmax(ratio, axis=1)
+            np.fmin(upper, _bound(live, y[rows, pick], ratio[rows, pick],
+                                  grad_d[rows, pick]), out=upper)
         np.multiply(step, 0.5, out=step, where=ratio < prev)
         prev = ratio
         grad = grad_n / np.maximum(gn, _EPS)[..., None]
@@ -94,12 +110,14 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
         stall = np.where(rose, 0, stall + 1)
         top = new_top
         done = stall >= PATIENCE
+        if _bound is not None:
+            done |= upper - top <= GAP_RTOL * top
         if done.any():
             out_val[live[done]] = best_val[done]
             out_y[live[done]] = best_y[done]
             keep = ~done
-            live, y, step, best_val, best_y, prev, top, stall = (
-                a[keep] for a in (live, y, step, best_val, best_y, prev, top, stall))
+            live, y, step, best_val, best_y, prev, top, upper, stall = (
+                a[keep] for a in (live, y, step, best_val, best_y, prev, top, upper, stall))
             nmaps = None if nmaps is None else nmaps[keep]
             dmaps = None if dmaps is None else dmaps[keep]
             if not live.size:
@@ -146,8 +164,14 @@ def support_values(body, targets: np.ndarray, restarts: int = 6,
     direction itself is used as a smart start (exact whenever the body is
     the Euclidean ball).  Returns the values and the maximizers y, scaled
     to gauge 1.
+
+    When ``bodies._support_majorant`` gives a gauge M >= h_K, a problem
+    stops on its duality gap.  At a row y of ratio l = |<x, y>| / g_K(y),
+    v = grad g_K(y) lies in the polar (Rockafellar, *Convex Analysis*,
+    1970), so h_K(l s v) <= l with s = sign <x, y>, and sublinearity gives
+    h_K(x) <= l + M(x - l s v).  The values are still achieved ones.
     """
-    from .bodies import LpBall
+    from .bodies import LpBall, _support_majorant
 
     x = np.atleast_2d(np.asarray(targets, dtype=float))
     n_samples, dim = x.shape
@@ -157,5 +181,13 @@ def support_values(body, targets: np.ndarray, restarts: int = 6,
     y = rng.standard_normal((n_samples * r, dim))
     y[::r] = x  # smart start on the first restart of each sample
     y[np.linalg.norm(y, axis=1) == 0] = 1.0
+    majorant = _support_majorant(body)
+
+    def bound(live, points, ell, v):
+        t = x[live]
+        side = np.sign(_by_column(np.add, t * points)) * ell
+        return ell + majorant.gauge_many(t - side[:, None] * v)
+
     return ratio_ascent(LpBall(1, 1.0), body, y.reshape(n_samples, r, dim),
-                        iters=iters, num_maps=x[:, :, None])
+                        iters=iters, num_maps=x[:, :, None],
+                        _bound=None if majorant is None else bound)

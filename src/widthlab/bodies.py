@@ -221,8 +221,11 @@ class PolarBody(Body):
     """Polar (dual) body; its gauge is the support function of the base.
 
     Evaluated by multistart ascent, so gauges are certified lower bounds;
-    callers rely on that direction.  The gradient is Danskin's: the
-    maximizer y* the ascent finds, signed to the side of the point.
+    callers rely on that direction.  Where the base has a support majorant
+    the ascent also stops on its duality gap (``_optim.support_values``),
+    and the gauge is still the best value achieved.  The gradient is
+    Danskin's: the maximizer y* the ascent finds, signed to the side of the
+    point.
     """
 
     def __init__(self, base: Body, restarts: int = 6, iters: int = 350, seed=0):
@@ -243,18 +246,40 @@ class PolarBody(Body):
         return g, np.sign(_by_column(np.add, pts * y))[:, None] * y
 
 
+def _conjugate(p: float) -> float:
+    """The Hoelder exponent p' with 1/p + 1/p' = 1 (1 and inf swap)."""
+    return np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
+
+
 def _polar(body: Body) -> Body:
     """The polar body, by structure where it shows: ell_p balls go to ell_p'
     balls, (A V)^o = A^{-T} V^o, and V^oo = V; any other body becomes a
     ``PolarBody``."""
     if isinstance(body, LpBall):
-        p = body.p
-        return LpBall(body.dim, np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0))
+        return LpBall(body.dim, _conjugate(body.p))
     if isinstance(body, LinearImageBody):
         return LinearImageBody(_polar(body.base), body.inverse.T)
     if isinstance(body, PolarBody):
         return body.base
     return PolarBody(body)
+
+
+def _support_majorant(body: Body):
+    """A gauge M with M >= h_K, the support function of ``body``, or None.
+
+    ell_p balls give their dual ball (exact); an induced p-ball gives the
+    induced p'-ball, since pairing through the system is the quadrature
+    inner product and Hoelder applies (exact up to the Gram roundoff); and
+    h_{A V}(x) = h_V(A^T x) <= M_V(A^T x), the gauge of A^{-T} M_V.
+    """
+    if isinstance(body, LpBall):
+        return _polar(body)
+    if isinstance(body, InducedBall):
+        return InducedBall(body.system, _conjugate(body.p))
+    if isinstance(body, LinearImageBody):
+        base = _support_majorant(body.base)
+        return None if base is None else LinearImageBody(base, body.inverse.T)
+    return None
 
 
 def induced_ball(system: OrthonormalSystem, p: float) -> InducedBall:

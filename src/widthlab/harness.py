@@ -3,8 +3,8 @@
 Every inequality the package implements has one named check here; each
 check draws its own seed from the run seed by hashing the check name, so
 checks are independent and the whole suite is reproducible byte for byte.
-Budgets are sized to keep a full run around a couple of minutes; the
-acceptance tests rerun the heavy protocols at full scale.
+Budgets are sized to keep a full run around ten seconds (serial, on a small
+2-core VM); the acceptance tests rerun the heavy protocols at full scale.
 """
 
 from __future__ import annotations

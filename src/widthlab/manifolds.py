@@ -4,11 +4,14 @@ Laplace eigenvalues, eigenspace dimensions, and cumulative counts for the
 five families: spheres and the projective spaces over the reals, complexes,
 quaternions, and octonions.  Eigenvalues follow the Jacobi parametrization
 theta_k = k(k + alpha + beta + 1); real projective spaces carry only even
-degrees, handled by internal reindexing.  Dimensions use the exact
-Jacobi-weight closed form rather than just their k^(d-1) order, because
-multiplier truncations need exact cumulative counts.  The multiplier
-diagonals themselves, and the power rates of Sobolev smoothness, are built
-here too.
+degrees, handled by internal reindexing.  Dimensions use the Jacobi-weight
+closed form rather than just their k^(d-1) order, because multiplier
+truncations need cumulative counts.  It is evaluated through lgamma and
+rounded to the nearest integer, which is exact for spheres of dimension
+d <= 11 up to degree 64; the first wrong count is sphere d = 12, k = 63
+(one too many).  A dimension beyond the float range raises
+``BadDimensions``.  The multiplier diagonals themselves, and the power
+rates of Sobolev smoothness, are built here too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ def _jacobi_eigenspace_dim(alpha: float, beta: float, k: int) -> int:
          + math.lgamma(k + alpha + 1) - math.lgamma(alpha + 1)
          - math.lgamma(alpha + beta + 2) - math.lgamma(k + 1)
          - math.lgamma(k + beta + 1))
-    return int(round(math.exp(v)))
+    try:
+        return int(round(math.exp(v)))
+    except OverflowError:
+        raise BadDimensions(f"eigenspace dimension at degree {k} exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class TwoPointSpace:
         return float(deg * (deg + self.alpha + self.beta + 1.0))
 
     def eigenspace_dim(self, k: int) -> int:
-        """Dimension of the k-th eigenspace (exact closed form)."""
+        """Dimension of the k-th eigenspace (the rounded closed form)."""
         if k < 0:
             raise BadDimensions("k must be >= 0")
         return _jacobi_eigenspace_dim(self.alpha, self.beta, self._degree(k))

@@ -184,15 +184,17 @@ def test_criterion_09_spectral_counting():
 
 
 def test_criterion_10_determinism(tmp_path):
+    # the two runs go at the same time, each into its own directory
     _begin("determinism")
+    outs = [tmp_path / tag for tag in ("one", "two")]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "widthlab.cli", "verify", "--all",
+         "--seed", "7", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for out in outs]
+    results = [proc.communicate() + (proc.returncode,) for proc in procs]
     outputs = []
-    for tag in ("one", "two"):
-        out = tmp_path / tag
-        res = subprocess.run(
-            [sys.executable, "-m", "widthlab.cli", "verify", "--all",
-             "--seed", "7", "--out", str(out)],
-            capture_output=True, text=True)
-        assert res.returncode == 0, res.stdout + res.stderr
+    for out, (stdout, stderr, code) in zip(outs, results):
+        assert code == 0, stdout + stderr
         outputs.append((out / "verify.csv").read_bytes()
                        + (out / "verify_summary.json").read_bytes())
     ok = outputs[0] == outputs[1]

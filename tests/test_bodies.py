@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab.bodies import (LinearImageBody, LpBall, PolarBody, _polar, dual_gauge,
+from widthlab.bodies import (InducedBall, LinearImageBody, LpBall, PolarBody, ProjectionBody,
+                             SectionBody, _polar, _support_majorant, dual_gauge,
                              euclidean_ball, induced_ball, linear_image, support_function)
 from widthlab.errors import BadDimensions, DimensionMismatch, SingularMatrix
 from widthlab.harness import _build_body
+from widthlab.linalg import random_subspace
 from widthlab.manifolds import multiplier_diagonal, sphere
 from widthlab.systems import _BLOCK_VALUES, abs_power, sphere_harmonics_system, trig_system
 
@@ -235,6 +237,45 @@ class TestPolarRules:
         body = induced_ball(trig3, 4.0)
         polar = _polar(body)
         assert isinstance(polar, PolarBody) and polar.base is body
+
+
+class TestSupportMajorant:
+    @pytest.mark.parametrize("p, dual", [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0),
+                                         (4.0, 4.0 / 3.0), (np.inf, 1.0)])
+    def test_lp_ball_gives_its_dual_ball(self, p, dual):
+        major = _support_majorant(LpBall(3, p))
+        assert isinstance(major, LpBall) and major.dim == 3 and major.p == dual
+        x = np.random.default_rng(2).standard_normal((20, 3))
+        assert np.allclose(major.gauge_many(x), np.linalg.norm(x, ord=dual, axis=1),
+                           rtol=1e-14)
+
+    @pytest.mark.parametrize("p, dual", [(1.0, np.inf), (1.5, 3.0), (4.0, 4.0 / 3.0),
+                                         (np.inf, 1.0)])
+    def test_induced_ball_gives_hoelder_bound(self, trig3, p, dual):
+        body = induced_ball(trig3, p)
+        major = _support_majorant(body)
+        assert isinstance(major, InducedBall) and major.system is trig3 and major.p == dual
+        # every pairing <x, y> / g_K(y) stays below M(x), up to roundoff
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 4000, 3))
+        pairing = np.abs(np.sum(x * y, axis=1)) / body.gauge_many(y)
+        assert np.all(pairing <= major.gauge_many(x) * (1 + 1e-12))
+
+    def test_linear_image_pulls_back_through_the_transpose(self, trig3):
+        a = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.5]])
+        major = _support_majorant(linear_image(induced_ball(trig3, 4.0), a))
+        assert isinstance(major, LinearImageBody) and isinstance(major.base, InducedBall)
+        assert major.base.p == 4.0 / 3.0
+        # M(x) = M_V(A^T x), the bound h_{A V}(x) = h_V(A^T x) <= M_V(A^T x)
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        assert np.allclose(major.gauge_many(x), major.base.gauge_many(x @ a), rtol=1e-12)
+
+    def test_other_bodies_have_none(self, trig3):
+        body = induced_ball(trig3, 4.0)
+        sub = random_subspace(3, 2, seed=0)
+        for other in (PolarBody(body), SectionBody(body, sub), ProjectionBody(body, sub),
+                      linear_image(PolarBody(body), np.diag([2.0, 1.0, 1.0]))):
+            assert _support_majorant(other) is None
 
 
 class TestMultiplier:

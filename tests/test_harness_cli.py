@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab.bodies import Body
+from widthlab import harness
+from widthlab.bodies import Body, PolarBody
 from widthlab.errors import BadDimensions, ConfigError
 from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
                               _build_body, _build_system, _report, check_radius_l1,
@@ -237,6 +238,19 @@ class TestVerify:
         assert not report.passed
         assert report.violations > 0
 
+    def test_deflated_polar_gauge_breaks_santalo(self, monkeypatch):
+        # polar gauges 5% low inflate the polar volume by 1.05^3: the early
+        # stop on the duality gap must not hide an under-estimated support value
+        class LowPolar(PolarBody):
+            def gauge_grad_many(self, points):
+                g, grad = super().gauge_grad_many(points)
+                return 0.95 * g, 0.95 * grad
+
+        monkeypatch.setattr(harness, "PolarBody", LowPolar)
+        report = check_santalo(seed=7, mc_seeds=1, samples=1500)
+        assert not report.passed
+        assert report.violations > 0
+
 
 class TestCli:
     def test_verify_subset_deterministic_bytes(self, tmp_path):
@@ -313,6 +327,15 @@ class TestCli:
         with pytest.raises(BadDimensions):
             run(ExperimentConfig.from_dict(raw))
         assert time.perf_counter() - t0 < 0.5
+
+    def test_eigenspace_overflow_is_an_error_line(self, tmp_path):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"task": "scaling", "seed": 0, "family": "sphere",
+                                   "d": 10_000_000, "levels": [4, 64]}))
+        res = run_cli(["scaling", "--config", str(cfg)])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: "), res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_duplicate_check_names_are_config_error(self, tmp_path):
         res = run_cli(["verify", "--checks", "fourier-tail,fourier-tail",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,23 @@ class TestEigenspaceDims:
         # d=4: dimensions (k+1)^3
         p4 = complex_projective(4)
         assert [p4.eigenspace_dim(k) for k in range(4)] == [1, 8, 27, 64]
+
+    def test_sphere_dims_exact_in_pinned_range(self):
+        # harmonic polynomials of degree k on S^d: C(k+d, d) - C(k+d-2, d);
+        # the rounded lgamma form matches them through d = 11, k = 64 and
+        # first rounds wrongly at d = 12, k = 63
+        def exact(d, k):
+            return math.comb(k + d, d) - (math.comb(k + d - 2, d) if k >= 2 else 0)
+
+        for d in range(2, 12):
+            space = sphere(d)
+            assert [space.eigenspace_dim(k) for k in range(65)] == \
+                [exact(d, k) for k in range(65)]
+        assert sphere(12).eigenspace_dim(63) == exact(12, 63) + 1
+
+    def test_dimension_beyond_float_range_is_bad_dimensions(self):
+        with pytest.raises(BadDimensions, match="float range"):
+            sphere(10_000_000).eigenspace_dim(64)
 
     def test_sphere_cumulative_identity(self):
         s2 = sphere(2)

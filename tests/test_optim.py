@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 from widthlab import _optim
-from widthlab.bodies import Body, InducedBall, LinearImageBody, ProjectionBody, SectionBody
+from widthlab.bodies import (Body, InducedBall, LinearImageBody, LpBall, ProjectionBody,
+                             SectionBody, _support_majorant, linear_image)
 from widthlab.linalg import as_generator, random_subspace
 from widthlab.stochastic import haar_sphere_sample
 from widthlab.systems import trig_prefix_system, trig_system
@@ -68,6 +69,65 @@ class TestRatioAscent:
         assert values[0] == pytest.approx(1.0)
         iterations = (body.calls - 1) // 2  # one final scaling call
         assert iterations == _optim.PATIENCE + 1
+
+
+class _CountingInduced(InducedBall):
+    """Induced ball that counts its gradient-oracle calls; still an
+    ``InducedBall``, so it keeps its support majorant."""
+
+    calls = 0
+
+    def gauge_grad_many(self, points):
+        self.calls += 1
+        return super().gauge_grad_many(points)
+
+
+class TestGapStop:
+    def test_unbounded_stop_is_unchanged_by_a_nan_bound(self):
+        starts = np.random.default_rng(0).standard_normal((1, 8, 3))
+        body = _CountingBall(3)
+        _optim.ratio_ascent(body, body, starts, iters=300,
+                            _bound=lambda live, y, ratio, grad: np.full(live.size, np.nan))
+        assert (body.calls - 1) // 2 == _optim.PATIENCE + 1
+
+    def test_bound_at_the_value_freezes_after_one_pass(self):
+        starts = np.random.default_rng(0).standard_normal((1, 8, 3))
+        body = _CountingBall(3)
+        values, _ = _optim.ratio_ascent(body, body, starts, iters=300,
+                                        _bound=lambda live, y, ratio, grad: ratio)
+        assert values[0] == pytest.approx(1.0)
+        assert body.calls == 3  # one pass of two bodies, and the final scaling
+
+    def test_euclidean_support_values_take_one_pass(self):
+        # at p = 2 the smart start is the maximizer and the Hoelder bound
+        # meets it at once; without the gap stop the 60-pass stall rule runs
+        x = np.random.default_rng(1).standard_normal((500, 3))
+        body = _CountingInduced(trig_system(1), 2.0)
+        values, _ = _optim.support_values(body, x, restarts=3, iters=150, seed=5)
+        assert body.calls == 2  # one loop pass, then the final scaling
+        np.testing.assert_allclose(values, np.linalg.norm(x, axis=1), rtol=1e-14)
+
+    def test_zero_targets_freeze_at_once(self):
+        body = _CountingInduced(trig_system(1), 4.0)
+        values, _ = _optim.support_values(body, np.zeros((4, 3)))
+        assert body.calls == 2
+        assert np.array_equal(values, np.zeros(4))
+
+    @pytest.mark.parametrize("body", [
+        InducedBall(trig_system(1), 1.5), InducedBall(trig_system(1), 4.0), LpBall(3, 3.0),
+        linear_image(InducedBall(trig_system(1), 4.0), np.diag([2.0, 1.0, 0.5]))],
+        ids=lambda b: b.label)
+    def test_gap_stopped_values_are_certified(self, body):
+        x = np.random.default_rng(2).standard_normal((200, 3))
+        values, _ = _optim.support_values(body, x)
+        # achieved values: never above the majorant at x (up to roundoff) ...
+        assert np.all(values <= _support_majorant(body).gauge_many(x) * (1 + 1e-12))
+        # ... and within GAP_RTOL of a long ascent without the gap stop
+        starts = np.random.default_rng(3).standard_normal((200, 16, 3))
+        starts[:, 0] = x
+        ref, _ = _optim.ratio_ascent(LpBall(1, 1.0), body, starts, iters=2000,
+                                     num_maps=x[:, :, None])
+        assert np.all(ref <= values * (1 + _optim.GAP_RTOL))
 
 
 def _lp_offset_minimum(system, anchor, directions):
