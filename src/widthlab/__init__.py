@@ -11,11 +11,9 @@ from .bodies import (
     LinearImageBody,
     LpBall,
     PolarBody,
-    dual_gauge,
     euclidean_ball,
     induced_ball,
     linear_image,
-    support_function,
 )
 from .errors import WidthLabError
 from .harness import ExperimentConfig, VerificationReport, run, verify_all

@@ -155,8 +155,7 @@ def offset_minima(body, anchors, directions):
     return 1.0 / values, points[:, 1:] / points[:, :1]
 
 
-def support_values(body, targets: np.ndarray, restarts: int = 6,
-                   iters: int = 350, seed=0):
+def support_values(body, targets: np.ndarray, restarts: int, iters: int, seed):
     """Support function of ``body`` at each target row, by batched ascent.
 
     Each target x is one problem: maximize |<x, y>| / gauge(y), the

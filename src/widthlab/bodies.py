@@ -3,7 +3,8 @@
 A body is its Minkowski functional: membership, boundary points, volumes,
 radii and expectations are all expressible through the gauge, which keeps
 the dimension generic and avoids any vertex/facet bookkeeping.  Linear
-images, sections and polars are thin wrappers over a base gauge.
+images, projections and polars are thin wrappers over a base gauge; a
+section is the maps of a ``_optim.ratio_ascent`` problem.
 """
 
 from __future__ import annotations
@@ -171,27 +172,6 @@ class LinearImageBody(Body):
         return g, grad @ self.inverse
 
 
-class SectionBody(Body):
-    """A body intersected with a subspace, seen in frame coordinates."""
-
-    def __init__(self, base: Body, subspace: Subspace):
-        if subspace.ambient_dim != base.dim:
-            raise DimensionMismatch("subspace ambient dimension must match the body")
-        self.base = base
-        self.subspace = subspace
-        self.dim = subspace.dim
-        self.label = f"{base.label} cap L{subspace.dim}"
-
-    def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.base.gauge_many(pts @ self.subspace.frame)
-
-    def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g, grad = self.base.gauge_grad_many(pts @ self.subspace.frame)
-        return g, grad @ self.subspace.frame.T
-
-
 class ProjectionBody(Body):
     """Orthogonal projection of a body onto a subspace, in frame coordinates.
 
@@ -290,24 +270,3 @@ def induced_ball(system: OrthonormalSystem, p: float) -> InducedBall:
 def linear_image(body: Body, matrix) -> LinearImageBody:
     """Image of a body under an invertible matrix; volume scales by |det|."""
     return LinearImageBody(body, matrix)
-
-
-def support_function(body: Body, x, restarts: int = 32, iters: int = 400,
-                     seed=0) -> float:
-    """max{<x, y> : gauge(y) <= 1}: one ``_optim.support_values`` problem."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (body.dim,):
-        raise DimensionMismatch(f"expected a vector of length {body.dim}")
-    if np.linalg.norm(x) == 0:
-        return 0.0
-    return float(_optim.support_values(body, x[None, :], restarts=restarts,
-                                       iters=iters, seed=seed)[0][0])
-
-
-def dual_gauge(system: OrthonormalSystem, p: float, x, restarts: int = 32, seed=0) -> float:
-    """Support function of the induced p-ball at x.
-
-    Dominated by the induced p'-norm of x (1/p + 1/p' = 1): pairing through
-    the orthonormal system is an L_2 inner product, so Hoelder applies.
-    """
-    return support_function(induced_ball(system, p), x, restarts=restarts, seed=seed)

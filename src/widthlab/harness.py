@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +38,6 @@ class VerificationReport:
     worst_margin: float
     passed: bool
     details: dict = field(default_factory=dict, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def _report(name: str, statement: str, margins, details=None) -> VerificationReport:
@@ -83,7 +72,7 @@ def check_seed(seed: int, name: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def check_volume_identity(seed: int, samples: int = 200_000) -> VerificationReport:
+def check_volume_identity(seed: int) -> VerificationReport:
     s = check_seed(seed, "volume-identity")
     cases = [
         (LpBall(2, np.inf), 4.0 / math.pi),
@@ -91,7 +80,7 @@ def check_volume_identity(seed: int, samples: int = 200_000) -> VerificationRepo
     ]
     margins, details = [], {}
     for i, (body, target) in enumerate(cases):
-        est = mc_volume_ratio(body, euclidean_ball(2), samples=samples, seed=s + i)
+        est = mc_volume_ratio(body, euclidean_ball(2), samples=200_000, seed=s + i)
         rel = abs(est.value / target - 1.0)
         margins.append(0.05 - rel)
         details[body.label] = {"estimate": est.value, "target": target}
@@ -100,13 +89,13 @@ def check_volume_identity(seed: int, samples: int = 200_000) -> VerificationRepo
                    margins, details)
 
 
-def check_expectation_bound(seed: int, samples: int = 30_000) -> VerificationReport:
+def check_expectation_bound(seed: int) -> VerificationReport:
     s = check_seed(seed, "expectation-bound")
     margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
         for p in (2.0, 4.0, 8.0):
-            est = expectation_norm(induced_ball(system, p), samples=samples, seed=s)
+            est = expectation_norm(induced_ball(system, p), samples=30_000, seed=s)
             bound = expected_norm_bound(p)
             margins.append(bound + est.half_width + 1e-6 - est.value)
             details[f"n={n},p={p}"] = {"estimate": est.value, "bound": bound}
@@ -116,18 +105,18 @@ def check_expectation_bound(seed: int, samples: int = 30_000) -> VerificationRep
                    margins, details)
 
 
-def check_santalo(seed: int, mc_seeds: int = 3, samples: int = 3000) -> VerificationReport:
+def check_santalo(seed: int) -> VerificationReport:
     s = check_seed(seed, "santalo")
     margins = [math.pi**2 - 8.0]  # exact planar case: cube times cross-polytope
     details = {"exact-2d": margins[0]}
     system = trig_system(1)
     for p in (1.5, 2.0, 4.0):
         body = induced_ball(system, p)
-        for k in range(mc_seeds):
+        for k in range(3):
             polar = PolarBody(body, restarts=3, iters=150, seed=s + 17 * k)
-            v = mc_volume_ratio(body, euclidean_ball(3), samples=samples,
+            v = mc_volume_ratio(body, euclidean_ball(3), samples=3000,
                                 seed=s + k, check_blowup=False)
-            vp = mc_volume_ratio(polar, euclidean_ball(3), samples=samples,
+            vp = mc_volume_ratio(polar, euclidean_ball(3), samples=3000,
                                  seed=s + 1000 + k, check_blowup=False)
             product = v.value * vp.value
             slack = 2.0 * (v.half_width * vp.value + vp.half_width * v.value) + 1e-6
@@ -139,16 +128,16 @@ def check_santalo(seed: int, mc_seeds: int = 3, samples: int = 3000) -> Verifica
                    margins, details)
 
 
-def check_urysohn(seed: int, samples: int = 30_000) -> VerificationReport:
+def check_urysohn(seed: int) -> VerificationReport:
     s = check_seed(seed, "urysohn-volume")
     margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
         for p in (1.0, 2.0, 4.0, 8.0):
             body = induced_ball(system, p)
-            vol = mc_volume_ratio(body, euclidean_ball(n), samples=samples,
+            vol = mc_volume_ratio(body, euclidean_ball(n), samples=30_000,
                                   seed=s, check_blowup=False)
-            exp = expectation_norm(body, samples=samples, seed=s)
+            exp = expectation_norm(body, samples=30_000, seed=s)
             # same sample stream on both sides: the bound is Jensen on the
             # empirical measure, so the margin is nonnegative up to roundoff
             lower = exp.value ** float(-n)
@@ -160,14 +149,14 @@ def check_urysohn(seed: int, samples: int = 30_000) -> VerificationReport:
                    margins, details)
 
 
-def check_net_chain(seed: int, seeds: int = 5) -> VerificationReport:
+def check_net_chain(seed: int) -> VerificationReport:
     s = check_seed(seed, "net-chain")
     ref = euclidean_ball(2)
     margins, details = [], {}
     for body, tag in ((euclidean_ball(2), "ball"), (LpBall(2, np.inf), "cube")):
         nets = {}  # the coarse net at delta is the fine one at 2 * delta
         for delta in (0.25, 0.5, 1.0):
-            for k in range(seeds):
+            for k in range(5):
                 for d in (delta, 2.0 * delta):
                     if (d, k) not in nets:
                         nets[d, k] = greedy_net(body, ref, d, seed=s + k)
@@ -185,7 +174,7 @@ def check_net_chain(seed: int, seeds: int = 5) -> VerificationReport:
                    margins, details)
 
 
-def check_brunn_sections(seed: int, samples: int = 12_000) -> VerificationReport:
+def check_brunn_sections(seed: int) -> VerificationReport:
     s = check_seed(seed, "brunn-sections")
     margins, details = [], {}
     cases = [
@@ -200,7 +189,7 @@ def check_brunn_sections(seed: int, samples: int = 12_000) -> VerificationReport
 
     for tag, body, frame_rows, offsets in cases:
         central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets,
-                                                  samples, s)
+                                                  12_000, s)
         margins.append(worst)
         details[tag] = {"central": central, "worst_margin": worst}
     return _report("brunn-sections",
@@ -209,19 +198,18 @@ def check_brunn_sections(seed: int, samples: int = 12_000) -> VerificationReport
                    margins, details)
 
 
-def check_projection_ellipsoid(seed: int, trials: int = 2,
-                               subspaces: int = 3) -> VerificationReport:
+def check_projection_ellipsoid(seed: int) -> VerificationReport:
     s = check_seed(seed, "projection-ellipsoid")
     margins, details = [], {}
     for n in (3, 4, 5):
-        for t in range(trials):
+        for t in range(2):
             rng = as_generator([s, n, t])
             a = np.diag(np.exp(rng.uniform(-1.0, 1.0, n)))
             rho = min_singular_value(a)
             det = float(np.linalg.det(a))
             sdim = math.ceil(n / 2)
             bound = 3.0**n * rho ** (sdim - n) * det
-            for j in range(subspaces):
+            for j in range(3):
                 sub = random_subspace(n, sdim, rng)
                 # projection of an ellipsoid: exact volume from singular values
                 ratio = float(np.prod(np.linalg.svd(sub.frame @ a, compute_uv=False)))
@@ -233,14 +221,14 @@ def check_projection_ellipsoid(seed: int, trials: int = 2,
                    margins, details)
 
 
-def check_projection_l1(seed: int, samples: int = 400) -> VerificationReport:
+def check_projection_l1(seed: int) -> VerificationReport:
     s = check_seed(seed, "projection-l1-ball")
     margins, details = [], {}
     for n in (3, 5, 7, 9):
         system = trig_system((n - 1) // 2)
         sub = random_subspace(n, math.ceil(n / 2), s + n)
         est = stochastic.projection_volume_ratio(induced_ball(system, 1.0), sub,
-                                                 samples=samples, seed=s + n)
+                                                 samples=400, seed=s + n)
         root = est.value ** (1.0 / n)
         margins.append(8.0 - root)
         details[f"n={n}"] = {"ratio_nth_root": root}
@@ -250,19 +238,17 @@ def check_projection_l1(seed: int, samples: int = 400) -> VerificationReport:
                    margins, details)
 
 
-def check_projection_dual(seed: int, samples: int = 400,
-                          e_samples: int = 30_000) -> VerificationReport:
+def check_projection_dual(seed: int) -> VerificationReport:
     s = check_seed(seed, "projection-dual-expectation")
     margins, details = [], {}
     for n in (3, 5):
         system = trig_system((n - 1) // 2)
         for p in (1.5, 2.0):
-            p_dual = p / (p - 1.0) if p > 1 else np.inf
-            e_dual = expectation_norm(induced_ball(system, p_dual),
-                                      samples=e_samples, seed=s)
+            e_dual = expectation_norm(induced_ball(system, bodies._conjugate(p)),
+                                      samples=30_000, seed=s)
             sub = random_subspace(n, math.ceil(n / 2), s + n)
             est = stochastic.projection_volume_ratio(induced_ball(system, p), sub,
-                                                     samples=samples, seed=s + n)
+                                                     samples=400, seed=s + n)
             root = est.value ** (1.0 / n)
             rhs = 2.5 * (e_dual.value + e_dual.half_width) + 0.05
             margins.append(rhs - root)
@@ -277,16 +263,19 @@ def check_projection_dual(seed: int, samples: int = 400,
 #: safety margin for out-of-sample validity (the constant is only asserted
 #: to exist, not to have a particular value)
 CALIBRATION_MARGIN = 0.75
+#: the (n, p, q) cells, subspaces per seed and ascent restarts of both
+#: radius checks (the l1 check has no q)
+RADIUS_GRID = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), qs=(1.25, 1.5, 2.0),
+                   subspaces=2, restarts=16)
 
 
-def _radius_check(kind: str, constant_scale: float, calibration_seeds,
-                  validation_seeds, grid) -> VerificationReport:
+def _radius_check(kind: str, calibration_seeds, validation_seeds) -> VerificationReport:
     """Fit the constant as the smallest training ratio shrunk by
     :data:`CALIBRATION_MARGIN`, freeze it, and take ratio/const - 1 on fresh
     seeds as the margins."""
-    train = widths.radius_ratio_samples(kind, calibration_seeds, **grid)
-    const = CALIBRATION_MARGIN * float(np.min(train)) * constant_scale
-    ratios = np.asarray(widths.radius_ratio_samples(kind, validation_seeds, **grid))
+    train = widths.radius_ratio_samples(kind, calibration_seeds, **RADIUS_GRID)
+    const = CALIBRATION_MARGIN * float(np.min(train))
+    ratios = np.asarray(widths.radius_ratio_samples(kind, validation_seeds, **RADIUS_GRID))
     statement = ("sampled sections of dimension >= 2n/3 keep induced-1-norm radius "
                  "above const * rho * E_p^(-3/2)" if kind == "l1" else
                  "sampled proportional sections keep induced-q-norm radius above "
@@ -295,15 +284,12 @@ def _radius_check(kind: str, constant_scale: float, calibration_seeds,
                    {"constant": const, "training_trials": len(train)})
 
 
-def check_radius_l1(seed: int, constant_scale: float = 1.0) -> VerificationReport:
-    grid = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), subspaces=2, restarts=16)
-    return _radius_check("l1", constant_scale, range(0, 10), range(10, 22), grid)
+def check_radius_l1(seed: int) -> VerificationReport:
+    return _radius_check("l1", range(0, 10), range(10, 22))
 
 
-def check_radius_lq(seed: int, constant_scale: float = 1.0) -> VerificationReport:
-    grid = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), qs=(1.25, 1.5, 2.0),
-                subspaces=2, restarts=16)
-    return _radius_check("lq", constant_scale, range(0, 10), range(10, 22), grid)
+def check_radius_lq(seed: int) -> VerificationReport:
+    return _radius_check("lq", range(0, 10), range(10, 22))
 
 
 def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, float]:
@@ -316,15 +302,15 @@ def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, 
             widths.brute_force_gelfand(body, target, m, restarts=restarts, seed=seed).value)
 
 
-def check_width_duality(seed: int, trials: int = 2, restarts: int = 48) -> VerificationReport:
+def check_width_duality(seed: int) -> VerificationReport:
     s = check_seed(seed, "width-duality")
     margins, details = [], {}
     for n in (3, 4):
-        for t in range(trials):
+        for t in range(2):
             rng = as_generator([s, n, t])
             axes = np.sort(np.exp(rng.uniform(-1.0, 1.0, n)))[::-1]
             for m in (1, 2):
-                exact, kol, gel = _ellipsoid_widths(axes, m, restarts, s + t)
+                exact, kol, gel = _ellipsoid_widths(axes, m, 48, s + t)
                 margins.append(1e-3 - abs(kol - exact))
                 margins.append(1e-3 - abs(gel - exact))
                 margins.append(1e-2 - abs(kol - gel))
@@ -672,7 +658,7 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
                 for r in reports]
         ok = all(r.passed for r in reports)
         summary = {"task": "verify", "seed": config.seed, "all_pass": ok,
-                   "reports": [r.to_json_dict() for r in reports]}
+                   "reports": [asdict(r) for r in reports]}
     else:
         runner = {"expect": _task_expect, "volume": _task_volume,
                   "radius": _task_radius, "widths": _task_widths,

@@ -6,12 +6,10 @@ quaternions, and octonions.  Eigenvalues follow the Jacobi parametrization
 theta_k = k(k + alpha + beta + 1); real projective spaces carry only even
 degrees, handled by internal reindexing.  Dimensions use the Jacobi-weight
 closed form rather than just their k^(d-1) order, because multiplier
-truncations need cumulative counts.  It is evaluated through lgamma and
-rounded to the nearest integer, which is exact for spheres of dimension
-d <= 11 up to degree 64; the first wrong count is sphere d = 12, k = 63
-(one too many).  A dimension beyond the float range raises
-``BadDimensions``.  The multiplier diagonals themselves, and the power
-rates of Sobolev smoothness, are built here too.
+truncations need cumulative counts; it is evaluated exactly, in integers,
+and a dimension beyond the float range raises ``BadDimensions``.  The
+multiplier diagonals themselves, and the power rates of Sobolev
+smoothness, are built here too.
 """
 
 from __future__ import annotations
@@ -29,21 +27,35 @@ from .errors import BadDimensions
 _MAX_DIAGONAL = 2**23
 _FAMILIES = ("sphere", "real_projective", "complex_projective",
              "quaternionic_projective", "cayley_plane")
+#: (2 alpha, 2 beta) -> the products of ``_jacobi_eigenspace_dim`` for
+#: k = 0, 1, ..., in lowest terms: one step per new level.  A grown table
+#: replaces the old one whole, so a concurrent reader never sees it half built
+_PRODUCTS: dict = {}
 
 
 @lru_cache(maxsize=None)
 def _jacobi_eigenspace_dim(alpha: float, beta: float, k: int) -> int:
-    if k == 0:
-        return 1
-    v = (math.log(2 * k + alpha + beta + 1)
-         + math.lgamma(beta + 1) + math.lgamma(k + alpha + beta + 1)
-         + math.lgamma(k + alpha + 1) - math.lgamma(alpha + 1)
-         - math.lgamma(alpha + beta + 2) - math.lgamma(k + 1)
-         - math.lgamma(k + beta + 1))
+    """(2k+alpha+beta+1)/(alpha+beta+1) * prod_(j<=k) (alpha+beta+j)(alpha+j)
+    / (j(beta+j)); doubling every factor makes it a ratio of integers in
+    a = 2 alpha and b = 2 beta."""
+    a, b = round(2 * alpha), round(2 * beta)
+    table = _PRODUCTS.get((a, b), [(1, 1)])
+    if len(table) <= k:
+        table = table[:]
+        while len(table) <= k:
+            j = 2 * len(table)
+            num, den = table[-1]
+            num, den = num * (a + b + j) * (a + j), den * (b + j) * j
+            g = math.gcd(num, den)
+            table.append((num // g, den // g))
+        _PRODUCTS[a, b] = table
+    num, den = table[k]
+    count = num * (4 * k + a + b + 2) // (den * (a + b + 2))  # exact: it is the dimension
     try:
-        return int(round(math.exp(v)))
+        float(count)
     except OverflowError:
         raise BadDimensions(f"eigenspace dimension at degree {k} exceeds the float range") from None
+    return count
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ class TwoPointSpace:
         return float(deg * (deg + self.alpha + self.beta + 1.0))
 
     def eigenspace_dim(self, k: int) -> int:
-        """Dimension of the k-th eigenspace (the rounded closed form)."""
+        """Dimension of the k-th eigenspace (the exact closed form)."""
         if k < 0:
             raise BadDimensions("k must be >= 0")
         return _jacobi_eigenspace_dim(self.alpha, self.beta, self._degree(k))

@@ -34,7 +34,6 @@ class EstimateWithCI:
     value: float
     half_width: float
     samples: int
-    seed: int
 
     def __post_init__(self):
         if self.half_width < 0:
@@ -51,7 +50,6 @@ class NetReport:
     fresh-sample coverage check.
     """
 
-    delta: float
     net_points: np.ndarray
     certified: bool
     coverage: float
@@ -103,7 +101,7 @@ def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWith
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
     half = _Z95 * math.sqrt(var / total)
-    return EstimateWithCI(mean, half, int(total), seed)
+    return EstimateWithCI(mean, half, int(total))
 
 
 def expected_norm_bound(p: float) -> float:
@@ -150,7 +148,7 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
     ratio = mx / my
     rel_var = max(vx / mx**2 + vy / my**2 - 2.0 * cxy / (mx * my), 0.0)
     half = _Z95 * abs(ratio) * math.sqrt(rel_var / total)
-    est = EstimateWithCI(ratio, half, int(total), seed)
+    est = EstimateWithCI(ratio, half, int(total))
     if check_blowup and half > 0.25 * abs(ratio):
         raise VarianceBlowup(f"half width {half:.3g} exceeds 25% of {ratio:.3g}")
     return est
@@ -270,8 +268,7 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetRe
     for p in points:
         np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
     coverage = float(np.mean(mind <= delta + 1e-12))
-    return NetReport(delta=float(delta), net_points=points,
-                     certified=coverage >= 0.999, coverage=coverage)
+    return NetReport(net_points=points, certified=coverage >= 0.999, coverage=coverage)
 
 
 def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
@@ -284,7 +281,7 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
     z = np.asarray(offset, dtype=float)
     z = z - subspace.project(z)  # only the perpendicular component moves the slice
     if body.gauge(z) >= 1.0:
-        return EstimateWithCI(0.0, 0.0, samples, 0)
+        return EstimateWithCI(0.0, 0.0, samples)
     total = s1 = s2 = 0.0
     done = 0
     while done < samples:
@@ -308,7 +305,7 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
         done += take
     mean = s1 / total
     var = max(s2 / total - mean * mean, 0.0)
-    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total), 0)
+    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
 
 
 def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):

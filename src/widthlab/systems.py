@@ -178,9 +178,6 @@ class OrthonormalSystem:
             return np.sqrt((f * f) @ w)
         return (_power_in_place(np.abs(f, out=f), p) @ w) ** (1.0 / p)
 
-    def lp_norm(self, coeffs, p: float) -> float:
-        return float(self.lp_norm_many(np.asarray(coeffs, dtype=float)[None, :], p)[0])
-
     def prefix(self, n: int) -> "OrthonormalSystem":
         """Subsystem made of the first ``n`` functions (still orthonormal)."""
         if not 1 <= n <= self.n:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .bodies import Body, _polar, induced_ball
+from .bodies import Body, _conjugate, _polar, induced_ball
 from .errors import BadDimensions, BadOrder
 from .linalg import Subspace, as_generator, full_space, min_singular_value, random_subspace
 from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
@@ -49,10 +49,9 @@ _MAX_ROUNDS = 500
 
 @dataclass(frozen=True)
 class WidthResult:
-    kind: str                 # "gelfand" or "kolmogorov"
+    kind: str                 # "gelfand", "kolmogorov" or "cowidth"
     order: int
     value: float
-    method: str               # "exact", "brute_force", "lower_bound"
     witness: Subspace | None = None
 
 
@@ -132,7 +131,7 @@ def brute_force_kolmogorov(body: Body, target: Body, m: int, restarts: int = 256
     n = body.dim
     witness = (full_space(n) if gel.witness is None else
                None if gel.witness.dim == n else gel.witness.complement())
-    return WidthResult("kolmogorov", m, gel.value, "brute_force", witness)
+    return WidthResult("kolmogorov", m, gel.value, witness)
 
 
 def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
@@ -148,13 +147,13 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
     if not 0 <= m <= n:
         raise BadOrder(f"order must be in 0..{n}")
     if m == n:
-        return WidthResult("gelfand", m, 0.0, "brute_force", None)
+        return WidthResult("gelfand", m, 0.0, None)
     if m == 0:
         val = section_radius(body, target, full_space(n), restarts=max(restarts // 4, 8),
                              seed=seed)
-        return WidthResult("gelfand", m, float(val), "brute_force", full_space(n))
+        return WidthResult("gelfand", m, float(val), full_space(n))
     val, frame = _search_frames(body, target, n - m, restarts, seed)
-    return WidthResult("gelfand", m, float(val), "brute_force", Subspace(frame))
+    return WidthResult("gelfand", m, float(val), Subspace(frame))
 
 
 def linear_cowidth(body: Body, target: Body, m: int, restarts: int = 256,
@@ -164,7 +163,7 @@ def linear_cowidth(body: Body, target: Body, m: int, restarts: int = 256,
     Equals twice the Gelfand width, so no separate optimizer is needed.
     """
     gel = brute_force_gelfand(body, target, m, restarts=restarts, seed=seed)
-    return WidthResult("cowidth", m, 2.0 * gel.value, gel.method, gel.witness)
+    return WidthResult("cowidth", m, 2.0 * gel.value, gel.witness)
 
 
 # --------------------------------------------------------------------------
@@ -210,10 +209,9 @@ def lq_section_radius_bound(matrix, system, p: float, q: float, s: int) -> float
     n = system.n
     if not 1 <= s <= n:
         raise BadDimensions("section dimension out of range")
-    q_dual = q / (q - 1.0)
     rho = min_singular_value(matrix)
     e_p = _cached_expectation(system, p)
-    e_qd = _cached_expectation(system, q_dual)
+    e_qd = _cached_expectation(system, _conjugate(q))
     return float(rho * (e_qd * e_p) ** (-float(n) / float(s)))
 
 
@@ -222,16 +220,17 @@ def _trial_matrix(rng, n: int) -> np.ndarray:
     return np.diag(np.exp(rng.uniform(-1.0, 1.0, n)))
 
 
-def radius_ratio_samples(kind: str, seeds, dims=(3, 4, 5, 6), ps=(2.0, 4.0),
-                         qs=(1.25, 1.5, 2.0), subspaces: int = 3,
-                         restarts: int = 24) -> list[float]:
+def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
+                         restarts: int) -> list[float]:
     """Observed ratios (found section radius) / (bound factor).
 
     ``kind`` is "l1" (sections of dimension ceil(2n/3), radius in the induced
     1-norm) or "lq" (sections of dimension ceil(n/2), radius in the induced
-    q-norm).  The minimum of these ratios over a training seed set is the
-    calibrated constant.  All (seed, subspace) problems of one cell (n, p, q)
-    go to one ascent call: the section of A*B_p by span(F) has q-norm radius
+    q-norm), over the cells (n, p, q) of ``dims`` x ``ps`` x ``qs`` (no q for
+    "l1"), ``subspaces`` sections per seed and cell, ``restarts`` starts each.
+    The minimum of these ratios over a training seed set is the calibrated
+    constant.  All (seed, subspace) problems of one cell go to one ascent
+    call: the section of A*B_p by span(F) has q-norm radius
     max g_q(y F) / g_p(y F A^{-T}).  Ratios come seed-major, as drawn.
     """
     if kind not in ("l1", "lq"):

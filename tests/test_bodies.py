@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab.bodies import (InducedBall, LinearImageBody, LpBall, PolarBody, ProjectionBody,
-                             SectionBody, _polar, _support_majorant, dual_gauge,
-                             euclidean_ball, induced_ball, linear_image, support_function)
+                             _polar, _support_majorant, euclidean_ball, induced_ball,
+                             linear_image)
 from widthlab.errors import BadDimensions, DimensionMismatch, SingularMatrix
 from widthlab.harness import _build_body
 from widthlab.linalg import random_subspace
@@ -153,14 +153,14 @@ class TestDualGauge:
         rng = np.random.default_rng(4)
         for _ in range(5):
             x = rng.standard_normal(3)
-            assert dual_gauge(trig3, 2.0, x, restarts=8) == pytest.approx(
+            assert PolarBody(induced_ball(trig3, 2.0), restarts=8).gauge(x) == pytest.approx(
                 np.linalg.norm(x), abs=1e-6)
 
     def test_zero_vector(self, trig3):
-        assert dual_gauge(trig3, 2.0, np.zeros(3)) == 0.0
+        assert PolarBody(induced_ball(trig3, 2.0)).gauge(np.zeros(3)) == 0.0
 
     def test_p1_bounded_by_sup_norm(self, trig3):
-        val = dual_gauge(trig3, 1.0, np.array([0.0, 1.0, 0.0]), restarts=16)
+        val = PolarBody(induced_ball(trig3, 1.0), restarts=16).gauge(np.array([0.0, 1.0, 0.0]))
         assert val <= math.sqrt(2.0) + 1e-6
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
@@ -176,20 +176,12 @@ class TestDualGauge:
         dom = trig3.lp_norm_many(x, p_dual)
         assert np.all(h <= dom + 1e-6)
 
-    def test_support_function_is_one_kernel_problem(self, trig3):
-        from widthlab._optim import support_values
-
-        body = induced_ball(trig3, 4.0)
-        x = np.array([0.3, -0.7, 0.2])
-        assert support_function(body, x, restarts=5, iters=120, seed=3) == \
-            support_values(body, x[None], 5, 120, 3)[0][0]
-
     def test_polar_body_matches_support_function(self, trig3):
         body = induced_ball(trig3, 4.0)
         polar = PolarBody(body, restarts=6, iters=300, seed=0)
         x = np.array([0.3, -0.7, 0.2])
         assert polar.gauge(x) == pytest.approx(
-            support_function(body, x, restarts=8), rel=1e-4)
+            PolarBody(body, restarts=8, iters=400).gauge(x), rel=1e-4)
 
     def test_polar_body_gradient_is_danskin(self, trig3):
         # the gradient of the support function is the maximizer: central
@@ -273,7 +265,7 @@ class TestSupportMajorant:
     def test_other_bodies_have_none(self, trig3):
         body = induced_ball(trig3, 4.0)
         sub = random_subspace(3, 2, seed=0)
-        for other in (PolarBody(body), SectionBody(body, sub), ProjectionBody(body, sub),
+        for other in (PolarBody(body), ProjectionBody(body, sub),
                       linear_image(PolarBody(body), np.diag([2.0, 1.0, 1.0]))):
             assert _support_majorant(other) is None
 

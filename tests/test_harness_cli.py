@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import resource
 import subprocess
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthlab import harness
+from widthlab import harness, manifolds, stochastic, widths
 from widthlab.bodies import Body, PolarBody
 from widthlab.errors import BadDimensions, ConfigError
 from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
-                              _build_body, _build_system, _report, check_radius_l1,
-                              check_santalo, check_seed, run, verify_all)
+                              _build_body, _build_system, _report, check_santalo,
+                              check_seed, run, verify_all)
 from widthlab.systems import OrthonormalSystem
 
 JSON = st.recursive(
@@ -47,6 +49,88 @@ CONFIG = st.sampled_from(_TASKS).flatmap(lambda task: st.fixed_dictionaries(
     {"task": st.just(task), "seed": st.integers(-3, 2**40) | JSON},
     optional={f: FIELD_VALUES.get(f, NUMBER | st.lists(NUMBER, max_size=3) | JSON)
               for f in sorted(_ALLOWED_FIELDS[task])})) | JSON
+
+
+def _affine(fn, scale=1.0, shift=0.0):
+    """``fn`` with its result mapped to scale * result + shift."""
+    return lambda *args, **kwargs: scale * fn(*args, **kwargs) + shift
+
+
+def _scaled_value(fn, factor):
+    """``fn`` with the value of the estimate it returns scaled by ``factor``."""
+    def scaled(*args, **kwargs):
+        est = fn(*args, **kwargs)
+        return dataclasses.replace(est, value=factor * est.value)
+    return scaled
+
+
+def _low_central_slice(fn):
+    """``_offset_section_volume`` with the central slice 10% low."""
+    def low(body, subspace, offset, samples, rng):
+        est = fn(body, subspace, offset, samples, rng)
+        return est if np.any(offset) else dataclasses.replace(est, value=0.9 * est.value)
+    return low
+
+
+class _LowPolar(PolarBody):
+    """Polar gauges 5% low, which inflate the polar volume by 1.05^3: the early
+    stop on the duality gap must not hide an under-estimated support value."""
+
+    def gauge_grad_many(self, points):
+        g, grad = super().gauge_grad_many(points)
+        return 0.95 * g, 0.95 * grad
+
+
+def _huge_projection(body, subspace, samples, seed):
+    return stochastic.EstimateWithCI(9.0 ** body.dim, 0.0, samples)
+
+
+def _uncertified_net(*args, **kwargs):
+    return dataclasses.replace(stochastic.greedy_net(*args, **kwargs), certified=False)
+
+
+def _odd_raised(eigenvalue):
+    """``TwoPointSpace.eigenvalue`` with every odd-level eigenvalue 50% high."""
+    return lambda space, k: 1.5 ** (k % 2) * eigenvalue(space, k)
+
+
+#: check name -> a perturbation (applied through ``monkeypatch``) it must catch
+CONTROLS = {
+    "volume-identity": lambda mp: mp.setattr(
+        harness, "mc_volume_ratio", _scaled_value(harness.mc_volume_ratio, 1.1)),
+    "expectation-bound": lambda mp: mp.setattr(
+        harness, "expectation_norm", _scaled_value(harness.expectation_norm, 1.05)),
+    "santalo": lambda mp: mp.setattr(harness, "PolarBody", _LowPolar),
+    "urysohn-volume": lambda mp: mp.setattr(
+        harness, "mc_volume_ratio", _scaled_value(harness.mc_volume_ratio, 0.9)),
+    "net-chain": lambda mp: mp.setattr(harness, "greedy_net", _uncertified_net),
+    "brunn-sections": lambda mp: mp.setattr(
+        stochastic, "_offset_section_volume",
+        _low_central_slice(stochastic._offset_section_volume)),
+    "projection-ellipsoid": lambda mp: mp.setattr(
+        harness, "min_singular_value", _affine(harness.min_singular_value, scale=100.0)),
+    "projection-l1-ball": lambda mp: mp.setattr(
+        stochastic, "projection_volume_ratio", _huge_projection),
+    "projection-dual-expectation": lambda mp: mp.setattr(
+        stochastic, "projection_volume_ratio", _huge_projection),
+    # ten times the constant the calibration fits
+    "radius-l1": lambda mp: mp.setattr(harness, "CALIBRATION_MARGIN", 7.5),
+    # validation sections (seeds 10 on) half as wide as the training ones;
+    # stubbed, since the real lq grid is the costliest check of the suite
+    "radius-lq": lambda mp: mp.setattr(
+        widths, "radius_ratio_samples",
+        lambda kind, seeds, **grid: [1.0 if seed < 10 else 0.5 for seed in seeds]),
+    "width-duality": lambda mp: mp.setattr(
+        widths, "ellipsoid_kolmogorov_exact",
+        _affine(widths.ellipsoid_kolmogorov_exact, shift=2e-3)),
+    "fourier-tail": lambda mp: mp.setattr(
+        widths, "ellipsoid_kolmogorov_exact",
+        _affine(widths.ellipsoid_kolmogorov_exact, scale=1.01)),
+    "weyl-ratio": lambda mp: mp.setattr(
+        manifolds.TwoPointSpace, "eigenvalue", _odd_raised(manifolds.TwoPointSpace.eigenvalue)),
+    "sobolev-slope": lambda mp: mp.setattr(
+        widths, "sobolev_width_order", _affine(widths.sobolev_width_order, shift=0.1)),
+}
 
 
 def _reject_constant(name):
@@ -195,8 +279,13 @@ class TestVerify:
             verify_all(seed=0, names=["fourier-tail", "fourier-tail"])
         assert calls == []
 
+    def test_checks_take_only_a_seed(self):
+        # every budget is a literal of its check: the suite passes nothing else
+        for name, check in CHECKS.items():
+            assert list(inspect.signature(check).parameters) == ["seed"], name
+
     def test_santalo_reports_exact_margin(self):
-        report = check_santalo(seed=7, mc_seeds=1, samples=1500)
+        report = check_santalo(seed=7)
         assert report.passed
         assert report.details["exact-2d"] == pytest.approx(np.pi**2 - 8.0)
 
@@ -233,21 +322,11 @@ class TestVerify:
         assert main(["verify", "--checks", "nan-check", "--out", str(tmp_path)]) == 1
         assert "FAIL nan-check: trials=1 violations=1 worst_margin=nan" in capsys.readouterr().out
 
-    def test_inflated_constant_breaks_radius_check(self):
-        report = check_radius_l1(seed=7, constant_scale=10.0)
-        assert not report.passed
-        assert report.violations > 0
-
-    def test_deflated_polar_gauge_breaks_santalo(self, monkeypatch):
-        # polar gauges 5% low inflate the polar volume by 1.05^3: the early
-        # stop on the duality gap must not hide an under-estimated support value
-        class LowPolar(PolarBody):
-            def gauge_grad_many(self, points):
-                g, grad = super().gauge_grad_many(points)
-                return 0.95 * g, 0.95 * grad
-
-        monkeypatch.setattr(harness, "PolarBody", LowPolar)
-        report = check_santalo(seed=7, mc_seeds=1, samples=1500)
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_negative_control_fails(self, name, monkeypatch):
+        # one perturbed oracle or target per check, which the check must catch
+        CONTROLS[name](monkeypatch)
+        report = CHECKS[name](7)
         assert not report.passed
         assert report.violations > 0
 

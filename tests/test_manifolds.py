@@ -60,16 +60,15 @@ class TestEigenspaceDims:
 
     def test_sphere_dims_exact_in_pinned_range(self):
         # harmonic polynomials of degree k on S^d: C(k+d, d) - C(k+d-2, d);
-        # the rounded lgamma form matches them through d = 11, k = 64 and
-        # first rounds wrongly at d = 12, k = 63
+        # the integer closed form matches them where a rounded lgamma form
+        # first went wrong (d = 12, k = 63) and beyond
         def exact(d, k):
             return math.comb(k + d, d) - (math.comb(k + d - 2, d) if k >= 2 else 0)
 
-        for d in range(2, 12):
+        for d in range(2, 20):
             space = sphere(d)
-            assert [space.eigenspace_dim(k) for k in range(65)] == \
-                [exact(d, k) for k in range(65)]
-        assert sphere(12).eigenspace_dim(63) == exact(12, 63) + 1
+            assert [space.eigenspace_dim(k) for k in range(70)] == \
+                [exact(d, k) for k in range(70)]
 
     def test_dimension_beyond_float_range_is_bad_dimensions(self):
         with pytest.raises(BadDimensions, match="float range"):

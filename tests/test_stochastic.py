@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from widthlab.bodies import LpBall, SectionBody, euclidean_ball, induced_ball, linear_image
+from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
 from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
@@ -117,25 +117,25 @@ class TestVolumeRatio:
 
     def test_negative_half_width_rejected(self):
         with pytest.raises(BadDimensions):
-            EstimateWithCI(1.0, -0.1, 10, 0)
+            EstimateWithCI(1.0, -0.1, 10)
 
 
 class TestSectionVolumes:
     def test_ball_section_is_unit_disk(self):
         sub = random_subspace(3, 2, seed=4)
-        est = mc_volume_ratio(SectionBody(euclidean_ball(3), sub), euclidean_ball(2),
-                              samples=2000, seed=0)
+        est = _offset_section_volume(euclidean_ball(3), sub, np.zeros(3), 2000,
+                                     np.random.default_rng(0))
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_sections_of_ellipsoid(self):
         body = linear_image(euclidean_ball(3), np.diag([2.0, 1.0, 1.0]))
         flat = orthonormalize([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        est = mc_volume_ratio(SectionBody(body, flat), euclidean_ball(2),
-                              samples=100_000, seed=1)
+        est = _offset_section_volume(body, flat, np.zeros(3), 100_000,
+                                     np.random.default_rng(1))
         assert est.value == pytest.approx(1.0, rel=0.03)
         tall = orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        est = mc_volume_ratio(SectionBody(body, tall), euclidean_ball(2),
-                              samples=100_000, seed=2)
+        est = _offset_section_volume(body, tall, np.zeros(3), 100_000,
+                                     np.random.default_rng(2))
         assert est.value == pytest.approx(2.0, rel=0.03)
 
     def test_projection_of_ellipsoid(self):

@@ -45,20 +45,20 @@ class TestTrigSystem:
 
     def test_constant_function_every_p(self, trig3):
         for p in (1.0, 1.5, 2.0, 4.0, np.inf):
-            assert trig3.lp_norm([1.0, 0.0, 0.0], p) == pytest.approx(1.0, abs=1e-12)
+            assert trig3.lp_norm_many([1.0, 0.0, 0.0], p) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_l1(self, trig3):
-        assert trig3.lp_norm([0.0, 1.0, 0.0], 1.0) == pytest.approx(NORM_COS_L1, abs=1e-3)
+        assert trig3.lp_norm_many([0.0, 1.0, 0.0], 1.0) == pytest.approx(NORM_COS_L1, abs=1e-3)
 
     def test_cosine_l4(self, trig3):
-        assert trig3.lp_norm([0.0, 1.0, 0.0], 4.0) == pytest.approx(NORM_COS_L4, abs=1e-12)
+        assert trig3.lp_norm_many([0.0, 1.0, 0.0], 4.0) == pytest.approx(NORM_COS_L4, abs=1e-12)
 
     def test_cosine_sup(self, trig3):
         # the grid contains t=0 where sqrt2*cos peaks exactly
-        assert trig3.lp_norm([0.0, 1.0, 0.0], np.inf) == pytest.approx(math.sqrt(2.0))
+        assert trig3.lp_norm_many([0.0, 1.0, 0.0], np.inf) == pytest.approx(math.sqrt(2.0))
 
     def test_sine_sup_bias_below_one_percent(self, trig3):
-        val = trig3.lp_norm([0.0, 0.0, 1.0], np.inf)
+        val = trig3.lp_norm_many([0.0, 0.0, 1.0], np.inf)
         assert math.sqrt(2.0) * 0.99 <= val <= math.sqrt(2.0)
 
     def test_p2_matches_euclidean(self):
@@ -66,15 +66,15 @@ class TestTrigSystem:
         s = trig_system(3)
         for _ in range(50):
             a = rng.standard_normal(s.n)
-            assert s.lp_norm(a, 2.0) == pytest.approx(np.linalg.norm(a), abs=1e-8)
+            assert s.lp_norm_many(a, 2.0) == pytest.approx(np.linalg.norm(a), abs=1e-8)
 
     def test_dimension_mismatch(self, trig3):
         with pytest.raises(DimensionMismatch):
-            trig3.lp_norm([1.0, 0.0], 2.0)
+            trig3.lp_norm_many([1.0, 0.0], 2.0)
 
     def test_p_below_one_rejected(self, trig3):
         with pytest.raises(BadDimensions):
-            trig3.lp_norm([1.0, 0.0, 0.0], 0.5)
+            trig3.lp_norm_many([1.0, 0.0, 0.0], 0.5)
 
 
 class TestSphereSystem:
@@ -82,7 +82,7 @@ class TestSphereSystem:
         s = sphere_harmonics_system(0)
         assert s.n == 1
         for p in (1.0, 2.0, 7.0, np.inf):
-            assert s.lp_norm([1.0], p) == pytest.approx(1.0, abs=1e-12)
+            assert s.lp_norm_many([1.0], p) == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_is_identity(self, sphere9):
         assert sphere9.n == 9
@@ -110,8 +110,8 @@ class TestSphereSystem:
         # index 2 is the (k=1, order=0) harmonic sqrt(3) cos(polar)
         y10 = np.zeros(9)
         y10[2] = 1.0
-        assert sphere9.lp_norm(y10, 4.0) ** 4 == pytest.approx(9.0 / 5.0, abs=1e-10)
-        assert sphere9.lp_norm(y10, np.inf) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert sphere9.lp_norm_many(y10, 4.0) ** 4 == pytest.approx(9.0 / 5.0, abs=1e-10)
+        assert sphere9.lp_norm_many(y10, np.inf) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_degree_cap(self):
         with pytest.raises(BadDimensions):

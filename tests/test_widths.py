@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from widthlab import widths
+from widthlab import harness, widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder
 from widthlab.harness import _radius_check
@@ -16,7 +16,9 @@ from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
                              lq_section_radius_bound, radius_ratio_samples,
                              sobolev_width_order)
 
-# radius_ratio_samples("lq", range(2), dims=(3, 4), ps=(2.0,)) as computed by
+SMALL_LQ_GRID = dict(dims=(3, 4), ps=(2.0,), qs=(1.25, 1.5, 2.0), subspaces=3, restarts=24)
+
+# radius_ratio_samples("lq", range(2), **SMALL_LQ_GRID) as computed by
 # one independent ascent per section (fixed 300 iterations, no early stop);
 # the batched kernel must reproduce the same problems in the same order
 PINNED_LQ_RATIOS = [
@@ -293,16 +295,17 @@ class TestRadiusBounds:
         with pytest.raises(BadDimensions):
             lq_section_radius_bound(np.eye(3), system, 2.0, 1.0, 2)
 
-    def test_calibrate_then_validate_small_grid(self):
-        grid = dict(dims=(3, 4), ps=(2.0,), subspaces=2, restarts=16)
-        report = _radius_check("l1", 1.0, range(0, 4), range(4, 8), grid)
+    def test_calibrate_then_validate_small_grid(self, monkeypatch):
+        monkeypatch.setattr(harness, "RADIUS_GRID", dict(dims=(3, 4), ps=(2.0,), qs=(),
+                                                         subspaces=2, restarts=16))
+        report = _radius_check("l1", range(0, 4), range(4, 8))
         assert report.details["constant"] > 0
         assert report.details["training_trials"] == 16
         assert (report.trials, report.violations) == (16, 0)
         assert report.worst_margin > 0
 
     def test_batched_ratios_match_pinned_values(self):
-        ratios = radius_ratio_samples("lq", range(0, 2), dims=(3, 4), ps=(2.0,))
+        ratios = radius_ratio_samples("lq", range(0, 2), **SMALL_LQ_GRID)
         assert ratios == pytest.approx(PINNED_LQ_RATIOS, rel=1e-6)
 
     @pytest.mark.parametrize("ratios", [[1.0, float("nan")], [float("nan"), 1.0],
@@ -311,7 +314,7 @@ class TestRadiusBounds:
         # a NaN, zero or negative training minimum fails every validation ratio
         monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
         with np.errstate(divide="ignore", invalid="ignore"):
-            report = _radius_check("l1", 1.0, range(2), range(2), {})
+            report = _radius_check("l1", range(2), range(2))
         assert not report.passed
         assert report.violations == report.trials == 2
 
@@ -320,7 +323,7 @@ class TestRadiusBounds:
             calls = iter([[4.0], [4.0, bad, 6.0]])  # training, then validation
             monkeypatch.setattr(widths, "radius_ratio_samples",
                                 lambda *a, **k: next(calls))
-            report = _radius_check("l1", 1.0, range(1), range(3), {})
+            report = _radius_check("l1", range(1), range(3))
             assert report.details["constant"] == 3.0
             assert (report.trials, report.violations) == (3, 1)
             assert math.isnan(report.worst_margin)
