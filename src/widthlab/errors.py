@@ -33,5 +33,9 @@ class BadOrder(WidthLabError):
     """A width order m is outside 0..n or the axis list is not sorted."""
 
 
+class FloatRange(WidthLabError):
+    """A task's arithmetic left the float range: overflow, division by zero or NaN."""
+
+
 class ConfigError(WidthLabError):
     """An experiment configuration is malformed; message names the field."""

@@ -1,8 +1,10 @@
 """Batch experiment driver and the named verification suite.
 
-Every inequality the package implements has one named check here; each
-check draws its own seed from the run seed by hashing the check name, so
-checks are independent and the whole suite is reproducible byte for byte.
+Every inequality the package implements has one named check here, written
+once as ``@_check(name, statement)`` over a body that maps the check's own
+seed to its margins and details.  That seed is drawn from the run seed by
+hashing the check name, so checks are independent and the whole suite is
+reproducible byte for byte.
 Budgets are sized to keep a full run around ten seconds (serial, on a small
 2-core VM); the acceptance tests rerun the heavy protocols at full scale.
 """
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import bodies, manifolds, stochastic, systems, widths
 from .bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
-from .errors import ConfigError, DimensionMismatch, SingularMatrix
-from .linalg import as_generator, min_singular_value, random_subspace
+from .errors import ConfigError, DimensionMismatch, FloatRange, SingularMatrix
+from .linalg import as_generator, min_singular_value, orthonormalize, random_subspace
 from .stochastic import (expectation_norm, expected_norm_bound, greedy_net,
                          mc_volume_ratio, section_radius)
 from .systems import sphere_harmonics_system, trig_prefix_system, trig_system
@@ -71,9 +73,22 @@ def check_seed(seed: int, name: str) -> int:
 # the named checks
 # --------------------------------------------------------------------------
 
+#: check name -> check(seed), in suite order
+CHECKS: dict = {}
 
-def check_volume_identity(seed: int) -> VerificationReport:
-    s = check_seed(seed, "volume-identity")
+
+def _check(name: str, statement: str):
+    """Register ``body(s) -> (margins, details)``, ``s`` the check's own seed, as ``name``."""
+    def register(body):
+        def check(seed: int) -> VerificationReport:
+            return _report(name, statement, *body(check_seed(seed, name)))
+        CHECKS[name] = check
+        return check
+    return register
+
+
+@_check("volume-identity", "sphere average of gauge^(-n) reproduces known area ratios within 5%")
+def check_volume_identity(s):
     cases = [
         (LpBall(2, np.inf), 4.0 / math.pi),
         (linear_image(euclidean_ball(2), np.diag([2.0, 1.0])), 2.0),
@@ -84,13 +99,12 @@ def check_volume_identity(seed: int) -> VerificationReport:
         rel = abs(est.value / target - 1.0)
         margins.append(0.05 - rel)
         details[body.label] = {"estimate": est.value, "target": target}
-    return _report("volume-identity",
-                   "sphere average of gauge^(-n) reproduces known area ratios within 5%",
-                   margins, details)
+    return margins, details
 
 
-def check_expectation_bound(seed: int) -> VerificationReport:
-    s = check_seed(seed, "expectation-bound")
+@_check("expectation-bound", "sphere expectation of the induced p-gauge stays below the "
+        "Gaussian-moment bound sqrt(2)*pi^(-1/2p)*Gamma((p+1)/2)^(1/p)")
+def check_expectation_bound(s):
     margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
@@ -99,14 +113,12 @@ def check_expectation_bound(seed: int) -> VerificationReport:
             bound = expected_norm_bound(p)
             margins.append(bound + est.half_width + 1e-6 - est.value)
             details[f"n={n},p={p}"] = {"estimate": est.value, "bound": bound}
-    return _report("expectation-bound",
-                   "sphere expectation of the induced p-gauge stays below the "
-                   "Gaussian-moment bound sqrt(2)*pi^(-1/2p)*Gamma((p+1)/2)^(1/p)",
-                   margins, details)
+    return margins, details
 
 
-def check_santalo(seed: int) -> VerificationReport:
-    s = check_seed(seed, "santalo")
+@_check("santalo", "volume product Vol(V)*Vol(polar V) <= Vol(B2)^2 for "
+        "origin-symmetric convex bodies")
+def check_santalo(s):
     margins = [math.pi**2 - 8.0]  # exact planar case: cube times cross-polytope
     details = {"exact-2d": margins[0]}
     system = trig_system(1)
@@ -122,14 +134,11 @@ def check_santalo(seed: int) -> VerificationReport:
             slack = 2.0 * (v.half_width * vp.value + vp.half_width * v.value) + 1e-6
             margins.append(1.0 + slack - product)
             details[f"p={p},rep={k}"] = {"product": product, "slack": slack}
-    return _report("santalo",
-                   "volume product Vol(V)*Vol(polar V) <= Vol(B2)^2 for "
-                   "origin-symmetric convex bodies",
-                   margins, details)
+    return margins, details
 
 
-def check_urysohn(seed: int) -> VerificationReport:
-    s = check_seed(seed, "urysohn-volume")
+@_check("urysohn-volume", "Vol(V)/Vol(B2) >= E[gauge]^(-n) (convexity of t -> t^(-n))")
+def check_urysohn(s):
     margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
@@ -144,13 +153,11 @@ def check_urysohn(seed: int) -> VerificationReport:
             slack = vol.half_width + n * lower / max(exp.value, 1e-12) * exp.half_width
             margins.append(vol.value + slack + 1e-9 - lower)
             details[f"n={n},p={p}"] = {"volume_ratio": vol.value, "jensen_lower": lower}
-    return _report("urysohn-volume",
-                   "Vol(V)/Vol(B2) >= E[gauge]^(-n) (convexity of t -> t^(-n))",
-                   margins, details)
+    return margins, details
 
 
-def check_net_chain(seed: int) -> VerificationReport:
-    s = check_seed(seed, "net-chain")
+@_check("net-chain", "greedy packings satisfy m(2*delta) <= n(delta) with certified coverage")
+def check_net_chain(s):
     ref = euclidean_ball(2)
     margins, details = [], {}
     for body, tag in ((euclidean_ball(2), "ball"), (LpBall(2, np.inf), "cube")):
@@ -168,14 +175,12 @@ def check_net_chain(seed: int) -> VerificationReport:
                     "n_delta": fine.net_size,
                     "coverage": fine.coverage,
                 }
-    return _report("net-chain",
-                   "greedy packings satisfy m(2*delta) <= n(delta) "
-                   "with certified coverage",
-                   margins, details)
+    return margins, details
 
 
-def check_brunn_sections(seed: int) -> VerificationReport:
-    s = check_seed(seed, "brunn-sections")
+@_check("brunn-sections", "the central slice of a symmetric convex body has maximal volume "
+        "among parallel slices")
+def check_brunn_sections(s):
     margins, details = [], {}
     cases = [
         ("disk", euclidean_ball(2), np.array([[1.0, 0.0]]),
@@ -185,21 +190,17 @@ def check_brunn_sections(seed: int) -> VerificationReport:
         ("trig3", induced_ball(trig_system(1), 4.0), np.array([[1.0, 0.0, 0.0]]),
          [np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.0, 0.4])]),
     ]
-    from .linalg import orthonormalize
-
     for tag, body, frame_rows, offsets in cases:
         central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets,
                                                   12_000, s)
         margins.append(worst)
         details[tag] = {"central": central, "worst_margin": worst}
-    return _report("brunn-sections",
-                   "the central slice of a symmetric convex body has maximal volume "
-                   "among parallel slices",
-                   margins, details)
+    return margins, details
 
 
-def check_projection_ellipsoid(seed: int) -> VerificationReport:
-    s = check_seed(seed, "projection-ellipsoid")
+@_check("projection-ellipsoid", "Vol_s(P(L) A B2)/Vol_s(B2^s) <= 3^n rho^(s-n) det A "
+        "for every subspace L")
+def check_projection_ellipsoid(s):
     margins, details = [], {}
     for n in (3, 4, 5):
         for t in range(2):
@@ -215,14 +216,12 @@ def check_projection_ellipsoid(seed: int) -> VerificationReport:
                 ratio = float(np.prod(np.linalg.svd(sub.frame @ a, compute_uv=False)))
                 margins.append(bound / ratio - 1.0)
             details[f"n={n},trial={t}"] = {"bound": bound}
-    return _report("projection-ellipsoid",
-                   "Vol_s(P(L) A B2)/Vol_s(B2^s) <= 3^n rho^(s-n) det A for every "
-                   "subspace L",
-                   margins, details)
+    return margins, details
 
 
-def check_projection_l1(seed: int) -> VerificationReport:
-    s = check_seed(seed, "projection-l1-ball")
+@_check("projection-l1-ball", "projections of the induced 1-ball have volume at most C^n times "
+        "the unit ball's (bounded n-th roots)")
+def check_projection_l1(s):
     margins, details = [], {}
     for n in (3, 5, 7, 9):
         system = trig_system((n - 1) // 2)
@@ -232,14 +231,12 @@ def check_projection_l1(seed: int) -> VerificationReport:
         root = est.value ** (1.0 / n)
         margins.append(8.0 - root)
         details[f"n={n}"] = {"ratio_nth_root": root}
-    return _report("projection-l1-ball",
-                   "projections of the induced 1-ball have volume at most C^n times "
-                   "the unit ball's (bounded n-th roots)",
-                   margins, details)
+    return margins, details
 
 
-def check_projection_dual(seed: int) -> VerificationReport:
-    s = check_seed(seed, "projection-dual-expectation")
+@_check("projection-dual-expectation", "n-th roots of projection volumes of the induced p-ball "
+        "are dominated by (5/2) times the dual-exponent expectation")
+def check_projection_dual(s):
     margins, details = [], {}
     for n in (3, 5):
         system = trig_system((n - 1) // 2)
@@ -253,10 +250,7 @@ def check_projection_dual(seed: int) -> VerificationReport:
             rhs = 2.5 * (e_dual.value + e_dual.half_width) + 0.05
             margins.append(rhs - root)
             details[f"n={n},p={p}"] = {"ratio_nth_root": root, "rhs": rhs}
-    return _report("projection-dual-expectation",
-                   "n-th roots of projection volumes of the induced p-ball are "
-                   "dominated by (5/2) times the dual-exponent expectation",
-                   margins, details)
+    return margins, details
 
 
 #: calibration keeps this fraction of the smallest training ratio as a
@@ -269,26 +263,25 @@ RADIUS_GRID = dict(dims=(3, 4, 5, 6), ps=(2.0, 4.0), qs=(1.25, 1.5, 2.0),
                    subspaces=2, restarts=16)
 
 
-def _radius_check(kind: str, calibration_seeds, validation_seeds) -> VerificationReport:
+def _radius_check(kind: str, calibration_seeds, validation_seeds):
     """Fit the constant as the smallest training ratio shrunk by
     :data:`CALIBRATION_MARGIN`, freeze it, and take ratio/const - 1 on fresh
     seeds as the margins."""
     train = widths.radius_ratio_samples(kind, calibration_seeds, **RADIUS_GRID)
     const = CALIBRATION_MARGIN * float(np.min(train))
     ratios = np.asarray(widths.radius_ratio_samples(kind, validation_seeds, **RADIUS_GRID))
-    statement = ("sampled sections of dimension >= 2n/3 keep induced-1-norm radius "
-                 "above const * rho * E_p^(-3/2)" if kind == "l1" else
-                 "sampled proportional sections keep induced-q-norm radius above "
-                 "const * rho * (E_q' E_p)^(-n/s)")
-    return _report(f"radius-{kind}", statement, ratios / const - 1.0,
-                   {"constant": const, "training_trials": len(train)})
+    return ratios / const - 1.0, {"constant": const, "training_trials": len(train)}
 
 
-def check_radius_l1(seed: int) -> VerificationReport:
+@_check("radius-l1", "sampled sections of dimension >= 2n/3 keep induced-1-norm radius above "
+        "const * rho * E_p^(-3/2)")
+def check_radius_l1(s):
     return _radius_check("l1", range(0, 10), range(10, 22))
 
 
-def check_radius_lq(seed: int) -> VerificationReport:
+@_check("radius-lq", "sampled proportional sections keep induced-q-norm radius above "
+        "const * rho * (E_q' E_p)^(-n/s)")
+def check_radius_lq(s):
     return _radius_check("lq", range(0, 10), range(10, 22))
 
 
@@ -302,8 +295,9 @@ def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, 
             widths.brute_force_gelfand(body, target, m, restarts=restarts, seed=seed).value)
 
 
-def check_width_duality(seed: int) -> VerificationReport:
-    s = check_seed(seed, "width-duality")
+@_check("width-duality", "brute-force Gelfand and Kolmogorov widths agree with the exact "
+        "ellipsoid oracle and with each other in Euclidean norms")
+def check_width_duality(s):
     margins, details = [], {}
     for n in (3, 4):
         for t in range(2):
@@ -316,13 +310,12 @@ def check_width_duality(seed: int) -> VerificationReport:
                 margins.append(1e-2 - abs(kol - gel))
                 details[f"n={n},t={t},m={m}"] = {
                     "exact": exact, "kolmogorov": kol, "gelfand": gel}
-    return _report("width-duality",
-                   "brute-force Gelfand and Kolmogorov widths agree with the exact "
-                   "ellipsoid oracle and with each other in Euclidean norms",
-                   margins, details)
+    return margins, details
 
 
-def check_fourier_tail(seed: int) -> VerificationReport:
+@_check("fourier-tail", "keeping m coefficients of a nonincreasing multiplier leaves "
+        "worst L2 error exactly |lambda_(m+1)|")
+def check_fourier_tail(s):
     margins, details = [], {}
     seq = 1.0 / np.arange(1, 13)
     for m in (0, 1, 2, 5):
@@ -335,13 +328,12 @@ def check_fourier_tail(seed: int) -> VerificationReport:
         numeric = float(np.linalg.norm(tail, 2))
         margins.append(1e-9 - abs(numeric - widths.ellipsoid_kolmogorov_exact(lam, m)))
         details[f"m={m}"] = {"numeric": numeric}
-    return _report("fourier-tail",
-                   "keeping m coefficients of a nonincreasing multiplier leaves "
-                   "worst L2 error exactly |lambda_(m+1)|",
-                   margins, details)
+    return margins, details
 
 
-def check_weyl_ratio(seed: int) -> VerificationReport:
+@_check("weyl-ratio", "tau_N / theta_N^(d/2) stabilizes (consecutive drift < 20%) and "
+        "theta_(N+1)/theta_N -> 1 at rate 3/N")
+def check_weyl_ratio(s):
     margins, details = [], {}
     for space in manifolds.all_families():
         ratios = np.array([space.weyl_ratio(N) for N in range(20, 61)])
@@ -355,47 +347,23 @@ def check_weyl_ratio(seed: int) -> VerificationReport:
             "step_drift": drift,
             "window_spread": float(ratios.max() / ratios.min() - 1.0),
         }
-    return _report("weyl-ratio",
-                   "tau_N / theta_N^(d/2) stabilizes (consecutive drift < 20%) and "
-                   "theta_(N+1)/theta_N -> 1 at rate 3/N",
-                   margins, details)
+    return margins, details
 
 
-def check_sobolev_slope(seed: int) -> VerificationReport:
+@_check("sobolev-slope", "lower-bound curve and exact ellipsoid widths on the 2-sphere both "
+        "decay like n^(-gamma/d)")
+def check_sobolev_slope(s):
     margins, details = [], {}
     space = manifolds.sphere(2)
     levels = range(4, 13)
     for gamma in (1.0, 2.0):
         target = -gamma / space.d
-        s_bound = widths.sobolev_width_order(space, gamma, levels, method="bound")
-        s_exact = widths.sobolev_width_order(space, gamma, levels, method="exact")
+        s_bound, s_exact = widths.sobolev_width_order(space, gamma, levels)
         margins.append(0.05 - abs(s_bound - target))
         margins.append(0.05 - abs(s_exact - target))
         margins.append(0.05 - abs(s_bound - s_exact))
         details[f"gamma={gamma}"] = {"bound": s_bound, "exact": s_exact, "target": target}
-    return _report("sobolev-slope",
-                   "lower-bound curve and exact ellipsoid widths on the 2-sphere both "
-                   "decay like n^(-gamma/d)",
-                   margins, details)
-
-
-CHECKS = {
-    "volume-identity": check_volume_identity,
-    "expectation-bound": check_expectation_bound,
-    "santalo": check_santalo,
-    "urysohn-volume": check_urysohn,
-    "net-chain": check_net_chain,
-    "brunn-sections": check_brunn_sections,
-    "projection-ellipsoid": check_projection_ellipsoid,
-    "projection-l1-ball": check_projection_l1,
-    "projection-dual-expectation": check_projection_dual,
-    "radius-l1": check_radius_l1,
-    "radius-lq": check_radius_lq,
-    "width-duality": check_width_duality,
-    "fourier-tail": check_fourier_tail,
-    "weyl-ratio": check_weyl_ratio,
-    "sobolev-slope": check_sobolev_slope,
-}
+    return margins, details
 
 
 def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
@@ -462,7 +430,8 @@ _FIELD_RULES = {
     "orders": (lambda v: _ints(v, 0), "a list of integers >= 0"),
     "levels": (lambda v: _ints(v, 1, 64) and len(v) == 2 and v[0] < v[1],
                "[lo, hi] with integers 1 <= lo < hi <= 64"),
-    "family": (lambda v: isinstance(v, str), "a family name"),
+    "family": (lambda v: isinstance(v, str) and v in manifolds.FAMILIES,
+               f"one of {', '.join(manifolds.FAMILIES)}"),
     "checks": (lambda v: v == "all" or isinstance(v, list) and all(
         isinstance(c, str) for c in v), '"all" or a list of check names'),
 }
@@ -487,8 +456,7 @@ class ExperimentConfig:
             seed = seed_override
         if seed is None:
             raise ConfigError("field 'seed': a seed is mandatory for reproducibility")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"field 'seed': expected an integer, got {seed!r}")
+        _checked("seed", seed, (lambda v: _ints([v], 0), "an integer >= 0"))
         extra = set(data) - _ALLOWED_FIELDS[task]
         if extra:
             raise ConfigError(
@@ -610,19 +578,8 @@ def _task_scaling(config: ExperimentConfig):
     d = int(config.params.get("d", 2))
     gamma = float(config.params.get("gamma", 2.0))
     lo, hi = config.params.get("levels", [4, 12])
-    builders = {
-        "sphere": manifolds.sphere,
-        "real_projective": manifolds.real_projective,
-        "complex_projective": manifolds.complex_projective,
-        "quaternionic_projective": manifolds.quaternionic_projective,
-        "cayley_plane": lambda _d: manifolds.cayley_plane(),
-    }
-    if family not in builders:
-        raise ConfigError(f"field 'family': unknown family {family!r}")
-    space = builders[family](d)
-    levels = range(int(lo), int(hi) + 1)
-    s_bound = widths.sobolev_width_order(space, gamma, levels, method="bound")
-    s_exact = widths.sobolev_width_order(space, gamma, levels, method="exact")
+    space = manifolds.FAMILIES[family](d)
+    s_bound, s_exact = widths.sobolev_width_order(space, gamma, range(int(lo), int(hi) + 1))
     target = -gamma / space.d
     rows = [{"space": space.name, "gamma": gamma, "slope_bound": s_bound,
              "slope_exact": s_exact, "target": target}]
@@ -663,7 +620,11 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
         runner = {"expect": _task_expect, "volume": _task_volume,
                   "radius": _task_radius, "widths": _task_widths,
                   "scaling": _task_scaling}[config.task]
-        rows, ok = runner(config)
+        try:  # a value outside the float range is an error, not a null in the output
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                rows, ok = runner(config)
+        except ArithmeticError as exc:
+            raise FloatRange(f"task {config.task!r}: {exc}") from None
         summary = {"task": config.task, "seed": config.seed, "all_pass": ok,
                    "rows": rows}
     outputs = {"rows": rows, "summary": summary}

@@ -2,7 +2,8 @@
 
 Laplace eigenvalues, eigenspace dimensions, and cumulative counts for the
 five families: spheres and the projective spaces over the reals, complexes,
-quaternions, and octonions.  Eigenvalues follow the Jacobi parametrization
+quaternions, and octonions, each named once in ``FAMILIES`` with its
+constructor.  Eigenvalues follow the Jacobi parametrization
 theta_k = k(k + alpha + beta + 1); real projective spaces carry only even
 degrees, handled by internal reindexing.  Dimensions use the Jacobi-weight
 closed form rather than just their k^(d-1) order, because multiplier
@@ -25,8 +26,6 @@ from .errors import BadDimensions
 
 #: longest multiplier diagonal built, 64 MiB of float64
 _MAX_DIAGONAL = 2**23
-_FAMILIES = ("sphere", "real_projective", "complex_projective",
-             "quaternionic_projective", "cayley_plane")
 #: (2 alpha, 2 beta) -> the products of ``_jacobi_eigenspace_dim`` for
 #: k = 0, 1, ..., in lowest terms: one step per new level.  A grown table
 #: replaces the old one whole, so a concurrent reader never sees it half built
@@ -69,7 +68,7 @@ class TwoPointSpace:
     even_only: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise BadDimensions(f"unknown family {self.family!r}")
         if abs(self.alpha - (self.d - 2) / 2.0) > 1e-12:
             raise BadDimensions("alpha must equal (d-2)/2 for these families")
@@ -135,6 +134,17 @@ def quaternionic_projective(d: int) -> TwoPointSpace:
 
 def cayley_plane() -> TwoPointSpace:
     return TwoPointSpace("cayley_plane", 16, 7.0, 3.0)
+
+
+#: family name -> its constructor of the dimension d; the Cayley plane has
+#: d = 16 alone and ignores it
+FAMILIES: dict[str, Callable[[int], TwoPointSpace]] = {
+    "sphere": sphere,
+    "real_projective": real_projective,
+    "complex_projective": complex_projective,
+    "quaternionic_projective": quaternionic_projective,
+    "cayley_plane": lambda d: cayley_plane(),
+}
 
 
 def all_families() -> list[TwoPointSpace]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .bodies import Body, LinearImageBody, LpBall
+from .bodies import Body, LinearImageBody, LpBall, ProjectionBody
 from .errors import BadDimensions, Saturation, VarianceBlowup
 from .linalg import Subspace, _unit_rows, as_generator
 
@@ -164,8 +164,6 @@ def projection_volume_ratio(body: Body, subspace: Subspace,
     (``ProjectionBody``).  Achieved infima bound the gauge from above, so
     the estimate errs low.
     """
-    from .bodies import ProjectionBody
-
     proj = ProjectionBody(body, subspace)
     return mc_volume_ratio(proj, LpBall(subspace.dim, 2.0), samples=samples,
                            seed=seed, check_blowup=False)

@@ -4,7 +4,8 @@ Exact Kolmogorov widths of diagonal operators (the tail semiaxis), which
 also give the worst truncation error of a multiplier; brute-force
 Gelfand/Kolmogorov searches at small n; the lower-bound factors and
 observed ratios for section radii of coefficient bodies; and the
-smoothness-scaling fits.
+smoothness-scaling fit, whose one call gives both the lower-bound and the
+exact-width slope.
 
 The brute-force searches are upper-bound constructions (best subspace
 found by a batched compass search over frames, every objective scoring a
@@ -271,16 +272,17 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
 # --------------------------------------------------------------------------
 
 
-def sobolev_width_order(space: TwoPointSpace, gamma: float, n_levels,
-                        method: str = "bound") -> float:
-    """Log-log slope of the width decay for smoothness ``gamma`` on ``space``.
+def sobolev_width_order(space: TwoPointSpace, gamma: float,
+                        n_levels) -> tuple[float, float]:
+    """Log-log slopes ``(bound, exact)`` of the width decay for smoothness
+    ``gamma`` on ``space``.
 
-    method="bound": the section-radius lower-bound curve evaluated at
-    order s = tau_N, whose value is the multiplier rate at s^(2/d); its
-    slope is exactly -gamma/d.
+    bound: the section-radius lower-bound curve evaluated at order
+    s = tau_N, whose value is the multiplier rate at s^(2/d); its slope is
+    exactly -gamma/d.
 
-    method="exact": Kolmogorov widths of the truncated-multiplier ellipsoid
-    in the Euclidean norm (tail semiaxis), fitted over every order m between
+    exact: Kolmogorov widths of the truncated-multiplier ellipsoid in the
+    Euclidean norm (tail semiaxis), fitted over every order m between
     tau_(min level) and tau_(max level); the dense staircase averages out
     the eigenspace blocks.
     """
@@ -288,17 +290,11 @@ def sobolev_width_order(space: TwoPointSpace, gamma: float, n_levels,
     levels = sorted(int(N) for N in n_levels)
     if len(levels) < 2 or levels[0] < 1:
         raise BadDimensions("need at least two levels >= 1")
-    d = space.d
-    taus = {N: space.tau(N) for N in levels}
-    if method == "bound":
-        xs = np.array([taus[N] for N in levels], dtype=float)
-        ys = xs ** (2.0 / d)
-        vals = np.array([rate(v) for v in ys])
-        return float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
-    if method == "exact":
-        start, stop = taus[levels[0]], taus[levels[-1]]
-        lams = multiplier_diagonal(rate, space, stop + 1)
-        ms = np.arange(start, stop + 1)
-        widths = lams[start:]  # width of order m is the (m+1)-th semiaxis
-        return float(np.polyfit(np.log(ms), np.log(widths), 1)[0])
-    raise BadDimensions("method must be 'bound' or 'exact'")
+    taus = [space.tau(N) for N in levels]
+    xs = np.array(taus, dtype=float)
+    vals = np.array([rate(v) for v in xs ** (2.0 / space.d)])
+    bound = float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
+    # the width of order m, tau_lo <= m <= tau_hi, is the (m+1)-th semiaxis
+    widths = multiplier_diagonal(rate, space, taus[-1] + 1)[taus[0]:]
+    exact = np.polyfit(np.log(np.arange(taus[0], taus[-1] + 1)), np.log(widths), 1)[0]
+    return bound, float(exact)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from widthlab.bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
-from widthlab.harness import _radius_check
+from widthlab.harness import _radius_check, _report
 from widthlab.manifolds import all_families, sphere
 from widthlab.stochastic import (expectation_norm, expected_norm_bound, greedy_net,
                                  mc_volume_ratio)
@@ -145,8 +145,8 @@ def test_criterion_06_width_oracles():
 
 def test_criterion_07_radius_bounds():
     _begin("radius-bounds")
-    l1 = _radius_check("l1", range(0, 10), range(10, 60))
-    lq = _radius_check("lq", range(0, 10), range(10, 60))
+    l1 = _report("radius-l1", "", *_radius_check("l1", range(0, 10), range(10, 60)))
+    lq = _report("radius-lq", "", *_radius_check("lq", range(0, 10), range(10, 60)))
     ok = l1.passed and lq.passed
     _finish("radius-bounds", ok,
             f"l1: {l1.violations}/{l1.trials} violations (margin {l1.worst_margin:.3f}); "
@@ -160,8 +160,7 @@ def test_criterion_08_sobolev_scaling():
     details = []
     for gamma in (1.0, 2.0):
         target = -gamma / space.d
-        s_exact = sobolev_width_order(space, gamma, range(4, 13), method="exact")
-        s_bound = sobolev_width_order(space, gamma, range(4, 13), method="bound")
+        s_bound, s_exact = sobolev_width_order(space, gamma, range(4, 13))
         ok &= abs(s_exact - target) <= 0.05
         ok &= abs(s_bound - target) <= 0.05
         ok &= abs(s_exact - s_bound) <= 0.05

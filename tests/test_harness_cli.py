@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from widthlab import harness, manifolds, stochastic, widths
 from widthlab.bodies import Body, PolarBody
-from widthlab.errors import BadDimensions, ConfigError
+from widthlab.errors import BadDimensions, ConfigError, WidthLabError
 from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
                               _build_body, _build_system, _report, check_santalo,
                               check_seed, run, verify_all)
@@ -50,10 +50,47 @@ CONFIG = st.sampled_from(_TASKS).flatmap(lambda task: st.fixed_dictionaries(
     optional={f: FIELD_VALUES.get(f, NUMBER | st.lists(NUMBER, max_size=3) | JSON)
               for f in sorted(_ALLOWED_FIELDS[task])})) | JSON
 
+EXPONENT = st.integers(1, 30) | st.floats(1.0, allow_infinity=False) | st.just("inf")
+SMALL_SYSTEM = (st.fixed_dictionaries({"kind": st.just("trig"), "max_degree": st.integers(0, 3)})
+                | st.fixed_dictionaries({"kind": st.just("trig_prefix"), "n": st.integers(1, 7)})
+                | st.fixed_dictionaries({"kind": st.just("sphere"),
+                                         "max_degree": st.integers(0, 2)}))
+SMALL_BODY = st.recursive(
+    st.fixed_dictionaries({"kind": st.just("lp"), "dim": st.integers(1, 4)},
+                          optional={"p": EXPONENT})
+    | st.fixed_dictionaries({"kind": st.just("induced"), "system": SMALL_SYSTEM,
+                             "p": EXPONENT}),
+    lambda kids: st.fixed_dictionaries({
+        "kind": st.just("linear_image"), "base": kids,
+        "matrix": st.fixed_dictionaries({"diagonal": st.lists(NUMBER, min_size=1, max_size=4)})
+        | st.fixed_dictionaries({"dense": ROWS})}),
+    max_leaves=2)
+SEED = st.integers(-3, 20) | st.integers(0, 2**40)
+SAMPLES = st.integers(1, 5000)
+#: configs of the cheap tasks, mostly ones that from_dict accepts; the small
+#: systems and levels keep each run short
+RUNNABLE = (
+    st.fixed_dictionaries({"task": st.just("expect"), "seed": SEED}, optional={
+        "system": SMALL_SYSTEM, "p": EXPONENT, "samples": SAMPLES})
+    | st.fixed_dictionaries({"task": st.just("volume"), "seed": SEED, "body": SMALL_BODY},
+                            optional={"reference": SMALL_BODY, "samples": SAMPLES})
+    | st.fixed_dictionaries({"task": st.just("scaling"), "seed": SEED}, optional={
+        "family": st.sampled_from(list(manifolds.FAMILIES)), "d": st.integers(1, 16),
+        "gamma": st.floats(0.0, exclude_min=True, allow_infinity=False),
+        "levels": st.lists(st.integers(1, 16), min_size=2, max_size=2,
+                           unique=True).map(sorted)})
+    | st.fixed_dictionaries({"task": st.just("verify"), "seed": SEED, "checks": st.lists(
+        st.sampled_from(["fourier-tail", "weyl-ratio"]), min_size=1, max_size=2, unique=True)}))
+
 
 def _affine(fn, scale=1.0, shift=0.0):
     """``fn`` with its result mapped to scale * result + shift."""
     return lambda *args, **kwargs: scale * fn(*args, **kwargs) + shift
+
+
+def _shifted_pair(fn, shift):
+    """``fn`` with both numbers of the pair it returns raised by ``shift``."""
+    return lambda *args, **kwargs: tuple(v + shift for v in fn(*args, **kwargs))
 
 
 def _scaled_value(fn, factor):
@@ -129,7 +166,7 @@ CONTROLS = {
     "weyl-ratio": lambda mp: mp.setattr(
         manifolds.TwoPointSpace, "eigenvalue", _odd_raised(manifolds.TwoPointSpace.eigenvalue)),
     "sobolev-slope": lambda mp: mp.setattr(
-        widths, "sobolev_width_order", _affine(widths.sobolev_width_order, shift=0.1)),
+        widths, "sobolev_width_order", _shifted_pair(widths.sobolev_width_order, 0.1)),
 }
 
 
@@ -140,6 +177,15 @@ def _reject_constant(name):
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "widthlab.cli", *args],
                           capture_output=True, text=True)
+
+
+def _main(tmp_path, raw, *args):
+    """``widthlab <task> --config FILE *args`` in this process, FILE holding ``raw``."""
+    from widthlab.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return main([raw["task"], "--config", str(cfg), *args])
 
 
 class TestConfig:
@@ -171,6 +217,16 @@ class TestConfig:
         for key in ("p", "q", "gamma"):
             if key in cfg.params:
                 assert float(cfg.params[key]) > 0
+
+    @given(RUNNABLE)
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_run_returns_a_code_or_a_widthlab_error(self, raw):
+        try:
+            code, outputs = run(ExperimentConfig.from_dict(raw))
+        except WidthLabError:
+            return
+        assert code in (0, 1)
+        assert outputs["summary"]["all_pass"] is (code == 0)
 
     @given(SYSTEM | JSON, BODY)
     @settings(max_examples=150, deadline=None)
@@ -389,6 +445,18 @@ class TestCli:
         assert res.stderr.startswith("configuration error: "), res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("task, raw", [
+        ("expect", {"samples": 10}),
+        ("volume", {"body": {"kind": "lp", "dim": 2}, "samples": 10}),
+        ("radius", {"subspaces": 1, "restarts": 1}),
+        ("widths", {"semiaxes": [1], "orders": [0], "restarts": 1}),
+        ("verify", {"checks": ["fourier-tail"]}),
+        ("scaling", {}),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, task, raw):
+        assert _main(tmp_path, {"task": task, "seed": 0, **raw}, "--seed", "-1") == 1
+        assert capsys.readouterr().err.startswith("configuration error: field 'seed'")
+
     def test_unfinishable_scaling_fails_fast(self, tmp_path):
         # levels 4..12 on the Cayley plane need a 374,332,453-entry multiplier
         # diagonal, about 3 GB of float64, above the 2^23-entry cap; the child's
@@ -415,6 +483,16 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("error: "), res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("task, raw", [
+        ("expect", {"p": 1293.0, "samples": 1000}),
+        ("scaling", {"gamma": 727.0, "levels": [5, 8]}),
+        ("volume", {"samples": 10, "body": {"kind": "linear_image", "base": {
+            "kind": "lp", "dim": 2}, "matrix": {"diagonal": [1e-200, 1e-200]}}}),
+    ], ids=["power-overflow", "rate-underflow", "extreme-matrix"])
+    def test_float_range_is_an_error_line(self, tmp_path, capsys, task, raw):
+        assert _main(tmp_path, {"task": task, "seed": 0, **raw}) == 1
+        assert capsys.readouterr().err.startswith(f"error: task {task!r}: ")
 
     def test_duplicate_check_names_are_config_error(self, tmp_path):
         res = run_cli(["verify", "--checks", "fourier-tail,fourier-tail",

@@ -8,7 +8,7 @@ import pytest
 from widthlab import harness, widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder
-from widthlab.harness import _radius_check
+from widthlab.harness import _radius_check, _report
 from widthlab.manifolds import quaternionic_projective, sphere
 from widthlab.systems import trig_prefix_system, trig_system
 from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
@@ -298,7 +298,7 @@ class TestRadiusBounds:
     def test_calibrate_then_validate_small_grid(self, monkeypatch):
         monkeypatch.setattr(harness, "RADIUS_GRID", dict(dims=(3, 4), ps=(2.0,), qs=(),
                                                          subspaces=2, restarts=16))
-        report = _radius_check("l1", range(0, 4), range(4, 8))
+        report = _report("radius-l1", "", *_radius_check("l1", range(0, 4), range(4, 8)))
         assert report.details["constant"] > 0
         assert report.details["training_trials"] == 16
         assert (report.trials, report.violations) == (16, 0)
@@ -314,7 +314,7 @@ class TestRadiusBounds:
         # a NaN, zero or negative training minimum fails every validation ratio
         monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
         with np.errstate(divide="ignore", invalid="ignore"):
-            report = _radius_check("l1", range(2), range(2))
+            report = _report("radius-l1", "", *_radius_check("l1", range(2), range(2)))
         assert not report.passed
         assert report.violations == report.trials == 2
 
@@ -323,13 +323,13 @@ class TestRadiusBounds:
             calls = iter([[4.0], [4.0, bad, 6.0]])  # training, then validation
             monkeypatch.setattr(widths, "radius_ratio_samples",
                                 lambda *a, **k: next(calls))
-            report = _radius_check("l1", range(1), range(3))
+            report = _report("radius-l1", "", *_radius_check("l1", range(1), range(3)))
             assert report.details["constant"] == 3.0
             assert (report.trials, report.violations) == (3, 1)
             assert math.isnan(report.worst_margin)
 
 
-# sobolev_width_order(..., range(4, 13), method="exact") of the former
+# the exact slopes of sobolev_width_order(..., range(4, 13)) of the former
 # inline staircase, which the shared multiplier diagonal must reproduce
 PINNED_EXACT_SLOPES = {
     ("sphere-d2", 1.0): -0.4869902615031181,
@@ -344,35 +344,32 @@ class TestSobolevOrder:
                              ids=lambda s: s.name)
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_exact_slopes_match_pinned_values(self, space, gamma):
-        slope = sobolev_width_order(space, gamma, range(4, 13), method="exact")
+        _, slope = sobolev_width_order(space, gamma, range(4, 13))
         assert slope == PINNED_EXACT_SLOPES[space.name, gamma]
 
     def test_bound_slope_exact(self):
         space = sphere(2)
         for gamma in (1.0, 2.0):
-            slope = sobolev_width_order(space, gamma, range(4, 13), method="bound")
+            slope, _ = sobolev_width_order(space, gamma, range(4, 13))
             assert slope == pytest.approx(-gamma / 2.0, abs=1e-9)
 
     def test_exact_widths_slope(self):
         space = sphere(2)
         for gamma in (1.0, 2.0):
-            slope = sobolev_width_order(space, gamma, range(4, 13), method="exact")
+            _, slope = sobolev_width_order(space, gamma, range(4, 13))
             assert slope == pytest.approx(-gamma / 2.0, abs=0.05)
 
     def test_channels_agree(self):
         space = sphere(2)
-        sb = sobolev_width_order(space, 2.0, range(4, 13), method="bound")
-        se = sobolev_width_order(space, 2.0, range(4, 13), method="exact")
+        sb, se = sobolev_width_order(space, 2.0, range(4, 13))
         assert abs(sb - se) <= 0.05
 
     def test_tiny_gamma_flattens(self):
-        slope = sobolev_width_order(sphere(2), 1e-6, range(4, 13), method="bound")
+        slope, _ = sobolev_width_order(sphere(2), 1e-6, range(4, 13))
         assert abs(slope) < 1e-3
 
     def test_validation(self):
         with pytest.raises(BadDimensions):
             sobolev_width_order(sphere(2), -1.0, range(4, 13))
         with pytest.raises(BadDimensions):
-            sobolev_width_order(sphere(2), 1.0, [4], method="bound")
-        with pytest.raises(BadDimensions):
-            sobolev_width_order(sphere(2), 1.0, range(4, 13), method="nope")
+            sobolev_width_order(sphere(2), 1.0, [4])
