@@ -57,7 +57,6 @@ from .widths import (
     brute_force_kolmogorov,
     ellipsoid_kolmogorov_exact,
     l1_section_radius_bound,
-    linear_cowidth,
     lq_section_radius_bound,
     sobolev_width_order,
 )

@@ -9,18 +9,19 @@ g_num(y @ N_k) / g_den(y @ D_k) for two base bodies and a linear map each
 problems into one ``gauge_grad_many`` call per base body.  The objective is
 0-homogeneous, so iterates live on the Euclidean unit sphere.
 
-``iters`` is a cap: a problem freezes once its best value has not risen by
-more than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive
-iterations, judged on that problem's own rows.  On the sphere of R^1 the
-tangent step is exactly 0, so 1-D problems (every codimension-1 section in
-the plane) stop after their first, scoring pass.  Support values have a
-third stop, on the duality gap: a caller may pass an upper bound on each
-problem's maximum, evaluated on the first pass and every ``GAP_EVERY``-th
-after, and a problem freezes once its best value is within ``GAP_RTOL``
-(relative) of the lowest bound seen.  Nothing refines the kernel's result
-afterwards.  Values returned are achieved values, hence certified lower
-bounds on the true maxima (and upper bounds on the minima of
-``offset_minima``).
+A row's step is halved whenever its ratio falls, and nothing else shapes
+it; ``MAX_ITERS`` only caps the passes.  A problem freezes once its best
+value has not risen by more than ``STALL_RTOL`` (relative) for ``PATIENCE``
+consecutive iterations, judged on that problem's own rows.  On the sphere
+of R^1 the tangent step is exactly 0, so 1-D problems (every codimension-1
+section in the plane) stop after their first, scoring pass.  Support values
+have a third stop, on the duality gap: a caller may pass an upper bound on
+each problem's maximum, evaluated on the first pass and every
+``GAP_EVERY``-th after, and a problem freezes once its best value is within
+``GAP_RTOL`` (relative) of the lowest bound seen.  Nothing refines the
+kernel's result afterwards.  Values returned are achieved values, hence
+certified lower bounds on the true maxima (and upper bounds on the minima
+of ``offset_minima``).
 
 The iteration is NumPy overhead more than arithmetic: rows are a few
 entries long, so the row norms and the tangent projection reduce by column
@@ -37,6 +38,7 @@ import numpy as np
 from .linalg import _by_column, _unit_rows, as_generator
 
 _EPS = 1e-300
+MAX_ITERS = 300
 STALL_RTOL = 1e-9
 PATIENCE = 60
 GAP_RTOL = 1e-6
@@ -53,8 +55,7 @@ def _gauge_grad(base, maps, y: np.ndarray):
     return g.reshape(y.shape[:2]), grad
 
 
-def ratio_ascent(numerator, denominator, starts, iters: int = 300,
-                 num_maps=None, den_maps=None, _bound=None):
+def ratio_ascent(numerator, denominator, starts, num_maps=None, den_maps=None, _bound=None):
     """Maximize numerator(y @ N_k) / denominator(y @ D_k) for every problem k.
 
     ``starts`` holds the initial directions (any nonzero length), shape
@@ -70,8 +71,7 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
     """
     y = _unit_rows(np.asarray(starts, dtype=float))
     n_prob, n_rows, dim = y.shape
-    if dim == 1:  # iterates are +-1: the first pass scores all there is
-        iters = min(iters, 1)
+    iters = 1 if dim == 1 else MAX_ITERS  # iterates +-1: one scoring pass is all
     out_val = np.empty((n_prob, n_rows))
     out_y = np.empty_like(y)
 
@@ -100,8 +100,7 @@ def ratio_ascent(numerator, denominator, starts, iters: int = 300,
         grad = grad_n / np.maximum(gn, _EPS)[..., None]
         grad -= grad_d / np.maximum(gd, _EPS)[..., None]
         grad -= _by_column(np.add, grad * y)[..., None] * y
-        decay = 1.0 / (1.0 + 3.0 * it / max(iters, 1))
-        grad *= (step * decay)[..., None]
+        grad *= step[..., None]
         grad += y
         y = _unit_rows(grad, out=grad)
 
@@ -137,9 +136,10 @@ def offset_minima(body, anchors, directions):
 
     Lifted, its reciprocal is the maximum of |t| / gauge(t x + z D) over
     (t, z): the 1-D ball |t| under the map e_1 over the body under the row's
-    map [x; D].  The starts (1, 0) and (1, +-e_j) make a row's value depend
-    on that row alone.  Returns the achieved minima (upper bounds on the
-    true ones) and the offsets z achieving them.
+    map [x; D].  The starts (1, 0) and (1, +-e_j) give each row a problem of
+    its own (BLAS may still move its bits by an ulp with the row count).
+    Returns the achieved minima (upper bounds on the true ones) and the
+    offsets z achieving them.
     """
     from .bodies import LpBall
 
@@ -155,7 +155,7 @@ def offset_minima(body, anchors, directions):
     return 1.0 / values, points[:, 1:] / points[:, :1]
 
 
-def support_values(body, targets: np.ndarray, restarts: int, iters: int, seed):
+def support_values(body, targets: np.ndarray, restarts: int, seed):
     """Support function of ``body`` at each target row, by batched ascent.
 
     Each target x is one problem: maximize |<x, y>| / gauge(y), the
@@ -188,5 +188,5 @@ def support_values(body, targets: np.ndarray, restarts: int, iters: int, seed):
         return ell + majorant.gauge_many(t - side[:, None] * v)
 
     return ratio_ascent(LpBall(1, 1.0), body, y.reshape(n_samples, r, dim),
-                        iters=iters, num_maps=x[:, :, None],
+                        num_maps=x[:, :, None],
                         _bound=None if majorant is None else bound)

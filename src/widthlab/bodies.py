@@ -200,18 +200,17 @@ class ProjectionBody(Body):
 class PolarBody(Body):
     """Polar (dual) body; its gauge is the support function of the base.
 
-    Evaluated by multistart ascent, so gauges are certified lower bounds;
-    callers rely on that direction.  Where the base has a support majorant
-    the ascent also stops on its duality gap (``_optim.support_values``),
-    and the gauge is still the best value achieved.  The gradient is
-    Danskin's: the maximizer y* the ascent finds, signed to the side of the
-    point.
+    Evaluated by one ``_optim.support_values`` ascent over ``restarts``
+    starts per point, capped at ``_optim.MAX_ITERS`` passes, so gauges are
+    certified lower bounds; callers rely on that direction.  Where the base
+    has a support majorant the ascent also stops on its duality gap, and the
+    gauge is still the best value achieved.  The gradient is Danskin's: the
+    maximizer y* the ascent finds, signed to the side of the point.
     """
 
-    def __init__(self, base: Body, restarts: int = 6, iters: int = 350, seed=0):
+    def __init__(self, base: Body, restarts: int = 6, seed=0):
         self.base = base
         self.restarts = restarts
-        self.iters = iters
         self.seed = seed
         self.dim = base.dim
         self.label = f"({base.label})^o"
@@ -221,8 +220,7 @@ class PolarBody(Body):
 
     def gauge_grad_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g, y = _optim.support_values(self.base, pts, restarts=self.restarts,
-                                     iters=self.iters, seed=self.seed)
+        g, y = _optim.support_values(self.base, pts, restarts=self.restarts, seed=self.seed)
         return g, np.sign(_by_column(np.add, pts * y))[:, None] * y
 
 

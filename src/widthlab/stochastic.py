@@ -19,10 +19,11 @@ import numpy as np
 
 from . import _optim
 from .bodies import Body, LinearImageBody, LpBall, ProjectionBody
-from .errors import BadDimensions, Saturation, VarianceBlowup
+from .errors import BadDimensions, FloatRange, Saturation, VarianceBlowup
 from .linalg import Subspace, _unit_rows, as_generator
 
 _CHUNK = 65536
+EXPECT_MIN_SAMPLES = 1000  # the fewest samples expectation_norm takes
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _NET_CERTIFICATE_SAMPLES = 10_000  # fresh body points checking a net's coverage
 
@@ -91,7 +92,7 @@ def _sphere_chunks(rng, n: int, total: int):
 
 def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
     """Mean of the gauge over the Haar-uniform unit sphere."""
-    samples = _sample_count(samples, 1000)
+    samples = _sample_count(samples, EXPECT_MIN_SAMPLES)
     total = s1 = s2 = 0.0
     for chunk in _sphere_chunks(_stream(seed), body.dim, samples):
         g = body.gauge_many(chunk)
@@ -125,7 +126,8 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
     Both integrands gauge^{-n} share the same sample stream, so the ratio of
     means benefits from common random numbers; the half width comes from the
     delta method.  Raises :class:`VarianceBlowup` when the half width
-    exceeds 25% of the value.
+    exceeds 25% of the value, and :class:`FloatRange` when a mean of
+    gauge^{-n}, or their ratio, is 0 or not finite.
     """
     n = body.dim
     if reference.dim != n:
@@ -134,18 +136,26 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
         raise BadDimensions("volume ratios are limited to n <= 10")
     samples = _sample_count(samples, 1)
     total = sx = sy = sxx = syy = sxy = 0.0
+    shift = None
     for chunk in _sphere_chunks(_stream(seed), n, samples):
-        x = body.gauge_many(chunk) ** float(-n)
-        y = reference.gauge_many(chunk) ** float(-n)
-        sx += float(x.sum()); sy += float(y.sum())
-        sxx += float((x * x).sum()); syy += float((y * y).sum())
-        sxy += float((x * y).sum())
+        gx, gy = body.gauge_many(chunk), reference.gauge_many(chunk)
+        with np.errstate(over="ignore", divide="ignore"):  # out of range shows in the means
+            x, y = gx ** float(-n), gy ** float(-n)
+            if shift is None:  # powers of two keep the squares in range and the bits as they were
+                shift = -np.frexp([x.max(), y.max()])[1]
+            np.ldexp(x, shift[0], out=x); np.ldexp(y, shift[1], out=y)
+            sx += float(x.sum()); sy += float(y.sum())
+            sxx += float((x * x).sum()); syy += float((y * y).sum())
+            sxy += float((x * y).sum())
         total += len(chunk)
     mx, my = sx / total, sy / total
+    with np.errstate(all="ignore"):
+        ratio = float(np.ldexp(np.float64(mx) / my, int(shift[1] - shift[0])))
+    if not (0.0 < mx < math.inf and 0.0 < my < math.inf and 0.0 < ratio < math.inf):
+        raise FloatRange(f"a mean of gauge^(-{n}) or the ratio {ratio!r} leaves the float range")
     vx = max(sxx / total - mx * mx, 0.0)
     vy = max(syy / total - my * my, 0.0)
     cxy = sxy / total - mx * my
-    ratio = mx / my
     rel_var = max(vx / mx**2 + vy / my**2 - 2.0 * cxy / (mx * my), 0.0)
     half = _Z95 * abs(ratio) * math.sqrt(rel_var / total)
     est = EstimateWithCI(ratio, half, int(total))

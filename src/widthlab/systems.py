@@ -51,19 +51,11 @@ def _in_row_blocks(kernel, rows: np.ndarray, n_nodes: int, *args):
     return np.concatenate(parts)
 
 
-def abs_power(a: np.ndarray, p: float) -> np.ndarray:
-    """|a|^p with cheap paths for small integer and half-integer exponents.
-
-    Monte-Carlo loops evaluate this on large arrays; np.power with a float
-    exponent dominates their run time otherwise.  The result is float.
-    """
-    return _power_in_place(np.abs(np.asarray(a, dtype=float)), p)
-
-
 def _power_in_place(a: np.ndarray, p: float) -> np.ndarray:
-    """a^p for a float array ``a`` of absolute values, by ``abs_power``'s
-    steps, reusing ``a``'s buffer: p = 0, 1/2, 1, 2, 4, 8 and every p off
-    the cheap paths make no other array, the rest one or two more."""
+    """a^p for a float array ``a`` of absolute values, reusing its buffer:
+    p in {0, 1/2, ..., 17/2} takes repeated squaring and at most one square root,
+    where np.power with a float exponent would dominate the L_p kernels.  p = 0,
+    1/2, 1, 2, 4, 8 and p off the cheap paths make no other array, the rest one or two."""
     twice = 2.0 * p
     if not (twice == int(twice) and 0 <= twice <= 17):
         return np.power(a, p, out=a)

@@ -50,7 +50,7 @@ _MAX_ROUNDS = 500
 
 @dataclass(frozen=True)
 class WidthResult:
-    kind: str                 # "gelfand", "kolmogorov" or "cowidth"
+    kind: str                 # "gelfand" or "kolmogorov"
     order: int
     value: float
     witness: Subspace | None = None
@@ -87,8 +87,8 @@ def _search_frames(body: Body, target: Body, rows: int, restarts: int,
     """Smallest section radius of ``body`` in the ``target`` gauge found over
     (rows, n) frames by a batched compass search: each round moves every live
     frame by +-step along each coordinate matrix and scores all the moves in
-    one call.  The inner ``starts`` are drawn once, so a frame's value
-    depends on that frame alone."""
+    one call.  The inner ``starts`` are drawn once, so a frame is scored by
+    itself alone (BLAS may still move its bits by an ulp with the row count)."""
     n = body.dim
     rng = as_generator(seed)
     starts = rng.standard_normal((_INNER_RESTARTS, rows))
@@ -155,16 +155,6 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
         return WidthResult("gelfand", m, float(val), full_space(n))
     val, frame = _search_frames(body, target, n - m, restarts, seed)
     return WidthResult("gelfand", m, float(val), Subspace(frame))
-
-
-def linear_cowidth(body: Body, target: Body, m: int, restarts: int = 256,
-                   seed=0) -> WidthResult:
-    """Optimal worst-case diameter of preimages under m linear functionals.
-
-    Equals twice the Gelfand width, so no separate optimizer is needed.
-    """
-    gel = brute_force_gelfand(body, target, m, restarts=restarts, seed=seed)
-    return WidthResult("cowidth", m, 2.0 * gel.value, gel.witness)
 
 
 # --------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_03_santalo():
     for p in (1.5, 2.0, 4.0):
         body = induced_ball(system, p)
         for k in range(20):
-            polar = PolarBody(body, restarts=3, iters=150, seed=900 + 31 * k)
+            polar = PolarBody(body, restarts=3, seed=900 + 31 * k)
             v = mc_volume_ratio(body, euclidean_ball(3), samples=2000,
                                 seed=2000 + k, check_blowup=False)
             vp = mc_volume_ratio(polar, euclidean_ball(3), samples=2000,

@@ -119,7 +119,7 @@ def _ratio_ascent_old(numerator, denominator, starts, iters=300, num_maps=None,
     prev = np.full((n_prob, n_rows), -np.inf)
     top = np.full(n_prob, -np.inf)
     stall = np.zeros(n_prob, dtype=int)
-    for it in range(iters):
+    for _ in range(iters):
         gn, grad_n = _gauge_grad_old(numerator, nmaps, y)
         gd, grad_d = _gauge_grad_old(denominator, dmaps, y)
         ratio = gn / np.maximum(gd, eps)
@@ -130,8 +130,7 @@ def _ratio_ascent_old(numerator, denominator, starts, iters=300, num_maps=None,
         prev = ratio
         grad = grad_n / np.maximum(gn, eps)[..., None] - grad_d / np.maximum(gd, eps)[..., None]
         grad -= np.sum(grad * y, axis=-1, keepdims=True) * y
-        decay = 1.0 / (1.0 + 3.0 * it / max(iters, 1))
-        y = _normalize_rows_old(y + (step * decay)[..., None] * grad)
+        y = _normalize_rows_old(y + step[..., None] * grad)
         new_top = best_val.max(axis=1)
         rose = new_top - top > _optim.STALL_RTOL * np.abs(new_top)
         stall = np.where(rose, 0, stall + 1)
@@ -230,7 +229,7 @@ def test_ratio_ascent_support_problem_unchanged():
     y = rng.standard_normal((40 * 3, 3))
     y[::3] = x
     args = (LpBall(1, 1.0), body, y.reshape(40, 3, 3))
-    kwargs = dict(iters=150, num_maps=x[:, :, None])
+    kwargs = dict(num_maps=x[:, :, None])
     values, points = _optim.ratio_ascent(*args, **kwargs)
     ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
     assert _same_bits(values, ref_values) and _same_bits(points, ref_points)

@@ -457,6 +457,11 @@ class TestCli:
         assert _main(tmp_path, {"task": task, "seed": 0, **raw}, "--seed", "-1") == 1
         assert capsys.readouterr().err.startswith("configuration error: field 'seed'")
 
+    def test_expect_samples_below_its_minimum_is_config_error(self, tmp_path, capsys):
+        # 10 passes the general count rule; the expectation needs 1,000
+        assert _main(tmp_path, {"task": "expect", "seed": 0, "samples": 10}) == 1
+        assert capsys.readouterr().err.startswith("configuration error: field 'samples'")
+
     def test_unfinishable_scaling_fails_fast(self, tmp_path):
         # levels 4..12 on the Cayley plane need a 374,332,453-entry multiplier
         # diagonal, about 3 GB of float64, above the 2^23-entry cap; the child's
@@ -489,7 +494,10 @@ class TestCli:
         ("scaling", {"gamma": 727.0, "levels": [5, 8]}),
         ("volume", {"samples": 10, "body": {"kind": "linear_image", "base": {
             "kind": "lp", "dim": 2}, "matrix": {"diagonal": [1e-200, 1e-200]}}}),
-    ], ids=["power-overflow", "rate-underflow", "extreme-matrix"])
+        # |x|^p overflows inside the gauge kernel for part of the samples only
+        ("volume", {"samples": 1000, "body": {"kind": "linear_image", "base": {
+            "kind": "lp", "dim": 2, "p": 2000}, "matrix": {"diagonal": [0.6, 0.6]}}}),
+    ], ids=["power-overflow", "rate-underflow", "extreme-matrix", "gauge-overflow"])
     def test_float_range_is_an_error_line(self, tmp_path, capsys, task, raw):
         assert _main(tmp_path, {"task": task, "seed": 0, **raw}) == 1
         assert capsys.readouterr().err.startswith(f"error: task {task!r}: ")

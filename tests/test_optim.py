@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 from widthlab import _optim
-from widthlab.bodies import (Body, InducedBall, LpBall, ProjectionBody, _support_majorant,
-                             linear_image)
+from widthlab.bodies import (Body, InducedBall, LpBall, PolarBody, ProjectionBody,
+                             _support_majorant, linear_image)
 from widthlab.linalg import as_generator, random_subspace
 from widthlab.stochastic import haar_sphere_sample
 from widthlab.systems import trig_prefix_system, trig_system
@@ -65,10 +65,22 @@ class TestRatioAscent:
     def test_constant_ratio_stops_early(self):
         body = _CountingBall(3)
         starts = np.random.default_rng(0).standard_normal((1, 8, 3))
-        values, _ = _optim.ratio_ascent(body, body, starts, iters=300)
+        values, _ = _optim.ratio_ascent(body, body, starts)
         assert values[0] == pytest.approx(1.0)
         iterations = (body.calls - 1) // 2  # one final scaling call
         assert iterations == _optim.PATIENCE + 1
+
+
+def test_iteration_cap_is_only_a_cap(monkeypatch):
+    # santalo's p = 4 polar gauges: no step depends on the cap, and every
+    # problem stops on its own rule before it, so a higher cap moves no bit
+    body = InducedBall(trig_system(1), 4.0)
+    points = [haar_sphere_sample(3, 3000, seed=1000 + k) for k in range(3)]
+    polars = [PolarBody(body, restarts=3, seed=17 * k) for k in range(3)]
+    ref = [polar.gauge_many(x) for polar, x in zip(polars, points)]
+    monkeypatch.setattr(_optim, "MAX_ITERS", 1000)
+    for polar, x, gauges in zip(polars, points, ref):
+        assert np.array_equal(polar.gauge_many(x), gauges)
 
 
 class _CountingInduced(InducedBall):
@@ -86,14 +98,14 @@ class TestGapStop:
     def test_unbounded_stop_is_unchanged_by_a_nan_bound(self):
         starts = np.random.default_rng(0).standard_normal((1, 8, 3))
         body = _CountingBall(3)
-        _optim.ratio_ascent(body, body, starts, iters=300,
+        _optim.ratio_ascent(body, body, starts,
                             _bound=lambda live, y, ratio, grad: np.full(live.size, np.nan))
         assert (body.calls - 1) // 2 == _optim.PATIENCE + 1
 
     def test_bound_at_the_value_freezes_after_one_pass(self):
         starts = np.random.default_rng(0).standard_normal((1, 8, 3))
         body = _CountingBall(3)
-        values, _ = _optim.ratio_ascent(body, body, starts, iters=300,
+        values, _ = _optim.ratio_ascent(body, body, starts,
                                         _bound=lambda live, y, ratio, grad: ratio)
         assert values[0] == pytest.approx(1.0)
         assert body.calls == 3  # one pass of two bodies, and the final scaling
@@ -103,14 +115,13 @@ class TestGapStop:
         # meets it at once; without the gap stop the 60-pass stall rule runs
         x = np.random.default_rng(1).standard_normal((500, 3))
         body = _CountingInduced(trig_system(1), 2.0)
-        values, _ = _optim.support_values(body, x, restarts=3, iters=150, seed=5)
+        values, _ = _optim.support_values(body, x, restarts=3, seed=5)
         assert body.calls == 2  # one loop pass, then the final scaling
         np.testing.assert_allclose(values, np.linalg.norm(x, axis=1), rtol=1e-14)
 
     def test_zero_targets_freeze_at_once(self):
         body = _CountingInduced(trig_system(1), 4.0)
-        values, _ = _optim.support_values(body, np.zeros((4, 3)), restarts=6, iters=350,
-                                          seed=0)
+        values, _ = _optim.support_values(body, np.zeros((4, 3)), restarts=6, seed=0)
         assert body.calls == 2
         assert np.array_equal(values, np.zeros(4))
 
@@ -118,16 +129,16 @@ class TestGapStop:
         InducedBall(trig_system(1), 1.5), InducedBall(trig_system(1), 4.0), LpBall(3, 3.0),
         linear_image(InducedBall(trig_system(1), 4.0), np.diag([2.0, 1.0, 0.5]))],
         ids=lambda b: b.label)
-    def test_gap_stopped_values_are_certified(self, body):
+    def test_gap_stopped_values_are_certified(self, body, monkeypatch):
         x = np.random.default_rng(2).standard_normal((200, 3))
-        values, _ = _optim.support_values(body, x, restarts=6, iters=350, seed=0)
+        values, _ = _optim.support_values(body, x, restarts=6, seed=0)
         # achieved values: never above the majorant at x (up to roundoff) ...
         assert np.all(values <= _support_majorant(body).gauge_many(x) * (1 + 1e-12))
         # ... and within GAP_RTOL of a long ascent without the gap stop
         starts = np.random.default_rng(3).standard_normal((200, 16, 3))
         starts[:, 0] = x
-        ref, _ = _optim.ratio_ascent(LpBall(1, 1.0), body, starts, iters=2000,
-                                     num_maps=x[:, :, None])
+        monkeypatch.setattr(_optim, "MAX_ITERS", 2000)
+        ref, _ = _optim.ratio_ascent(LpBall(1, 1.0), body, starts, num_maps=x[:, :, None])
         assert np.all(ref <= values * (1 + _optim.GAP_RTOL))
 
 

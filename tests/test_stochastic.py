@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
-from widthlab.errors import BadDimensions, VarianceBlowup
+from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
 from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
                                  expectation_norm, expected_norm_bound, greedy_net,
@@ -114,6 +114,24 @@ class TestVolumeRatio:
         body = linear_image(euclidean_ball(10), np.diag([20.0] + [1.0] * 9))
         with pytest.raises(VarianceBlowup):
             mc_volume_ratio(body, euclidean_ball(10), samples=20_000, seed=7)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_mean_out_of_float_range_raises(self, scale):
+        # gauge^(-2) underflows to 0 (the mean was divided by) or overflows to
+        # inf (the value was inf with a NaN half width); at 1e-200 the l_2
+        # kernel's own |x|^2 also overflows, which the volume estimate leaves to
+        # the caller's error state
+        body = linear_image(LpBall(2, 2.0), scale * np.eye(2))
+        with np.errstate(over="ignore"), pytest.raises(FloatRange, match="float range"):
+            mc_volume_ratio(body, LpBall(2, 2.0), samples=1000)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_ratio_in_range_with_squares_out_of_range(self, scale):
+        # gauge^(-2) is 1e±200 here, so its unscaled square leaves the float range
+        body = linear_image(LpBall(2, 2.0), scale * np.eye(2))
+        est = mc_volume_ratio(body, LpBall(2, 2.0), samples=1000)
+        assert est.value == pytest.approx(scale ** 2, rel=1e-12)
+        assert 0.0 <= est.half_width < 1e-6 * est.value
 
     def test_negative_half_width_rejected(self):
         with pytest.raises(BadDimensions):

@@ -161,14 +161,6 @@ class TestBruteForce:
         with pytest.raises(BadDimensions):
             brute_force_kolmogorov(euclidean_ball(6), LpBall(6, 2.0), 1)
 
-    def test_cowidth_is_twice_gelfand(self):
-        from widthlab.widths import linear_cowidth
-
-        body = linear_image(euclidean_ball(3), np.diag([3.0, 2.0, 1.0]))
-        co = linear_cowidth(body, LpBall(3, 2.0), 1, restarts=48, seed=0)
-        assert co.kind == "cowidth"
-        assert co.value == pytest.approx(4.0, abs=2e-3)
-
 
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy is for the tests alone
@@ -311,19 +303,19 @@ class TestRadiusBounds:
     @pytest.mark.parametrize("ratios", [[1.0, float("nan")], [float("nan"), 1.0],
                                         [0.0, 1.0], [-float("inf"), 1.0]])
     def test_calibration_rejects_bad_minimum(self, monkeypatch, ratios):
-        # a NaN, zero or negative training minimum fails every validation ratio
-        monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
+        # a NaN, zero or negative training minimum fails every validation ratio;
+        # one call returns the training ratios, then the same ones to validate
+        monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios * 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            report = _report("radius-l1", "", *_radius_check("l1", range(2), range(2)))
+            report = _report("radius-l1", "", *_radius_check("l1", range(2), range(2, 4)))
         assert not report.passed
         assert report.violations == report.trials == 2
 
     def test_non_finite_ratio_is_a_violation(self, monkeypatch):
         for bad in (float("nan"), float("inf")):
-            calls = iter([[4.0], [4.0, bad, 6.0]])  # training, then validation
-            monkeypatch.setattr(widths, "radius_ratio_samples",
-                                lambda *a, **k: next(calls))
-            report = _report("radius-l1", "", *_radius_check("l1", range(1), range(3)))
+            ratios = [4.0, 4.0, bad, 6.0]  # one training seed, then three to validate
+            monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
+            report = _report("radius-l1", "", *_radius_check("l1", range(1), range(1, 4)))
             assert report.details["constant"] == 3.0
             assert (report.trials, report.violations) == (3, 1)
             assert math.isnan(report.worst_margin)
