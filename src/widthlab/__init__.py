@@ -46,7 +46,6 @@ from .stochastic import (
 )
 from .systems import (
     OrthonormalSystem,
-    QuadratureRule,
     sphere_harmonics_system,
     trig_prefix_system,
     trig_system,

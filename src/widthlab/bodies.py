@@ -109,11 +109,11 @@ class InducedBall(Body):
 
     def gauge_grad_many(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _in_row_blocks(self._gauge_grad_block, pts, len(self.system.quadrature))
+        return _in_row_blocks(self._gauge_grad_block, pts, len(self.system.weights))
 
     def _gauge_grad_block(self, pts):
         vals = self.system.values
-        w = self.system.quadrature.weights
+        w = self.system.weights
         f = pts @ vals
         p = self.p
         if np.isinf(p):

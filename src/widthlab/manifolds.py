@@ -27,8 +27,7 @@ from .errors import BadDimensions
 #: longest multiplier diagonal built, 64 MiB of float64
 _MAX_DIAGONAL = 2**23
 #: (2 alpha, 2 beta) -> the products of ``_jacobi_eigenspace_dim`` for
-#: k = 0, 1, ..., in lowest terms: one step per new level.  A grown table
-#: replaces the old one whole, so a concurrent reader never sees it half built
+#: k = 0, 1, ..., in lowest terms: one step per new level, grown in place
 _PRODUCTS: dict = {}
 
 
@@ -38,16 +37,13 @@ def _jacobi_eigenspace_dim(alpha: float, beta: float, k: int) -> int:
     / (j(beta+j)); doubling every factor makes it a ratio of integers in
     a = 2 alpha and b = 2 beta."""
     a, b = round(2 * alpha), round(2 * beta)
-    table = _PRODUCTS.get((a, b), [(1, 1)])
-    if len(table) <= k:
-        table = table[:]
-        while len(table) <= k:
-            j = 2 * len(table)
-            num, den = table[-1]
-            num, den = num * (a + b + j) * (a + j), den * (b + j) * j
-            g = math.gcd(num, den)
-            table.append((num // g, den // g))
-        _PRODUCTS[a, b] = table
+    table = _PRODUCTS.setdefault((a, b), [(1, 1)])
+    while len(table) <= k:
+        j = 2 * len(table)
+        num, den = table[-1]
+        num, den = num * (a + b + j) * (a + j), den * (b + j) * j
+        g = math.gcd(num, den)
+        table.append((num // g, den // g))
     num, den = table[k]
     count = num * (4 * k + a + b + 2) // (den * (a + b + 2))  # exact: it is the dimension
     try:

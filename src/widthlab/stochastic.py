@@ -81,28 +81,31 @@ def _stream(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _sphere_chunks(rng, n: int, total: int):
-    done = 0
-    while done < total:
-        take = min(_CHUNK, total - done)
-        g = rng.standard_normal((take, n))
-        yield _unit_rows(g, out=g)
-        done += take
+def _sphere_chunks(rng, n: int, total: int, chunk: int = _CHUNK):
+    """``total`` Haar points of the unit sphere in R^n, in chunks of ``chunk`` rows."""
+    for done in range(0, total, chunk):
+        yield haar_sphere_sample(n, min(chunk, total - done), rng)
+
+
+def _mean(chunks) -> EstimateWithCI:
+    """Mean of the values in ``chunks`` (an iterable of arrays), with its 95%
+    half width; raises :class:`FloatRange` when the mean is not finite."""
+    total = s1 = s2 = 0.0
+    for values in chunks:
+        s1 += float(values.sum()); s2 += float((values * values).sum())
+        total += len(values)
+    mean = s1 / total
+    if not math.isfinite(mean):
+        raise FloatRange(f"a sample mean leaves the float range: {mean!r}")
+    var = max(s2 / total - mean * mean, 0.0)
+    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
 
 
 def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
-    """Mean of the gauge over the Haar-uniform unit sphere."""
+    """Mean of the gauge over the Haar-uniform unit sphere; raises
+    :class:`FloatRange` when it is not finite."""
     samples = _sample_count(samples, EXPECT_MIN_SAMPLES)
-    total = s1 = s2 = 0.0
-    for chunk in _sphere_chunks(_stream(seed), body.dim, samples):
-        g = body.gauge_many(chunk)
-        s1 += float(g.sum())
-        s2 += float((g * g).sum())
-        total += len(g)
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    half = _Z95 * math.sqrt(var / total)
-    return EstimateWithCI(mean, half, int(total))
+    return _mean(body.gauge_many(u) for u in _sphere_chunks(_stream(seed), body.dim, samples))
 
 
 def expected_norm_bound(p: float) -> float:
@@ -290,30 +293,24 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
     z = z - subspace.project(z)  # only the perpendicular component moves the slice
     if body.gauge(z) >= 1.0:
         return EstimateWithCI(0.0, 0.0, samples)
-    total = s1 = s2 = 0.0
-    done = 0
-    while done < samples:
-        take = min(8192, samples - done)
-        u = haar_sphere_sample(s, take, rng) @ frame
-        hi = np.ones(take)
+
+    def radial_power(u):  # |boundary point|^s along each direction, by bisection
+        u = u @ frame
+        hi = np.ones(len(u))
         for _ in range(60):
             inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
             if not np.any(inside):
                 break
             hi[inside] *= 2.0
-        lo = np.zeros(take)
+        lo = np.zeros(len(u))
         for _ in range(50):
             mid = 0.5 * (lo + hi)
             inside = body.gauge_many(z + mid[:, None] * u) <= 1.0
             lo[inside] = mid[inside]
             hi[~inside] = mid[~inside]
-        vals = lo ** float(s)
-        s1 += float(vals.sum()); s2 += float((vals * vals).sum())
-        total += take
-        done += take
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
+        return lo ** float(s)
+
+    return _mean(radial_power(u) for u in _sphere_chunks(rng, s, samples, 8192))
 
 
 def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):

@@ -1,8 +1,9 @@
 """Orthonormal systems on probability spaces, with quadrature-backed L_p norms.
 
-A system is stored as a matrix of function values over the nodes of a
-quadrature rule whose weights form a probability measure.  The rules shipped
-here integrate products of any two system functions exactly, so the Gram
+A system is its values, a matrix of function values over a set of nodes,
+plus one probability weight per node: the weights are a quadrature rule for
+a probability measure.  The rules shipped here integrate products of any two
+system functions exactly, so the Gram
 matrix is the identity to machine precision and the p=2 norm of a coefficient
 vector coincides with its Euclidean norm.
 
@@ -92,49 +93,33 @@ def _next_prime(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and nonnegative weights summing to one (a probability measure)."""
+class OrthonormalSystem:
+    """A finite orthonormal system with precomputed node values.
 
-    nodes: np.ndarray
+    ``values[k, i]`` is the k-th function at the i-th node, and ``weights[i]``
+    the node's probability weight: finite, nonnegative, summing to one.
+    """
+
+    name: str
     weights: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        if weights.ndim != 1 or len(weights) != len(nodes):
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2:
+            raise DimensionMismatch("values must be (n_functions, n_nodes)")
+        if weights.ndim != 1 or len(weights) != values.shape[1]:
             raise DimensionMismatch("need one weight per node")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise BadDimensions("quadrature weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise BadDimensions(f"weights must sum to 1, got {weights.sum()!r}")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class OrthonormalSystem:
-    """A finite orthonormal system with precomputed node values.
-
-    ``values[k, i]`` is the k-th function at the i-th quadrature node.
-    """
-
-    name: str
-    quadrature: QuadratureRule
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(self.quadrature):
-            raise DimensionMismatch("values must be (n_functions, n_nodes)")
         if not np.all(np.isfinite(values)):
             raise BadDimensions("values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        for field, array in (("weights", weights), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, field, array)
 
     @property
     def n(self) -> int:
@@ -145,8 +130,7 @@ class OrthonormalSystem:
         return (self.name, self.n)
 
     def gram(self) -> np.ndarray:
-        w = self.quadrature.weights
-        return (self.values * w) @ self.values.T
+        return (self.values * self.weights) @ self.values.T
 
     def lp_norm_many(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         """Quadrature L_p norms of the functions with coefficient rows ``coeffs``."""
@@ -158,14 +142,14 @@ class OrthonormalSystem:
         if p < 1:
             raise BadDimensions(f"p must be >= 1, got {p}")
         norms = _in_row_blocks(self._lp_norm_block, coeffs.reshape(-1, self.n),
-                               len(self.quadrature), p)
+                               len(self.weights), p)
         return norms.reshape(coeffs.shape[:-1])[()]
 
     def _lp_norm_block(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         f = coeffs @ self.values
         if np.isinf(p):
             return np.max(np.abs(f), axis=-1)
-        w = self.quadrature.weights
+        w = self.weights
         if p == 2.0:  # exact by quadrature construction, keep the fast path stable
             return np.sqrt((f * f) @ w)
         return (_power_in_place(np.abs(f, out=f), p) @ w) ** (1.0 / p)
@@ -178,7 +162,7 @@ class OrthonormalSystem:
             return self
         return OrthonormalSystem(
             name=f"{self.name}[:{n}]",
-            quadrature=self.quadrature,
+            weights=self.weights,
             values=self.values[:n],
         )
 
@@ -197,7 +181,6 @@ def trig_system(max_degree: int) -> OrthonormalSystem:
     # node-max of each function is within 1 - cos(pi/m) < 1% of its sup
     m = _next_prime(max(23 * k + 1, 4 * k + 1, 29))
     theta = 2.0 * np.pi * np.arange(m) / m
-    weights = np.full(m, 1.0 / m)
 
     rows = [np.ones(m)]
     for deg in range(1, k + 1):
@@ -206,7 +189,7 @@ def trig_system(max_degree: int) -> OrthonormalSystem:
 
     return OrthonormalSystem(
         name=f"trig-{2 * k + 1}",
-        quadrature=QuadratureRule(theta, weights),
+        weights=np.full(m, 1.0 / m),
         values=np.array(rows),
     )
 
@@ -280,12 +263,10 @@ def sphere_harmonics_system(max_degree: int) -> OrthonormalSystem:
     w = np.concatenate([w, [0.0, 0.0]])
     w = w / w.sum()
 
-    rows = _real_harmonic_rows(k, t, phi)
-
     return OrthonormalSystem(
         name=f"sphere-{(k + 1) ** 2}",
-        quadrature=QuadratureRule(np.column_stack([t, phi]), w),
-        values=rows,
+        weights=w,
+        values=_real_harmonic_rows(k, t, phi),
     )
 
 

@@ -50,8 +50,6 @@ _MAX_ROUNDS = 500
 
 @dataclass(frozen=True)
 class WidthResult:
-    kind: str                 # "gelfand" or "kolmogorov"
-    order: int
     value: float
     witness: Subspace | None = None
 
@@ -132,7 +130,7 @@ def brute_force_kolmogorov(body: Body, target: Body, m: int, restarts: int = 256
     n = body.dim
     witness = (full_space(n) if gel.witness is None else
                None if gel.witness.dim == n else gel.witness.complement())
-    return WidthResult("kolmogorov", m, gel.value, witness)
+    return WidthResult(gel.value, witness)
 
 
 def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
@@ -148,13 +146,13 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
     if not 0 <= m <= n:
         raise BadOrder(f"order must be in 0..{n}")
     if m == n:
-        return WidthResult("gelfand", m, 0.0, None)
+        return WidthResult(0.0, None)
     if m == 0:
         val = section_radius(body, target, full_space(n), restarts=max(restarts // 4, 8),
                              seed=seed)
-        return WidthResult("gelfand", m, float(val), full_space(n))
+        return WidthResult(float(val), full_space(n))
     val, frame = _search_frames(body, target, n - m, restarts, seed)
-    return WidthResult("gelfand", m, float(val), Subspace(frame))
+    return WidthResult(float(val), Subspace(frame))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Column-order row reductions and in-place kernels against copies of the code
-they replaced: every value and point must match it bit for bit."""
+"""Column-order row reductions, in-place kernels and the shared sphere draw and
+mean against copies of the code they replaced: every value and point must
+match it bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
 
 from widthlab import _optim
 from widthlab.bodies import InducedBall, LpBall
-from widthlab.linalg import _by_column, _unit_rows, as_generator, random_subspace
+from widthlab.linalg import _by_column, _unit_rows, as_generator, orthonormalize, random_subspace
+from widthlab.stochastic import (_CHUNK, _Z95, EstimateWithCI, _offset_section_volume,
+                                 _sphere_chunks, _stream, expectation_norm,
+                                 haar_sphere_sample)
 from widthlab.systems import _in_row_blocks, trig_prefix_system, trig_system
 
 SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.inf, -np.inf, np.nan])
@@ -87,7 +93,7 @@ def _lp_gauge_grad_old(p, pts):
 
 def _induced_block_old(system, p, pts):
     vals = system.values
-    w = system.quadrature.weights
+    w = system.weights
     f = pts @ vals
     tf = _abs_power_old(np.maximum(np.abs(f), 1e-300), p - 2.0) * f
     g = ((tf * f) @ w) ** (1.0 / p)
@@ -155,6 +161,66 @@ def _ratio_ascent_old(numerator, denominator, starts, iters=300, num_maps=None,
     return values, top_y / np.maximum(gd, eps)
 
 
+def _sphere_chunks_old(rng, n, total):
+    done = 0
+    while done < total:
+        take = min(_CHUNK, total - done)
+        g = rng.standard_normal((take, n))
+        yield _unit_rows(g, out=g)
+        done += take
+
+
+def _expectation_norm_old(body, samples, seed):
+    total = s1 = s2 = 0.0
+    for chunk in _sphere_chunks_old(_stream(seed), body.dim, samples):
+        g = body.gauge_many(chunk)
+        s1 += float(g.sum())
+        s2 += float((g * g).sum())
+        total += len(g)
+    mean = s1 / total
+    var = max(s2 / total - mean * mean, 0.0)
+    half = _Z95 * math.sqrt(var / total)
+    return EstimateWithCI(mean, half, int(total))
+
+
+def _offset_section_volume_old(body, subspace, offset, samples, rng):
+    s = subspace.dim
+    frame = subspace.frame
+    z = np.asarray(offset, dtype=float)
+    z = z - subspace.project(z)
+    if body.gauge(z) >= 1.0:
+        return EstimateWithCI(0.0, 0.0, samples)
+    total = s1 = s2 = 0.0
+    done = 0
+    while done < samples:
+        take = min(8192, samples - done)
+        u = haar_sphere_sample(s, take, rng) @ frame
+        hi = np.ones(take)
+        for _ in range(60):
+            inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
+            if not np.any(inside):
+                break
+            hi[inside] *= 2.0
+        lo = np.zeros(take)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            inside = body.gauge_many(z + mid[:, None] * u) <= 1.0
+            lo[inside] = mid[inside]
+            hi[~inside] = mid[~inside]
+        vals = lo ** float(s)
+        s1 += float(vals.sum()); s2 += float((vals * vals).sum())
+        total += take
+        done += take
+    mean = s1 / total
+    var = max(s2 / total - mean * mean, 0.0)
+    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
+
+
+def _same_estimate(got, ref) -> bool:
+    return (_same_bits([got.value, got.half_width], [ref.value, ref.half_width])
+            and got.samples == ref.samples)
+
+
 def _same_grads(got, ref, zero) -> bool:
     """Gauges bit for bit, gradients bit for bit but on the rows ``zero``,
     which must be 0: rows of zero gauge off the closed-form p = 1, 2, inf
@@ -210,7 +276,7 @@ def test_lp_ball_gauges_unchanged(p, n):
 @pytest.mark.parametrize("system", [trig_system(1), trig_system(4)], ids=lambda s: s.name)
 @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
 def test_induced_gauge_grad_unchanged(system, p):
-    nodes = len(system.quadrature)
+    nodes = len(system.weights)
     rows = 3 * max(8, 2**15 // nodes // 8 * 8) + 7  # three blocks and a tail
     pts = np.random.default_rng(5).standard_normal((rows, system.n))
     pts[0] = 0.0  # from p = 3 on the replaced code gives it 0/0: NaN
@@ -297,3 +363,33 @@ def test_one_dimensional_support_problem_unchanged():
     ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
     assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
     assert np.array_equal(values, np.abs(x[:, 0]))
+
+
+# one and several chunks of 8,192 (slices) and 65,536 (sphere means) rows,
+# with and without a short last chunk
+SAMPLE_COUNTS = [1000, 8192, 8193, 12_000, 65_537]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+def test_sphere_chunks_unchanged(samples):
+    got = list(_sphere_chunks(_stream(5), 3, samples))
+    ref = list(_sphere_chunks_old(_stream(5), 3, samples))
+    assert len(got) == len(ref) and all(_same_bits(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+def test_expectation_norm_unchanged(samples):
+    body = InducedBall(trig_system(1), 1.5)
+    got = expectation_norm(body, samples, seed=6)
+    assert _same_estimate(got, _expectation_norm_old(body, samples, 6))
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+def test_offset_section_volume_unchanged(samples):
+    """A plane slice of the induced 4-ball off its center, as in brunn-sections."""
+    body = InducedBall(trig_system(1), 4.0)
+    sub = orthonormalize(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    offset = np.array([0.0, 0.0, 0.4])
+    got = _offset_section_volume(body, sub, offset, samples, as_generator(7))
+    ref = _offset_section_volume_old(body, sub, offset, samples, as_generator(7))
+    assert _same_estimate(got, ref) and got.value > 0

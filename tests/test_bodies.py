@@ -322,7 +322,7 @@ def test_descriptors_roundtrip(trig3):
 def _gauge_grad_reference(system, p, pts):
     """InducedBall.gauge_grad_many in one shot over all rows, with no row blocks."""
     vals = system.values
-    w = system.quadrature.weights
+    w = system.weights
     f = pts @ vals
     if np.isinf(p):
         idx = np.argmax(np.abs(f), axis=1)
@@ -340,7 +340,7 @@ def _gauge_grad_reference(system, p, pts):
                          ids=lambda s: s.name)
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
 def test_induced_gauge_grad_blocks_match_one_shot(system, p):
-    nodes = len(system.quadrature)
+    nodes = len(system.weights)
     b = max(8, _BLOCK_VALUES // nodes // 8 * 8)
     body = induced_ball(system, p)
     rng = np.random.default_rng(14)

@@ -145,7 +145,7 @@ class TestGapStop:
 def _lp_offset_minimum(system, anchor, directions):
     """Exact min over z of the induced 1-norm of anchor + z D, as a linear program:
     minimize w.s subject to -s <= b + A z <= s."""
-    w = system.quadrature.weights
+    w = system.weights
     b = anchor @ system.values
     a = (directions @ system.values).T
     eye = np.eye(len(w))

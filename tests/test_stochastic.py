@@ -50,6 +50,13 @@ class TestExpectationNorm:
         with pytest.raises(BadDimensions):
             expectation_norm(euclidean_ball(2), samples=10)
 
+    def test_mean_out_of_float_range_raises(self):
+        # |f|^1293 overflows in the L_p kernel; with that overflow ignored the
+        # mean was inf with a NaN half width
+        body = induced_ball(trig_system(1), 1293.0)
+        with np.errstate(over="ignore"), pytest.raises(FloatRange, match="float range"):
+            expectation_norm(body, samples=1000)
+
     def test_stream_is_first_spawned_child(self):
         # every Monte-Carlo number of the package depends on this derivation
         body = induced_ball(trig_system(1), 4.0)

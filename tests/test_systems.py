@@ -6,7 +6,7 @@ import pytest
 
 from widthlab.errors import BadDimensions, DimensionMismatch
 from widthlab.linalg import Subspace
-from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, QuadratureRule, _legendre_rows,
+from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, _legendre_rows,
                               _power_in_place, sphere_harmonics_system, trig_prefix_system,
                               trig_system)
 
@@ -27,11 +27,17 @@ def sphere9():
 class TestQuadrature:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(BadDimensions):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
+            OrthonormalSystem("two-nodes", np.array([0.5, 0.6]), np.ones((1, 2)))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(BadDimensions):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
+            OrthonormalSystem("two-nodes", np.array([1.5, -0.5]), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("weights", [np.full(3, 1 / 3), np.full((1, 2), 0.5)],
+                             ids=["count", "shape"])
+    def test_one_weight_per_node(self, weights):
+        with pytest.raises(DimensionMismatch):
+            OrthonormalSystem("two-nodes", weights, np.ones((1, 2)))
 
 
 class TestTrigSystem:
@@ -160,12 +166,13 @@ def _trig3_with_nan(idx):
     trig3 = trig_system(1)
     values = trig3.values.copy()
     values[idx] = np.nan
-    return OrthonormalSystem("trig-3", trig3.quadrature, values)
+    return OrthonormalSystem("trig-3", trig3.weights, values)
 
 
 @pytest.mark.parametrize("build, error", [
     (lambda: Subspace(np.array([[np.nan, 0.0]])), DimensionMismatch),
-    (lambda: QuadratureRule(np.array([0.0, 1.0]), np.array([np.nan, 1.0])), BadDimensions),
+    (lambda: OrthonormalSystem("two-nodes", np.array([np.nan, 1.0]), np.ones((1, 2))),
+     BadDimensions),
     (lambda: _trig3_with_nan((1, 4)), BadDimensions),
 ], ids=["subspace-frame", "quadrature-weight", "system-values"])
 def test_nan_input_rejected(build, error):
@@ -218,7 +225,7 @@ def _lp_norm_reference(system, coeffs, p):
     f = coeffs @ system.values
     if np.isinf(p):
         return np.max(np.abs(f), axis=-1)
-    w = system.quadrature.weights
+    w = system.weights
     if p == 2.0:
         return np.sqrt((f * f) @ w)
     return (_power_in_place(np.abs(f), p) @ w) ** (1.0 / p)
@@ -226,7 +233,7 @@ def _lp_norm_reference(system, coeffs, p):
 
 def block_rows(system):
     """Rows per block of the node-space oracles for ``system``."""
-    return max(8, _BLOCK_VALUES // len(system.quadrature) // 8 * 8)
+    return max(8, _BLOCK_VALUES // len(system.weights) // 8 * 8)
 
 
 class TestRowBlocks:
@@ -269,4 +276,4 @@ class TestRowBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < rows * len(system.quadrature) * 8 / 4
+            assert peak < rows * len(system.weights) * 8 / 4

@@ -64,7 +64,6 @@ class TestBruteForce:
                                          restarts=96, seed=0)
             assert res.value == pytest.approx(
                 ellipsoid_kolmogorov_exact(axes, m), abs=1e-6)
-            assert res.kind == "kolmogorov"
 
     def test_gelfand_matches_oracle(self):
         axes = np.array([3.0, 2.0, 1.0])
