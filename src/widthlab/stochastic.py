@@ -7,7 +7,10 @@ this package needs them.
 
 Sampling is chunked from one stream spawned from the seed (a Generator
 seed first draws an integer seed from itself), so estimates are
-reproducible bit for bit for a fixed seed.
+reproducible bit for bit for a fixed seed.  A seeded stream of at most one
+chunk is drawn once: the next ``expectation_norm`` or ``mc_volume_ratio``
+call with the same seed, n and count reuses it (common random numbers);
+at most one chunk is held, read-only, and results are unchanged.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class EstimateWithCI:
     samples: int
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise BadDimensions("half width cannot be negative")
+        if not self.half_width >= 0:
+            raise BadDimensions(f"a half width must be >= 0, got {self.half_width!r}")
 
 
 @dataclass(frozen=True)
@@ -87,25 +90,51 @@ def _sphere_chunks(rng, n: int, total: int, chunk: int = _CHUNK):
         yield haar_sphere_sample(n, min(chunk, total - done), rng)
 
 
+_held = None  # (key, points) of the last seeded stream of at most _CHUNK rows
+
+
+def _seeded_chunks(seed, n: int, total: int):
+    """The chunks of ``_sphere_chunks(_stream(seed), n, total)``; a one-chunk
+    stream is held, keyed by its initial PCG64 state, ``n`` and ``total``."""
+    global _held
+    rng = _stream(seed)
+    state = rng.bit_generator.state["state"]
+    key = (state["state"], state["inc"], n, total)
+    if _held is None or _held[0] != key:
+        _held = None  # release the held chunk before drawing another
+        if total > _CHUNK:
+            return _sphere_chunks(rng, n, total)
+        points = haar_sphere_sample(n, total, rng)
+        points.flags.writeable = False
+        _held = (key, points)
+    return (_held[1],)
+
+
 def _mean(chunks) -> EstimateWithCI:
-    """Mean of the values in ``chunks`` (an iterable of arrays), with its 95%
-    half width; raises :class:`FloatRange` when the mean is not finite."""
+    """Mean of the values in ``chunks`` (an iterable of fresh arrays, scaled in
+    place), with its 95% half width; raises :class:`FloatRange` when the mean
+    is not finite."""
     total = s1 = s2 = 0.0
+    shift = None
     for values in chunks:
+        if shift is None:  # a power of two keeps the squares in range and the bits as they were
+            shift = -int(np.frexp(values.max())[1])
+        np.ldexp(values, shift, out=values)
         s1 += float(values.sum()); s2 += float((values * values).sum())
         total += len(values)
     mean = s1 / total
     if not math.isfinite(mean):
         raise FloatRange(f"a sample mean leaves the float range: {mean!r}")
     var = max(s2 / total - mean * mean, 0.0)
-    return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
+    return EstimateWithCI(math.ldexp(mean, -shift),
+                          math.ldexp(_Z95 * math.sqrt(var / total), -shift), int(total))
 
 
 def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
     """Mean of the gauge over the Haar-uniform unit sphere; raises
     :class:`FloatRange` when it is not finite."""
     samples = _sample_count(samples, EXPECT_MIN_SAMPLES)
-    return _mean(body.gauge_many(u) for u in _sphere_chunks(_stream(seed), body.dim, samples))
+    return _mean(body.gauge_many(u) for u in _seeded_chunks(seed, body.dim, samples))
 
 
 def expected_norm_bound(p: float) -> float:
@@ -140,7 +169,7 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
     samples = _sample_count(samples, 1)
     total = sx = sy = sxx = syy = sxy = 0.0
     shift = None
-    for chunk in _sphere_chunks(_stream(seed), n, samples):
+    for chunk in _seeded_chunks(seed, n, samples):
         gx, gy = body.gauge_many(chunk), reference.gauge_many(chunk)
         with np.errstate(over="ignore", divide="ignore"):  # out of range shows in the means
             x, y = gx ** float(-n), gy ** float(-n)

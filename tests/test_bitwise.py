@@ -1,18 +1,18 @@
-"""Column-order row reductions, in-place kernels and the shared sphere draw and
-mean against copies of the code they replaced: every value and point must
-match it bit for bit."""
+"""Column-order row reductions, in-place kernels, the shared sphere draw and
+mean, and the held sphere stream against copies of the code they replaced:
+every value and point must match it bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from widthlab import _optim
+from widthlab import _optim, stochastic
 from widthlab.bodies import InducedBall, LpBall
 from widthlab.linalg import _by_column, _unit_rows, as_generator, orthonormalize, random_subspace
 from widthlab.stochastic import (_CHUNK, _Z95, EstimateWithCI, _offset_section_volume,
                                  _sphere_chunks, _stream, expectation_norm,
-                                 haar_sphere_sample)
+                                 haar_sphere_sample, mc_volume_ratio)
 from widthlab.systems import _in_row_blocks, trig_prefix_system, trig_system
 
 SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.inf, -np.inf, np.nan])
@@ -393,3 +393,24 @@ def test_offset_section_volume_unchanged(samples):
     got = _offset_section_volume(body, sub, offset, samples, as_generator(7))
     ref = _offset_section_volume_old(body, sub, offset, samples, as_generator(7))
     assert _same_estimate(got, ref) and got.value > 0
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+def test_held_stream_reused_unchanged(samples, monkeypatch):
+    """Estimator calls that repeat the last stream of at most one chunk draw no
+    normals and keep every bit; a longer stream is drawn again each call."""
+    sample, draws = stochastic.haar_sphere_sample, []
+
+    def counted(*args):
+        draws.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(stochastic, "haar_sphere_sample", counted)
+    monkeypatch.setattr(stochastic, "_held", None)
+    body = InducedBall(trig_system(1), 1.5)
+    ref = _expectation_norm_old(body, samples, 6)
+    means = [expectation_norm(body, samples, seed=6) for _ in range(2)]
+    ratios = [mc_volume_ratio(body, LpBall(3, 2.0), samples, seed=6) for _ in range(2)]
+    assert all(_same_estimate(got, ref) for got in means)
+    assert _same_estimate(ratios[1], ratios[0])
+    assert len(draws) == (1 if samples <= _CHUNK else 4 * -(-samples // _CHUNK))

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from widthlab import stochastic
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
@@ -56,6 +58,16 @@ class TestExpectationNorm:
         body = induced_ball(trig_system(1), 1293.0)
         with np.errstate(over="ignore"), pytest.raises(FloatRange, match="float range"):
             expectation_norm(body, samples=1000)
+
+    @pytest.mark.parametrize("exponent", [520, -520])
+    def test_half_width_with_squares_out_of_range(self, exponent):
+        # gauges of 2^±520 have squares outside the normal range; unscaled,
+        # 2^520 gave a NaN half width (as 1e160 did) and 2^-520 lost its bits
+        ref = expectation_norm(LpBall(2, 1.0), samples=1000, seed=4)
+        body = linear_image(LpBall(2, 1.0), 2.0 ** -exponent * np.eye(2))
+        est = expectation_norm(body, samples=1000, seed=4)
+        assert est.value == math.ldexp(ref.value, exponent)
+        assert est.half_width == math.ldexp(ref.half_width, exponent) > 0
 
     def test_stream_is_first_spawned_child(self):
         # every Monte-Carlo number of the package depends on this derivation
@@ -143,6 +155,74 @@ class TestVolumeRatio:
     def test_negative_half_width_rejected(self):
         with pytest.raises(BadDimensions):
             EstimateWithCI(1.0, -0.1, 10)
+
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(BadDimensions, match="must be >= 0"):
+            EstimateWithCI(1.0, math.nan, 5)
+
+
+class TestHeldStream:
+    """The last seeded stream of at most one chunk is held for the next call."""
+
+    BODY = LpBall(3, 4.0)
+
+    @staticmethod
+    def _count_draws(monkeypatch, check=lambda: None):
+        sample, draws = stochastic.haar_sphere_sample, []
+
+        def counted(*args):
+            check()
+            draws.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(stochastic, "haar_sphere_sample", counted)
+        return draws
+
+    def test_held_chunk_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_held", None)
+        expectation_norm(self.BODY, samples=1000, seed=21)
+        assert not stochastic._held[1].flags.writeable
+        assert haar_sphere_sample(3, 1000, seed=21).flags.writeable
+
+    def test_writing_gauge_raises_and_leaves_the_stream(self, monkeypatch):
+        class WritingBall(LpBall):
+            def gauge_many(self, points):
+                points *= 2.0
+                return super().gauge_many(points)
+
+        monkeypatch.setattr(stochastic, "_held", None)
+        ref = expectation_norm(self.BODY, samples=1000, seed=22)
+        with pytest.raises(ValueError, match="read-only"):
+            expectation_norm(WritingBall(3, 4.0), samples=1000, seed=22)
+        draws = self._count_draws(monkeypatch)
+        assert expectation_norm(self.BODY, samples=1000, seed=22) == ref
+        assert draws == []
+
+    def test_generator_seed_consumed_as_before(self, monkeypatch):
+        # a Generator seed draws one integer seed from itself, on a miss and
+        # on the hit after it
+        derived = int(np.random.default_rng(23).integers(2**63))
+        ref = expectation_norm(self.BODY, samples=1000, seed=derived)
+        monkeypatch.setattr(stochastic, "_held", None)
+        for _ in range(2):
+            rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+            twin.integers(2**63)
+            assert expectation_norm(self.BODY, samples=1000, seed=rng) == ref
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_long_stream_holds_nothing(self):
+        expectation_norm(self.BODY, samples=1000, seed=24)
+        assert stochastic._held is not None
+        expectation_norm(self.BODY, samples=65_537, seed=24)
+        assert stochastic._held is None
+
+    def test_miss_releases_the_held_chunk_first(self, monkeypatch):
+        expectation_norm(self.BODY, samples=1000, seed=25)
+        held = weakref.ref(stochastic._held[1])
+        released = []
+        draws = self._count_draws(monkeypatch, lambda: released.append(held() is None))
+        mc_volume_ratio(self.BODY, euclidean_ball(3), samples=1000, seed=26)
+        assert len(draws) == 1 and released == [True]
 
 
 class TestSectionVolumes:
