@@ -3,8 +3,9 @@
 A body is its Minkowski functional: membership, boundary points, volumes,
 radii and expectations are all expressible through the gauge, which keeps
 the dimension generic and avoids any vertex/facet bookkeeping.  Linear
-images, projections and polars are thin wrappers over a base gauge; a
-section is the maps of a ``_optim.ratio_ascent`` problem.
+images and polars are thin wrappers over a base gauge, a projection solves
+a weighted L_p regression on its base's ``_lp_form``, and a section is the
+maps of a ``_optim.ratio_ascent`` problem.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
+
+IRLS_PASSES = 100  # reweighted least-squares passes of a projection gauge
+_IRLS_FLOOR = 1e-6  # |residual| floor of the weights, relative to the row's largest |a|
 
 
 def _grad_scale(g: np.ndarray, p: float) -> np.ndarray:
@@ -175,10 +179,16 @@ class LinearImageBody(Body):
 class ProjectionBody(Body):
     """Orthogonal projection of a body onto a subspace, in frame coordinates.
 
-    The gauge at u is min over the orthogonal complement z of
-    base.gauge(u + z).  All rows of a call are one batched ascent call,
-    ``_optim.offset_minima``; the values are achieved ones, so they bound the
-    gauge from above and the projection volume from below.
+    The gauge at u is min over z of base.gauge(u F + z C), F and C the frames
+    of the subspace and its complement: with the base's ``_lp_form``
+    (M, w, p), a weighted L_p regression of a = u F M on the rows of B = C M.
+    ``IRLS_PASSES`` reweighted least-squares passes solve every row at once,
+    one m x m system per row and pass; for p > 2 the step is damped by
+    1/(p - 1), or it diverges.  The gauge returned is the Hoelder dual bound
+    <lambda, a>_w, lambda = r max(|r|, floor)^(p-2) from the last residual r
+    projected onto B (w lambda) = 0 and scaled to weighted L_p' norm 1: a
+    certified lower bound.  A base with no form (p = inf, polars,
+    projections) raises BadDimensions.
     """
 
     def __init__(self, base: Body, subspace: Subspace):
@@ -186,15 +196,37 @@ class ProjectionBody(Body):
             raise DimensionMismatch("subspace ambient dimension must match the body")
         if subspace.dim == subspace.ambient_dim:
             raise BadDimensions("projection onto the full space is the body itself")
+        form = _lp_form(base)
+        if form is None:
+            raise BadDimensions(f"{base.label} has no L_p form to project")
         self.base = base
-        self.subspace = subspace
-        self.comp = subspace.complement()
         self.dim = subspace.dim
         self.label = f"P(L{subspace.dim}){base.label}"
+        m, self._w, self._p = form
+        self._anchor, self._offsets = subspace.frame @ m, subspace.complement().frame @ m
 
     def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _optim.offset_minima(self.base, pts @ self.subspace.frame, self.comp.frame)[0]
+        return self._regression(points)[1]
+
+    def _regression(self, points):
+        """IRLS minima (norms of the last residuals) and certified dual bounds per row."""
+        a = np.atleast_2d(np.asarray(points, dtype=float)) @ self._anchor
+        b, w, p = self._offsets, self._w, self._p
+        scale = np.max(np.abs(a), axis=1)
+        a = r = a / np.where(scale > 0, scale, 1.0)[:, None]  # a zero row stays 0
+        outer = b[:, None] * b  # row k's B diag(c_k) B^T is c_k contracted with outer
+        for _ in range(IRLS_PASSES):
+            t = np.maximum(np.abs(r), _IRLS_FLOOR)
+            c = w * (t / t.max(axis=1, keepdims=True)) ** (p - 2.0)  # at most w: no underflow
+            step = np.linalg.solve(np.tensordot(c, outer, (1, 2)), ((c * r) @ b.T)[..., None])
+            r = r - step[..., 0] @ b / max(p - 1.0, 1.0)
+        t = np.maximum(np.abs(r), _IRLS_FLOOR)
+        lam = r * (t / t.max(axis=1, keepdims=True)) ** (p - 2.0)
+        lam -= (lam * w) @ b.T @ np.linalg.solve((b * w) @ b.T, b)  # one system for all rows
+        q = _conjugate(p)
+        norm = np.max(np.abs(lam), axis=1) if q == np.inf else (np.abs(lam) ** q @ w) ** (1.0 / q)
+        value = (np.abs(r) ** p @ w) ** (1.0 / p)
+        return value * scale, (lam * a) @ w / np.maximum(norm, 1e-300) * scale
 
 
 class PolarBody(Body):
@@ -240,6 +272,19 @@ def _polar(body: Body) -> Body:
     if isinstance(body, PolarBody):
         return body.base
     return PolarBody(body)
+
+
+def _lp_form(body: Body):
+    """``(M, w, p)`` with gauge (sum_i w_i |(x M)_i|^p)^(1/p), or None: ell_p
+    and induced p-balls for p < inf, and their linear images A V, whose M is
+    A^{-T} M_V."""
+    if isinstance(body, LpBall) and not np.isinf(body.p):
+        return np.eye(body.dim), np.ones(body.dim), body.p
+    if isinstance(body, InducedBall) and not np.isinf(body.p):
+        return body.system.values, body.system.weights, body.p
+    if isinstance(body, LinearImageBody) and (form := _lp_form(body.base)):
+        return (body.inverse.T @ form[0],) + form[1:]
+    return None
 
 
 def _support_majorant(body: Body):

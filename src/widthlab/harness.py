@@ -228,7 +228,7 @@ def check_projection_l1(s):
         sub = random_subspace(n, math.ceil(n / 2), s + n)
         est = stochastic.projection_volume_ratio(induced_ball(system, 1.0), sub,
                                                  samples=400, seed=s + n)
-        root = est.value ** (1.0 / n)
+        root = (est.value + est.half_width) ** (1.0 / n)
         margins.append(8.0 - root)
         details[f"n={n}"] = {"ratio_nth_root": root}
     return margins, details
@@ -246,7 +246,7 @@ def check_projection_dual(s):
             sub = random_subspace(n, math.ceil(n / 2), s + n)
             est = stochastic.projection_volume_ratio(induced_ball(system, p), sub,
                                                      samples=400, seed=s + n)
-            root = est.value ** (1.0 / n)
+            root = (est.value + est.half_width) ** (1.0 / n)
             rhs = 2.5 * (e_dual.value + e_dual.half_width) + 0.05
             margins.append(rhs - root)
             details[f"n={n},p={p}"] = {"ratio_nth_root": root, "rhs": rhs}
@@ -278,13 +278,13 @@ def _radius_check(kind: str, calibration_seeds, validation_seeds):
 @_check("radius-l1", "sampled sections of dimension >= 2n/3 keep induced-1-norm radius above "
         "const * rho * E_p^(-3/2)")
 def check_radius_l1(s):
-    return _radius_check("l1", range(0, 10), range(10, 22))
+    return _radius_check("l1", range(s, s + 10), range(s + 10, s + 22))
 
 
 @_check("radius-lq", "sampled proportional sections keep induced-q-norm radius above "
         "const * rho * (E_q' E_p)^(-n/s)")
 def check_radius_lq(s):
-    return _radius_check("lq", range(0, 10), range(10, 22))
+    return _radius_check("lq", range(s, s + 10), range(s + 10, s + 22))
 
 
 def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, float]:

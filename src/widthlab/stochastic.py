@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .bodies import Body, LinearImageBody, LpBall, ProjectionBody
+from .bodies import Body, LpBall, ProjectionBody, _lp_form
 from .errors import BadDimensions, FloatRange, Saturation, VarianceBlowup
 from .linalg import Subspace, _unit_rows, as_generator
 
@@ -202,24 +202,13 @@ def projection_volume_ratio(body: Body, subspace: Subspace,
     relative to the unit ball of the subspace.
 
     The gauge of the projection is the infimum of the base gauge over the
-    orthogonal complement; every sample chunk is one batched ascent call
-    (``ProjectionBody``).  Achieved infima bound the gauge from above, so
-    the estimate errs low.
+    orthogonal complement; every sample chunk is one batched reweighted
+    least-squares solve (``ProjectionBody``), whose certified dual bounds
+    bound the gauge from below, so the estimate errs high.
     """
     proj = ProjectionBody(body, subspace)
     return mc_volume_ratio(proj, LpBall(subspace.dim, 2.0), samples=samples,
                            seed=seed, check_blowup=False)
-
-
-def _euclidean_image_matrix(body: Body):
-    """Invertible A with body = A * B_2^n, when the structure shows it."""
-    if isinstance(body, LpBall) and body.p == 2.0:
-        return np.eye(body.dim)
-    if isinstance(body, LinearImageBody):
-        inner = _euclidean_image_matrix(body.base)
-        if inner is not None:
-            return body.matrix @ inner
-    return None
 
 
 def _section_radii(body: Body, target: Body, frames: np.ndarray,
@@ -228,16 +217,14 @@ def _section_radii(body: Body, target: Body, frames: np.ndarray,
     (k, s, n) stack, by a stacked closed form when both are ellipsoids, else
     by one ascent call from the shared (restarts, s) ``starts``.
 
-    For body A B_2 and target C B_2 the radius is the largest
-    |y F C^{-T}| / |y F A^{-T}|: with F A^{-T} (F A^{-T})^T = L L^T, the
-    largest singular value of L^{-1} F C^{-T}.  For B_2 in the gauge
-    |A^T x| that is the largest singular value of F A."""
-    a, c = _euclidean_image_matrix(body), _euclidean_image_matrix(target)
-    if a is not None and c is not None:
-        half = frames @ np.linalg.inv(a).T
+    An ``_lp_form`` (M, w, 2) is the gauge |x E|, E = M sqrt(w); for body E
+    and target E' the radius is the largest |y F E'| / |y F E|: with
+    F E (F E)^T = L L^T, the largest singular value of L^{-1} F E'."""
+    forms = _lp_form(body), _lp_form(target)
+    if all(f is not None and f[2] == 2.0 for f in forms):
+        half, other = (frames @ (m * np.sqrt(w)) for m, w, _ in forms)
         low = np.linalg.cholesky(half @ half.transpose(0, 2, 1))
-        return np.linalg.svd(np.linalg.solve(low, frames @ np.linalg.inv(c).T),
-                             compute_uv=False)[:, 0]
+        return np.linalg.svd(np.linalg.solve(low, other), compute_uv=False)[:, 0]
     values, _ = _optim.ratio_ascent(target, body,
                                     np.broadcast_to(starts, (len(frames),) + starts.shape),
                                     num_maps=frames, den_maps=frames)

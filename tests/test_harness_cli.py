@@ -152,11 +152,11 @@ CONTROLS = {
         stochastic, "projection_volume_ratio", _huge_projection),
     # ten times the constant the calibration fits
     "radius-l1": lambda mp: mp.setattr(harness, "CALIBRATION_MARGIN", 7.5),
-    # validation sections (seeds 10 on) half as wide as the training ones;
-    # stubbed, since the real lq grid is the costliest check of the suite
+    # validation sections (the seeds after the first 10) half as wide as the
+    # training ones; stubbed, since the real lq grid is the costliest check
     "radius-lq": lambda mp: mp.setattr(
         widths, "radius_ratio_samples",
-        lambda kind, seeds, **grid: [1.0 if seed < 10 else 0.5 for seed in seeds]),
+        lambda kind, seeds, **grid: [1.0 if k < 10 else 0.5 for k in range(len(seeds))]),
     "width-duality": lambda mp: mp.setattr(
         widths, "ellipsoid_kolmogorov_exact",
         _affine(widths.ellipsoid_kolmogorov_exact, shift=2e-3)),
@@ -377,6 +377,18 @@ class TestVerify:
                             lambda seed: _report("nan-check", "s", [float("nan")]))
         assert main(["verify", "--checks", "nan-check", "--out", str(tmp_path)]) == 1
         assert "FAIL nan-check: trials=1 violations=1 worst_margin=nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["radius-l1", "radius-lq"])
+    def test_radius_checks_follow_the_run_seed(self, name, monkeypatch):
+        # stubbed ratios that depend on the seeds the check passes
+        calls = []
+        monkeypatch.setattr(widths, "radius_ratio_samples", lambda kind, seeds, **grid: (
+            calls.append(list(seeds)) or [1.0 + (seed % 89) / 89.0 for seed in seeds]))
+        first, second = CHECKS[name](7), CHECKS[name](8)
+        assert first.details != second.details
+        for run_seed, seeds in zip((7, 8), calls):
+            s = harness.check_seed(run_seed, name)
+            assert seeds == list(range(s, s + 22))
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_negative_control_fails(self, name, monkeypatch):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from widthlab import _optim
 from widthlab.bodies import (Body, InducedBall, LpBall, PolarBody, ProjectionBody,
                              _support_majorant, linear_image)
+from widthlab.errors import BadDimensions
 from widthlab.linalg import as_generator, random_subspace
 from widthlab.stochastic import haar_sphere_sample
 from widthlab.systems import trig_prefix_system, trig_system
@@ -158,21 +159,63 @@ def _lp_offset_minimum(system, anchor, directions):
 
 
 class TestOffsetMinima:
+    """Projection gauges: min over offsets z in the complement of g(x + z C),
+    solved by ``ProjectionBody``'s reweighted least squares."""
+
     @pytest.mark.parametrize("n", [5, 7])
     def test_projection_gauges_against_linear_program(self, n):
         system = trig_system((n - 1) // 2)
         sub = random_subspace(n, math.ceil(n / 2), seed=n)
         proj = ProjectionBody(InducedBall(system, 1.0), sub)
-        anchors = haar_sphere_sample(sub.dim, 200, seed=n) @ sub.frame
-        minima, offsets = _optim.offset_minima(proj.base, anchors, proj.comp.frame)
-        exact = np.array([_lp_offset_minimum(system, x, proj.comp.frame) for x in anchors])
+        points = haar_sphere_sample(sub.dim, 200, seed=n)
+        minima, bounds = proj._regression(points)
+        comp = sub.complement().frame
+        exact = np.array([_lp_offset_minimum(system, x, comp) for x in points @ sub.frame])
         # achieved values: never below the optimum, and close to it
         assert np.all(minima >= exact * (1 - 1e-9))
         excess = minima / exact - 1.0
         assert excess.mean() <= 2e-4
         assert excess.max() <= 1e-2
-        achieved = proj.base.gauge_many(anchors + offsets @ proj.comp.frame)
-        np.testing.assert_allclose(achieved, minima, rtol=1e-12)
+        # the gauge is the dual bound: never above the optimum
+        assert np.all(bounds <= exact * (1 + 1e-9))
+        np.testing.assert_array_equal(proj.gauge_many(points), bounds)
+
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_high_p_converges(self, p):
+        # the undamped reweighting diverges here
+        system = trig_system(2)
+        sub = random_subspace(5, 3, seed=4)
+        proj = ProjectionBody(InducedBall(system, p), sub)
+        points = haar_sphere_sample(3, 10, seed=5)
+        minima, bounds = proj._regression(points)
+        comp = sub.complement().frame
+        for x, low, high in zip(points @ sub.frame, bounds, minima):
+            f = lambda z: proj.base.gauge(x + z @ comp)  # noqa: E731
+            res = minimize(f, np.zeros(2), method="Powell",
+                           options=dict(xtol=1e-12, ftol=1e-15, maxfev=100_000))
+            res = minimize(f, res.x, method="Nelder-Mead",
+                           options=dict(xatol=1e-12, fatol=1e-15, maxfev=100_000))
+            assert low == pytest.approx(res.fun, rel=1e-9)
+            assert high == pytest.approx(res.fun, rel=1e-9)
+            assert low <= high * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 60.0])
+    def test_zero_row_has_gauge_zero(self, p):
+        # a RuntimeWarning fails the run (pyproject's filterwarnings); at
+        # p = 60 unscaled weights 1e-6^58 would underflow to a singular system
+        proj = ProjectionBody(InducedBall(trig_system(2), p), random_subspace(5, 3, seed=0))
+        points = np.vstack([np.zeros(3), haar_sphere_sample(3, 3, seed=1)])
+        gauges = proj.gauge_many(points)
+        assert gauges[0] == 0.0 and np.all(gauges[1:] > 0)
+
+    def test_bases_without_a_form_raise(self):
+        body = InducedBall(trig_system(2), 1.0)
+        inner = ProjectionBody(body, random_subspace(5, 3, seed=0))
+        for base in (LpBall(5, np.inf), InducedBall(trig_system(2), np.inf), PolarBody(body)):
+            with pytest.raises(BadDimensions):
+                ProjectionBody(base, random_subspace(5, 3, seed=1))
+        with pytest.raises(BadDimensions):
+            ProjectionBody(inner, random_subspace(3, 2, seed=2))
 
     def test_row_alone_matches_batch(self):
         system = trig_system(2)

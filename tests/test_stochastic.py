@@ -269,13 +269,25 @@ class TestSectionRadius:
             math.sqrt(8.0 / 5.0), abs=1e-10)
 
     def test_generic_path_matches_exact(self):
-        # same ellipsoid through the gauge-oracle route
+        # same ellipsoid as an image of an induced 2-ball
         system = trig_prefix_system(2)
         body = linear_image(induced_ball(system, 2.0), np.diag([2.0, 1.0]))
         sub = orthonormalize([[1.0, 1.0]])
         val = section_radius(body, induced_ball(system, 2.0), sub,
                              restarts=16, seed=5)
         assert val == pytest.approx(math.sqrt(8.0 / 5.0), abs=1e-6)
+
+    def test_induced_two_balls_take_the_closed_form(self, monkeypatch):
+        system = trig_prefix_system(5)
+        body = linear_image(induced_ball(system, 2.0), np.diag([2.0, 1.5, 1.0, 0.7, 0.5]))
+        target = induced_ball(system, 2.0)
+        frames = np.array([random_subspace(5, 3, seed=k).frame for k in range(4)])
+        starts = np.random.default_rng(3).standard_normal((16, 3))
+        ascent, _ = stochastic._optim.ratio_ascent(
+            target, body, np.broadcast_to(starts, (4, 16, 3)), num_maps=frames, den_maps=frames)
+        monkeypatch.setattr(stochastic._optim, "ratio_ascent", None)  # no ascent call
+        closed = stochastic._section_radii(body, target, frames, starts)
+        np.testing.assert_allclose(closed, ascent, rtol=1e-9)
 
     def test_same_body_gives_one(self):
         system = trig_system(1)
