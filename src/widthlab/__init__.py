@@ -39,6 +39,7 @@ from .stochastic import (
     expectation_norm,
     expected_norm_bound,
     greedy_net,
+    greedy_nets,
     haar_sphere_sample,
     mc_volume_ratio,
     projection_volume_ratio,

@@ -11,7 +11,9 @@ iterates live on the Euclidean unit sphere.
 
 A row's step is halved whenever its ratio falls; ``MAX_ITERS`` only caps
 the passes.  A problem freezes once its best value has not risen by more
-than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive iterations.  On
+than ``STALL_RTOL`` (relative) for ``PATIENCE`` consecutive iterations; on
+the radius checks' grid that leaves at most 6.2e-4 (relative, median about
+1e-14) below a 3,000-pass ascent, against margins of 0.1 and more.  On
 the sphere of R^1 the tangent step is exactly 0, so 1-D problems stop after
 their first, scoring pass.  Support values have a third stop, on the
 duality gap: a caller may pass an upper bound on each problem's maximum,
@@ -34,8 +36,8 @@ from .linalg import _by_column, _unit_rows, as_generator
 
 _EPS = 1e-300
 MAX_ITERS = 300
-STALL_RTOL = 1e-9
-PATIENCE = 60
+STALL_RTOL = 1e-6
+PATIENCE = 20
 GAP_RTOL = 1e-6
 GAP_EVERY = 8
 

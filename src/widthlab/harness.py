@@ -24,7 +24,7 @@ from . import bodies, manifolds, stochastic, systems, widths
 from .bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
 from .errors import ConfigError, DimensionMismatch, FloatRange, SingularMatrix
 from .linalg import as_generator, min_singular_value, orthonormalize, random_subspace
-from .stochastic import (expectation_norm, expected_norm_bound, greedy_net,
+from .stochastic import (expectation_norm, expected_norm_bound, greedy_nets,
                          mc_volume_ratio, section_radius)
 from .systems import sphere_harmonics_system, trig_prefix_system, trig_system
 
@@ -161,13 +161,11 @@ def check_net_chain(s):
     ref = euclidean_ball(2)
     margins, details = [], {}
     for body, tag in ((euclidean_ball(2), "ball"), (LpBall(2, np.inf), "cube")):
-        nets = {}  # the coarse net at delta is the fine one at 2 * delta
-        for delta in (0.25, 0.5, 1.0):
+        # one traversal per cloud; the coarse net at delta is the fine one at 2 * delta
+        nets = [greedy_nets(body, ref, (0.25, 0.5, 1.0, 2.0), seed=s + k) for k in range(5)]
+        for i, delta in enumerate((0.25, 0.5, 1.0)):
             for k in range(5):
-                for d in (delta, 2.0 * delta):
-                    if (d, k) not in nets:
-                        nets[d, k] = greedy_net(body, ref, d, seed=s + k)
-                fine, coarse = nets[delta, k], nets[2.0 * delta, k]
+                fine, coarse = nets[k][i], nets[k][i + 1]
                 margins.append(float(fine.net_size - coarse.net_size))
                 margins.append(1.0 if fine.certified else -1.0)
                 details[f"{tag},delta={delta},rep={k}"] = {

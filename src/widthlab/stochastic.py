@@ -51,7 +51,8 @@ class NetReport:
     The farthest-point construction makes the selected set simultaneously a
     delta-packing (pairwise distances >= delta) and a delta-net of the
     sampled cloud, so one set of points is both; ``certified`` records a
-    fresh-sample coverage check.
+    fresh-sample coverage check.  Nets of one cloud at several scales are
+    prefixes of one traversal (``greedy_nets``).
     """
 
     net_points: np.ndarray
@@ -256,46 +257,59 @@ def _body_cloud(body: Body, count: int, rng) -> np.ndarray:
     return u * scale[:, None]
 
 
-def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetReport:
-    """Farthest-point greedy net/packing of a body at scale delta.
+def greedy_nets(body: Body, reference_gauge: Body, deltas, seed=0) -> list[NetReport]:
+    """Farthest-point greedy nets/packings of a body at each scale in ``deltas``.
 
-    Points are added while the farthest cloud point sits at distance >= delta
-    from the current set, so the selection is delta-separated and covers the
-    cloud within delta; a maximal packing is automatically a net.  Coverage
-    of the body itself is certified on a fresh sample.
+    One traversal of one cloud runs down to min(deltas).  Insertion
+    distances (each point's distance to those before it) never rise, so the
+    net at delta is the prefix inserted at distance >= delta (Gonzalez,
+    *Theor. Comput. Sci.* 38, 1985), which a separate run at delta selects:
+    delta-separated, and covering the cloud within delta.  Coverage of the
+    body itself is certified on one fresh sample, folded in prefix by prefix.
     """
     n = body.dim
     if n > 6:
         raise BadDimensions("greedy nets are limited to n <= 6")
-    if not (math.isfinite(delta) and delta > 0):
-        raise BadDimensions(f"delta must be positive and finite, got {delta!r}")
+    if len(deltas) == 0 or not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise BadDimensions(f"each delta must be positive and finite, got {deltas!r}")
     rng = as_generator(seed)
     cloud = _body_cloud(body, int(min(65536, max(8192, 4000 * 4**n))), rng)
 
-    selected = [cloud[0]]
+    selected, inserted = [cloud[0]], [math.inf]
     dist = reference_gauge.gauge_many(cloud - cloud[0])
     while True:
         idx = int(np.argmax(dist))
-        if dist[idx] < delta:
+        if dist[idx] < min(deltas):
             break
         if len(selected) >= 1_000_000:
             raise Saturation("net exceeded the 1e6 point cap")
         selected.append(cloud[idx])
+        inserted.append(dist[idx])
         np.minimum(dist, reference_gauge.gauge_many(cloud - cloud[idx]), out=dist)
-    points = np.array(selected)
+    points, inserted = np.array(selected), np.array(inserted)
 
-    # construction invariant: pairwise separation at scale delta
-    for i in range(len(points)):
-        gaps = reference_gauge.gauge_many(points[i + 1:] - points[i]) if i + 1 < len(points) else []
-        if len(gaps) and np.min(gaps) < delta - 1e-9:
-            raise Saturation("internal error: greedy selection lost separation")
+    # construction invariant, checked per scale: each point's distance to those before it
+    closest = [np.inf] + [reference_gauge.gauge_many(points[j] - points[:j]).min()
+                          for j in range(1, len(points))]
 
     fresh = _body_cloud(body, _NET_CERTIFICATE_SAMPLES, as_generator(rng.integers(2**63)))
     mind = np.full(len(fresh), np.inf)
-    for p in points:
-        np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
-    coverage = float(np.mean(mind <= delta + 1e-12))
-    return NetReport(net_points=points, certified=coverage >= 0.999, coverage=coverage)
+    nets, done = {}, 0
+    for delta in sorted(set(deltas), reverse=True):  # ever longer prefixes
+        size = int(np.count_nonzero(inserted >= delta))
+        if min(closest[:size]) < delta - 1e-9:
+            raise Saturation("internal error: greedy selection lost separation")
+        for p in points[done:size]:
+            np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
+        done = size
+        coverage = float(np.mean(mind <= delta + 1e-12))
+        nets[delta] = NetReport(points[:size].copy(), coverage >= 0.999, coverage)
+    return [nets[d] for d in deltas]
+
+
+def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetReport:
+    """The net of ``greedy_nets`` at the one scale ``delta``."""
+    return greedy_nets(body, reference_gauge, (delta,), seed)[0]
 
 
 def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,

@@ -1,6 +1,6 @@
 """Column-order row reductions, in-place kernels, the shared sphere draw and
-mean, and the held sphere stream against copies of the code they replaced:
-every value and point must match it bit for bit."""
+mean, the held sphere stream and the shared net traversal against copies of
+the code they replaced: every value and point must match it bit for bit."""
 
 import math
 
@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from widthlab import _optim, stochastic
-from widthlab.bodies import InducedBall, LpBall
+from widthlab.bodies import InducedBall, LpBall, euclidean_ball
 from widthlab.linalg import _by_column, _unit_rows, as_generator, orthonormalize, random_subspace
-from widthlab.stochastic import (_CHUNK, _Z95, EstimateWithCI, _offset_section_volume,
-                                 _sphere_chunks, _stream, expectation_norm,
+from widthlab.stochastic import (_CHUNK, _NET_CERTIFICATE_SAMPLES, _Z95, EstimateWithCI,
+                                 _body_cloud, _offset_section_volume, _sphere_chunks,
+                                 _stream, expectation_norm, greedy_nets,
                                  haar_sphere_sample, mc_volume_ratio)
 from widthlab.systems import _in_row_blocks, trig_prefix_system, trig_system
 
@@ -216,6 +217,26 @@ def _offset_section_volume_old(body, subspace, offset, samples, rng):
     return EstimateWithCI(mean, _Z95 * math.sqrt(var / total), int(total))
 
 
+def _greedy_net_old(body, reference_gauge, delta, seed):
+    rng = as_generator(seed)
+    cloud = _body_cloud(body, int(min(65536, max(8192, 4000 * 4**body.dim))), rng)
+    selected = [cloud[0]]
+    dist = reference_gauge.gauge_many(cloud - cloud[0])
+    while True:
+        idx = int(np.argmax(dist))
+        if dist[idx] < delta:
+            break
+        selected.append(cloud[idx])
+        np.minimum(dist, reference_gauge.gauge_many(cloud - cloud[idx]), out=dist)
+    points = np.array(selected)
+    fresh = _body_cloud(body, _NET_CERTIFICATE_SAMPLES, as_generator(rng.integers(2**63)))
+    mind = np.full(len(fresh), np.inf)
+    for p in points:
+        np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
+    coverage = float(np.mean(mind <= delta + 1e-12))
+    return points, coverage >= 0.999, coverage
+
+
 def _same_estimate(got, ref) -> bool:
     return (_same_bits([got.value, got.half_width], [ref.value, ref.half_width])
             and got.samples == ref.samples)
@@ -414,3 +435,21 @@ def test_held_stream_reused_unchanged(samples, monkeypatch):
     assert all(_same_estimate(got, ref) for got in means)
     assert _same_estimate(ratios[1], ratios[0])
     assert len(draws) == (1 if samples <= _CHUNK else 4 * -(-samples // _CHUNK))
+
+
+NET_SCALES = (0.25, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("body, seed", [
+    *((euclidean_ball(2), k) for k in range(7, 12)),
+    *((LpBall(2, np.inf), k) for k in range(7, 12)),
+    (InducedBall(trig_system(1), 4.0), 3)], ids=lambda v: getattr(v, "label", v))
+def test_shared_net_traversal_unchanged(body, seed):
+    """One traversal for every scale, as in net-chain, against a separate run
+    of the replaced single-scale construction at each scale."""
+    ref = euclidean_ball(body.dim)
+    nets = greedy_nets(body, ref, NET_SCALES, seed)
+    for net, delta in zip(nets, NET_SCALES):
+        points, certified, coverage = _greedy_net_old(body, ref, delta, seed)
+        assert _same_bits(net.net_points, points)
+        assert (net.certified, net.coverage) == (certified, coverage)

@@ -122,8 +122,9 @@ def _huge_projection(body, subspace, samples, seed):
     return stochastic.EstimateWithCI(9.0 ** body.dim, 0.0, samples)
 
 
-def _uncertified_net(*args, **kwargs):
-    return dataclasses.replace(stochastic.greedy_net(*args, **kwargs), certified=False)
+def _uncertified_nets(*args, **kwargs):
+    return [dataclasses.replace(net, certified=False)
+            for net in stochastic.greedy_nets(*args, **kwargs)]
 
 
 def _odd_raised(eigenvalue):
@@ -140,7 +141,7 @@ CONTROLS = {
     "santalo": lambda mp: mp.setattr(harness, "PolarBody", _LowPolar),
     "urysohn-volume": lambda mp: mp.setattr(
         harness, "mc_volume_ratio", _scaled_value(harness.mc_volume_ratio, 0.9)),
-    "net-chain": lambda mp: mp.setattr(harness, "greedy_net", _uncertified_net),
+    "net-chain": lambda mp: mp.setattr(harness, "greedy_nets", _uncertified_nets),
     "brunn-sections": lambda mp: mp.setattr(
         stochastic, "_offset_section_volume",
         _low_central_slice(stochastic._offset_section_volume)),

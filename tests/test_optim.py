@@ -72,6 +72,29 @@ class TestRatioAscent:
         assert iterations == _optim.PATIENCE + 1
 
 
+#: the most a stall stop may leave below a long ascent (relative)
+STOP_LOSS = 1e-3
+
+
+def _long_rule(monkeypatch):
+    """A reference ascent: ten times the cap and twenty times the patience."""
+    monkeypatch.setattr(_optim, "MAX_ITERS", 3000)
+    monkeypatch.setattr(_optim, "PATIENCE", 400)
+
+
+def test_stall_stop_loss_is_small(monkeypatch):
+    # a radius-lq cell: the values are the best achieved on the first passes
+    # of the reference's own trajectories, so never above it (up to roundoff:
+    # a problem's rows meet the oracle in batches of another shape), and
+    # within STOP_LOSS below it
+    num, den, starts, nmaps, dmaps = _radius_problems(40, seed=5)
+    values, _ = _optim.ratio_ascent(num, den, starts, num_maps=nmaps, den_maps=dmaps)
+    _long_rule(monkeypatch)
+    ref, _ = _optim.ratio_ascent(num, den, starts, num_maps=nmaps, den_maps=dmaps)
+    assert np.all(values <= ref * (1 + 1e-12))
+    assert np.all(values >= (1 - STOP_LOSS) * ref)
+
+
 def test_iteration_cap_is_only_a_cap(monkeypatch):
     # santalo's p = 4 polar gauges: no step depends on the cap, and every
     # problem stops on its own rule before it, so a higher cap moves no bit
@@ -113,7 +136,7 @@ class TestGapStop:
 
     def test_euclidean_support_values_take_one_pass(self):
         # at p = 2 the smart start is the maximizer and the Hoelder bound
-        # meets it at once; without the gap stop the 60-pass stall rule runs
+        # meets it at once; without the gap stop the stall rule runs
         x = np.random.default_rng(1).standard_normal((500, 3))
         body = _CountingInduced(trig_system(1), 2.0)
         values, _ = _optim.support_values(body, x, restarts=3, seed=5)
@@ -135,12 +158,17 @@ class TestGapStop:
         values, _ = _optim.support_values(body, x, restarts=6, seed=0)
         # achieved values: never above the majorant at x (up to roundoff) ...
         assert np.all(values <= _support_majorant(body).gauge_many(x) * (1 + 1e-12))
-        # ... and within GAP_RTOL of a long ascent without the gap stop
+        # ... within STOP_LOSS of a long ascent without the gap stop, and
+        # within GAP_RTOL of it when the stall stop is out of the way
+        with monkeypatch.context() as mp:
+            mp.setattr(_optim, "PATIENCE", _optim.MAX_ITERS)
+            gapped, _ = _optim.support_values(body, x, restarts=6, seed=0)
         starts = np.random.default_rng(3).standard_normal((200, 16, 3))
         starts[:, 0] = x
-        monkeypatch.setattr(_optim, "MAX_ITERS", 2000)
+        _long_rule(monkeypatch)
         ref, _ = _optim.ratio_ascent(LpBall(1, 1.0), body, starts, num_maps=x[:, :, None])
-        assert np.all(ref <= values * (1 + _optim.GAP_RTOL))
+        assert np.all(ref * (1 - STOP_LOSS) <= values)
+        assert np.all(ref <= gapped * (1 + _optim.GAP_RTOL))
 
 
 def _lp_offset_minimum(system, anchor, directions):

@@ -9,7 +9,7 @@ from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
 from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
-                                 expectation_norm, expected_norm_bound, greedy_net,
+                                 expectation_norm, expected_norm_bound, greedy_net, greedy_nets,
                                  haar_sphere_sample, mc_volume_ratio,
                                  projection_volume_ratio, section_radius)
 from widthlab.systems import trig_prefix_system, trig_system
@@ -283,6 +283,9 @@ class TestSectionRadius:
         target = induced_ball(system, 2.0)
         frames = np.array([random_subspace(5, 3, seed=k).frame for k in range(4)])
         starts = np.random.default_rng(3).standard_normal((16, 3))
+        # a long ascent: the default stall stop leaves up to about 1e-6 on the table
+        monkeypatch.setattr(stochastic._optim, "MAX_ITERS", 3000)
+        monkeypatch.setattr(stochastic._optim, "PATIENCE", 400)
         ascent, _ = stochastic._optim.ratio_ascent(
             target, body, np.broadcast_to(starts, (4, 16, 3)), num_maps=frames, den_maps=frames)
         monkeypatch.setattr(stochastic._optim, "ratio_ascent", None)  # no ascent call
@@ -337,6 +340,15 @@ class TestGreedyNet:
             greedy_net(euclidean_ball(7), euclidean_ball(7), 0.5)
         with pytest.raises(BadDimensions):
             greedy_net(euclidean_ball(2), euclidean_ball(2), 0.0)
+
+    def test_nets_come_in_the_order_of_the_scales(self):
+        ball = euclidean_ball(2)
+        coarse, fine, again = greedy_nets(ball, ball, (1.0, 0.5, 1.0), seed=3)
+        assert coarse.net_size < fine.net_size
+        assert np.array_equal(fine.net_points[:coarse.net_size], coarse.net_points)
+        assert again is coarse
+        with pytest.raises(BadDimensions):
+            greedy_nets(ball, ball, (), seed=3)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, np.float64(-math.inf)])
     def test_non_finite_delta_rejected(self, delta):

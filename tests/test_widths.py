@@ -295,7 +295,9 @@ class TestRadiusBounds:
         assert (report.trials, report.violations) == (16, 0)
         assert report.worst_margin > 0
 
-    def test_batched_ratios_match_pinned_values(self):
+    def test_batched_ratios_match_pinned_values(self, monkeypatch):
+        # the pins' regime: every problem runs all MAX_ITERS passes
+        monkeypatch.setattr(widths._optim, "PATIENCE", widths._optim.MAX_ITERS)
         ratios = radius_ratio_samples("lq", range(0, 2), **SMALL_LQ_GRID)
         assert ratios == pytest.approx(PINNED_LQ_RATIOS, rel=1e-6)
 
