@@ -45,11 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"config file {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config}: line {exc.lineno}: {exc.msg}")
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {args.config}: not UTF-8 text") from None
+        except RecursionError:
+            raise ConfigError(f"config file {args.config}: nested too deeply") from None
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         if "task" in raw and raw["task"] != args.task:

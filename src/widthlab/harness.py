@@ -1,11 +1,12 @@
 """Batch experiment driver and the named verification suite.
 
 Every inequality the package implements has one named check here, written
-once as ``@_check(name, statement)`` over a body that maps the check's own
-seed to its margins and details.  That seed is drawn from the run seed by
-hashing the check name, so checks are independent and the whole suite is
-reproducible byte for byte.
-Budgets are sized to keep a full run around ten seconds (serial, on a small
+once as ``@_check(name, statement)`` over a body that takes the check's own
+seed and yields one ``(key, margins, detail)`` per case; ``_gather`` joins
+the margins in order and keys the details for the report.  That seed is
+drawn from the run seed by hashing the check name, so checks are
+independent and the whole suite is reproducible byte for byte.
+Budgets are sized to keep a full run around five seconds (serial, on a small
 2-core VM); the acceptance tests rerun the heavy protocols at full scale.
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import bodies, manifolds, stochastic, systems, widths
 from .bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
-from .errors import ConfigError, DimensionMismatch, FloatRange, SingularMatrix
+from .errors import (ConfigError, DimensionMismatch, FloatRange, SingularMatrix,
+                     WidthLabError)
 from .linalg import as_generator, min_singular_value, orthonormalize, random_subspace
 from .stochastic import (expectation_norm, expected_norm_bound, greedy_nets,
                          mc_volume_ratio, section_radius)
@@ -59,6 +61,15 @@ def _report(name: str, statement: str, margins, details=None) -> VerificationRep
     )
 
 
+def _gather(cases) -> tuple[list, dict]:
+    """The margins of ``(key, margins, detail)`` cases in order, and each detail by its key."""
+    margins, details = [], {}
+    for key, case_margins, detail in cases:
+        margins.extend(case_margins)
+        details[key] = detail
+    return margins, details
+
+
 def _json_ready(obj):
     """``obj`` as plain JSON data with every non-finite float turned into None."""
     return json.loads(json.dumps(obj), parse_constant=lambda _: None)
@@ -78,10 +89,11 @@ CHECKS: dict = {}
 
 
 def _check(name: str, statement: str):
-    """Register ``body(s) -> (margins, details)``, ``s`` the check's own seed, as ``name``."""
+    """Register ``body(s)``, ``s`` the check's own seed, as ``name``; the body
+    yields one ``(key, margins, detail)`` per case."""
     def register(body):
         def check(seed: int) -> VerificationReport:
-            return _report(name, statement, *body(check_seed(seed, name)))
+            return _report(name, statement, *_gather(body(check_seed(seed, name))))
         CHECKS[name] = check
         return check
     return register
@@ -93,34 +105,29 @@ def check_volume_identity(s):
         (LpBall(2, np.inf), 4.0 / math.pi),
         (linear_image(euclidean_ball(2), np.diag([2.0, 1.0])), 2.0),
     ]
-    margins, details = [], {}
     for i, (body, target) in enumerate(cases):
         est = mc_volume_ratio(body, euclidean_ball(2), samples=200_000, seed=s + i)
-        rel = abs(est.value / target - 1.0)
-        margins.append(0.05 - rel)
-        details[body.label] = {"estimate": est.value, "target": target}
-    return margins, details
+        yield (body.label, [0.05 - abs(est.value / target - 1.0)],
+               {"estimate": est.value, "target": target})
 
 
 @_check("expectation-bound", "sphere expectation of the induced p-gauge stays below the "
         "Gaussian-moment bound sqrt(2)*pi^(-1/2p)*Gamma((p+1)/2)^(1/p)")
 def check_expectation_bound(s):
-    margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
         for p in (2.0, 4.0, 8.0):
             est = expectation_norm(induced_ball(system, p), samples=30_000, seed=s)
             bound = expected_norm_bound(p)
-            margins.append(bound + est.half_width + 1e-6 - est.value)
-            details[f"n={n},p={p}"] = {"estimate": est.value, "bound": bound}
-    return margins, details
+            yield (f"n={n},p={p}", [bound + est.half_width + 1e-6 - est.value],
+                   {"estimate": est.value, "bound": bound})
 
 
 @_check("santalo", "volume product Vol(V)*Vol(polar V) <= Vol(B2)^2 for "
         "origin-symmetric convex bodies")
 def check_santalo(s):
-    margins = [math.pi**2 - 8.0]  # exact planar case: cube times cross-polytope
-    details = {"exact-2d": margins[0]}
+    # exact planar case: cube times cross-polytope
+    yield "exact-2d", [math.pi**2 - 8.0], math.pi**2 - 8.0
     system = trig_system(1)
     for p in (1.5, 2.0, 4.0):
         body = induced_ball(system, p)
@@ -132,14 +139,11 @@ def check_santalo(s):
                                  seed=s + 1000 + k, check_blowup=False)
             product = v.value * vp.value
             slack = 2.0 * (v.half_width * vp.value + vp.half_width * v.value) + 1e-6
-            margins.append(1.0 + slack - product)
-            details[f"p={p},rep={k}"] = {"product": product, "slack": slack}
-    return margins, details
+            yield f"p={p},rep={k}", [1.0 + slack - product], {"product": product, "slack": slack}
 
 
 @_check("urysohn-volume", "Vol(V)/Vol(B2) >= E[gauge]^(-n) (convexity of t -> t^(-n))")
 def check_urysohn(s):
-    margins, details = [], {}
     for n in (3, 5, 9):
         system = trig_system((n - 1) // 2)
         for p in (1.0, 2.0, 4.0, 8.0):
@@ -151,35 +155,28 @@ def check_urysohn(s):
             # empirical measure, so the margin is nonnegative up to roundoff
             lower = exp.value ** float(-n)
             slack = vol.half_width + n * lower / max(exp.value, 1e-12) * exp.half_width
-            margins.append(vol.value + slack + 1e-9 - lower)
-            details[f"n={n},p={p}"] = {"volume_ratio": vol.value, "jensen_lower": lower}
-    return margins, details
+            yield (f"n={n},p={p}", [vol.value + slack + 1e-9 - lower],
+                   {"volume_ratio": vol.value, "jensen_lower": lower})
 
 
 @_check("net-chain", "greedy packings satisfy m(2*delta) <= n(delta) with certified coverage")
 def check_net_chain(s):
     ref = euclidean_ball(2)
-    margins, details = [], {}
     for body, tag in ((euclidean_ball(2), "ball"), (LpBall(2, np.inf), "cube")):
         # one traversal per cloud; the coarse net at delta is the fine one at 2 * delta
         nets = [greedy_nets(body, ref, (0.25, 0.5, 1.0, 2.0), seed=s + k) for k in range(5)]
         for i, delta in enumerate((0.25, 0.5, 1.0)):
             for k in range(5):
                 fine, coarse = nets[k][i], nets[k][i + 1]
-                margins.append(float(fine.net_size - coarse.net_size))
-                margins.append(1.0 if fine.certified else -1.0)
-                details[f"{tag},delta={delta},rep={k}"] = {
-                    "m_2delta": coarse.net_size,
-                    "n_delta": fine.net_size,
-                    "coverage": fine.coverage,
-                }
-    return margins, details
+                yield (f"{tag},delta={delta},rep={k}",
+                       [float(fine.net_size - coarse.net_size), 1.0 if fine.certified else -1.0],
+                       {"m_2delta": coarse.net_size, "n_delta": fine.net_size,
+                        "coverage": fine.coverage})
 
 
 @_check("brunn-sections", "the central slice of a symmetric convex body has maximal volume "
         "among parallel slices")
 def check_brunn_sections(s):
-    margins, details = [], {}
     cases = [
         ("disk", euclidean_ball(2), np.array([[1.0, 0.0]]),
          [np.array([0.0, 0.5]), np.array([0.0, 0.9])]),
@@ -191,15 +188,12 @@ def check_brunn_sections(s):
     for tag, body, frame_rows, offsets in cases:
         central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets,
                                                   12_000, s)
-        margins.append(worst)
-        details[tag] = {"central": central, "worst_margin": worst}
-    return margins, details
+        yield tag, [worst], {"central": central, "worst_margin": worst}
 
 
 @_check("projection-ellipsoid", "Vol_s(P(L) A B2)/Vol_s(B2^s) <= 3^n rho^(s-n) det A "
         "for every subspace L")
 def check_projection_ellipsoid(s):
-    margins, details = [], {}
     for n in (3, 4, 5):
         for t in range(2):
             rng = as_generator([s, n, t])
@@ -208,34 +202,27 @@ def check_projection_ellipsoid(s):
             det = float(np.linalg.det(a))
             sdim = math.ceil(n / 2)
             bound = 3.0**n * rho ** (sdim - n) * det
-            for j in range(3):
-                sub = random_subspace(n, sdim, rng)
-                # projection of an ellipsoid: exact volume from singular values
-                ratio = float(np.prod(np.linalg.svd(sub.frame @ a, compute_uv=False)))
-                margins.append(bound / ratio - 1.0)
-            details[f"n={n},trial={t}"] = {"bound": bound}
-    return margins, details
+            # projection of an ellipsoid: exact volume from singular values
+            ratios = [float(np.prod(np.linalg.svd(random_subspace(n, sdim, rng).frame @ a,
+                                                  compute_uv=False))) for _ in range(3)]
+            yield f"n={n},trial={t}", [bound / r - 1.0 for r in ratios], {"bound": bound}
 
 
 @_check("projection-l1-ball", "projections of the induced 1-ball have volume at most C^n times "
         "the unit ball's (bounded n-th roots)")
 def check_projection_l1(s):
-    margins, details = [], {}
     for n in (3, 5, 7, 9):
         system = trig_system((n - 1) // 2)
         sub = random_subspace(n, math.ceil(n / 2), s + n)
         est = stochastic.projection_volume_ratio(induced_ball(system, 1.0), sub,
                                                  samples=400, seed=s + n)
         root = (est.value + est.half_width) ** (1.0 / n)
-        margins.append(8.0 - root)
-        details[f"n={n}"] = {"ratio_nth_root": root}
-    return margins, details
+        yield f"n={n}", [8.0 - root], {"ratio_nth_root": root}
 
 
 @_check("projection-dual-expectation", "n-th roots of projection volumes of the induced p-ball "
         "are dominated by (5/2) times the dual-exponent expectation")
 def check_projection_dual(s):
-    margins, details = [], {}
     for n in (3, 5):
         system = trig_system((n - 1) // 2)
         for p in (1.5, 2.0):
@@ -246,9 +233,7 @@ def check_projection_dual(s):
                                                      samples=400, seed=s + n)
             root = (est.value + est.half_width) ** (1.0 / n)
             rhs = 2.5 * (e_dual.value + e_dual.half_width) + 0.05
-            margins.append(rhs - root)
-            details[f"n={n},p={p}"] = {"ratio_nth_root": root, "rhs": rhs}
-    return margins, details
+            yield f"n={n},p={p}", [rhs - root], {"ratio_nth_root": root, "rhs": rhs}
 
 
 #: calibration keeps this fraction of the smallest training ratio as a
@@ -270,7 +255,8 @@ def _radius_check(kind: str, calibration_seeds, validation_seeds):
     ratios = np.asarray(widths.radius_ratio_samples(kind, seeds, **RADIUS_GRID))
     train, ratios = np.split(ratios.reshape(len(seeds), -1), [len(calibration_seeds)])
     const = CALIBRATION_MARGIN * float(np.min(train))
-    return ratios.ravel() / const - 1.0, {"constant": const, "training_trials": train.size}
+    yield "constant", ratios.ravel() / const - 1.0, const
+    yield "training_trials", [], train.size
 
 
 @_check("radius-l1", "sampled sections of dimension >= 2n/3 keep induced-1-norm radius above "
@@ -298,68 +284,55 @@ def _ellipsoid_widths(axes, m: int, restarts: int, seed) -> tuple[float, float, 
 @_check("width-duality", "brute-force Gelfand and Kolmogorov widths agree with the exact "
         "ellipsoid oracle and with each other in Euclidean norms")
 def check_width_duality(s):
-    margins, details = [], {}
     for n in (3, 4):
         for t in range(2):
             rng = as_generator([s, n, t])
             axes = np.sort(np.exp(rng.uniform(-1.0, 1.0, n)))[::-1]
             for m in (1, 2):
                 exact, kol, gel = _ellipsoid_widths(axes, m, 48, s + t)
-                margins.append(1e-3 - abs(kol - exact))
-                margins.append(1e-3 - abs(gel - exact))
-                margins.append(1e-2 - abs(kol - gel))
-                details[f"n={n},t={t},m={m}"] = {
-                    "exact": exact, "kolmogorov": kol, "gelfand": gel}
-    return margins, details
+                yield (f"n={n},t={t},m={m}",
+                       [1e-3 - abs(kol - exact), 1e-3 - abs(gel - exact), 1e-2 - abs(kol - gel)],
+                       {"exact": exact, "kolmogorov": kol, "gelfand": gel})
 
 
 @_check("fourier-tail", "keeping m coefficients of a nonincreasing multiplier leaves "
         "worst L2 error exactly |lambda_(m+1)|")
 def check_fourier_tail(s):
-    margins, details = [], {}
     # the worst truncation error over the unit ball: the tail block's spectral norm
     lam = np.array([1.0, 0.5, 0.25, 0.2])
     for m in (0, 1, 2, 3):
         tail = np.diag(np.concatenate([np.zeros(m), lam[m:]]))
         numeric = float(np.linalg.norm(tail, 2))
-        margins.append(1e-9 - abs(numeric - widths.ellipsoid_kolmogorov_exact(lam, m)))
-        details[f"m={m}"] = {"numeric": numeric}
-    return margins, details
+        yield (f"m={m}", [1e-9 - abs(numeric - widths.ellipsoid_kolmogorov_exact(lam, m))],
+               {"numeric": numeric})
 
 
 @_check("weyl-ratio", "tau_N / theta_N^(d/2) stabilizes (consecutive drift < 20%) and "
         "theta_(N+1)/theta_N -> 1 at rate 3/N")
 def check_weyl_ratio(s):
-    margins, details = [], {}
     for space in manifolds.all_families():
         ratios = np.array([space.weyl_ratio(N) for N in range(20, 61)])
         drift = float(np.max(np.abs(ratios[1:] / ratios[:-1] - 1.0)))
-        margins.append(0.2 - drift)
         worst_theta = max(
             abs(space.eigenvalue(N + 1) / space.eigenvalue(N) - 1.0) - 3.0 / N
             for N in range(10, 80))
-        margins.append(-worst_theta)
-        details[space.name] = {
+        yield space.name, [0.2 - drift, -worst_theta], {
             "step_drift": drift,
             "window_spread": float(ratios.max() / ratios.min() - 1.0),
         }
-    return margins, details
 
 
 @_check("sobolev-slope", "lower-bound curve and exact ellipsoid widths on the 2-sphere both "
         "decay like n^(-gamma/d)")
 def check_sobolev_slope(s):
-    margins, details = [], {}
     space = manifolds.sphere(2)
     levels = range(4, 13)
     for gamma in (1.0, 2.0):
         target = -gamma / space.d
         s_bound, s_exact = widths.sobolev_width_order(space, gamma, levels)
-        margins.append(0.05 - abs(s_bound - target))
-        margins.append(0.05 - abs(s_exact - target))
-        margins.append(0.05 - abs(s_bound - s_exact))
-        details[f"gamma={gamma}"] = {"bound": s_bound, "exact": s_exact, "target": target}
-    return margins, details
+        yield (f"gamma={gamma}", [0.05 - abs(s_bound - target), 0.05 - abs(s_exact - target),
+                                  0.05 - abs(s_bound - s_exact)],
+               {"bound": s_bound, "exact": s_exact, "target": target})
 
 
 def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
@@ -530,8 +503,11 @@ def _task_expect(config: ExperimentConfig):
 
 def _task_volume(config: ExperimentConfig):
     samples = int(config.params.get("samples", 500_000))
-    body = _build_body(config.params["body"])
-    reference = _build_body(config.params.get("reference", {"kind": "lp", "dim": body.dim}))
+    try:
+        body = _build_body(config.params["body"])
+        reference = _build_body(config.params.get("reference", {"kind": "lp", "dim": body.dim}))
+    except RecursionError:  # a descriptor deeper than the interpreter's stack
+        raise ConfigError("field 'body': nested too deeply") from None
     est = mc_volume_ratio(body, reference, samples=samples, seed=config.seed)
     row = {"body": body.label, "reference": reference.label,
            "value": est.value, "half_width": est.half_width, "samples": est.samples}
@@ -605,6 +581,11 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
     the JSON holds every non-finite float as null.  Exit code 0 means every
     checked property passed.
     """
+    if out_dir is not None:  # before the task, so a bad directory costs no run
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise WidthLabError(f"output directory {out_dir}: {exc.strerror}") from None
     if config.task == "verify":
         checks = config.params.get("checks", "all")
         names = None if checks == "all" else list(checks)
@@ -629,7 +610,6 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
     outputs = {"rows": rows, "summary": summary}
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / f"{config.task}.csv", rows)
         with open(out / f"{config.task}_summary.json", "w") as fh:
             json.dump(_json_ready(summary), fh, sort_keys=True, indent=2, allow_nan=False)

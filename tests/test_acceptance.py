@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from widthlab.bodies import LpBall, PolarBody, euclidean_ball, induced_ball, linear_image
-from widthlab.harness import _radius_check, _report
+from widthlab.harness import _gather, _radius_check, _report
 from widthlab.manifolds import all_families, sphere
-from widthlab.stochastic import (expectation_norm, expected_norm_bound, greedy_net,
+from widthlab.stochastic import (expectation_norm, expected_norm_bound, greedy_nets,
                                  mc_volume_ratio)
 from widthlab.systems import trig_system
 from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
@@ -110,10 +110,10 @@ def test_criterion_05_net_chain():
     violations = 0
     runs = 0
     for body in (euclidean_ball(2), LpBall(2, np.inf)):
-        for delta in (0.25, 0.5, 1.0):
-            for seed in range(20):
-                fine = greedy_net(body, ref, delta, seed=seed)
-                coarse = greedy_net(body, ref, 2.0 * delta, seed=seed)
+        for seed in range(20):
+            # one traversal per seed; the coarse net at delta is the fine one at 2 * delta
+            nets = greedy_nets(body, ref, (0.25, 0.5, 1.0, 2.0), seed=seed)
+            for fine, coarse in zip(nets, nets[1:]):
                 runs += 1
                 if not coarse.net_size <= fine.net_size:
                     violations += 1
@@ -145,8 +145,8 @@ def test_criterion_06_width_oracles():
 
 def test_criterion_07_radius_bounds():
     _begin("radius-bounds")
-    l1 = _report("radius-l1", "", *_radius_check("l1", range(0, 10), range(10, 60)))
-    lq = _report("radius-lq", "", *_radius_check("lq", range(0, 10), range(10, 60)))
+    l1 = _report("radius-l1", "", *_gather(_radius_check("l1", range(0, 10), range(10, 60))))
+    lq = _report("radius-lq", "", *_gather(_radius_check("lq", range(0, 10), range(10, 60))))
     ok = l1.passed and lq.passed
     _finish("radius-bounds", ok,
             f"l1: {l1.violations}/{l1.trials} violations (margin {l1.worst_margin:.3f}); "

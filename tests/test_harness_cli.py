@@ -341,6 +341,24 @@ class TestVerify:
         for name, check in CHECKS.items():
             assert list(inspect.signature(check).parameters) == ["seed"], name
 
+    def test_cases_assemble_into_one_report(self, monkeypatch):
+        assert harness.check_santalo is harness.CHECKS["santalo"]
+        monkeypatch.setattr(harness, "CHECKS", {})
+
+        @harness._check("fake", "statement")
+        def fake(s):
+            yield "meta", [], {"seed": s}
+            yield "nan", [float("nan")], 1
+            yield "a", [0.5, 2.0], 2
+            yield "b", [-0.25], 3
+
+        assert harness.CHECKS == {"fake": fake}
+        report = fake(seed=7)
+        assert (report.trials, report.violations, report.passed) == (4, 2, False)
+        assert np.isnan(report.worst_margin)
+        assert list(report.details) == ["meta", "nan", "a", "b"]
+        assert report.details["meta"] == {"seed": check_seed(7, "fake")}
+
     def test_santalo_reports_exact_margin(self):
         report = check_santalo(seed=7)
         assert report.passed
@@ -514,6 +532,40 @@ class TestCli:
     def test_float_range_is_an_error_line(self, tmp_path, capsys, task, raw):
         assert _main(tmp_path, {"task": task, "seed": 0, **raw}) == 1
         assert capsys.readouterr().err.startswith(f"error: task {task!r}: ")
+
+    @pytest.mark.parametrize("config, out_taken, prefix", [
+        (None, False, "configuration error: "),
+        (b'{"seed": 0, "body": "\xff"}', False, "configuration error: "),
+        (b'{"seed": 0, "body": ' + b'{"kind": "linear_image", "matrix": {"diagonal": [1, 1]}, '
+         b'"base": ' * 1500 + b'{"kind": "lp", "dim": 2}' + b"}" * 1501, False,
+         "configuration error: "),
+        (b'{"seed": 0, "samples": 1000, "body": {"kind": "lp", "dim": 2}}', True, "error: "),
+    ], ids=["config-is-a-directory", "config-not-utf8", "config-nested-1500-deep",
+            "out-is-a-file"])
+    def test_bad_input_is_an_error_line(self, tmp_path, capsys, monkeypatch, config,
+                                        out_taken, prefix):
+        from widthlab.cli import main
+
+        calls = []
+        monkeypatch.setattr(harness, "mc_volume_ratio", lambda *a, **k: calls.append(a))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        if config is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(config)
+        if out_taken:
+            out.write_bytes(b"")
+        assert main(["volume", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert calls == []  # the task never started
+
+    def test_deep_body_is_config_error(self):
+        body = {"kind": "lp", "dim": 2}
+        for _ in range(3000):
+            body = {"kind": "linear_image", "base": body, "matrix": {"diagonal": [1.0, 1.0]}}
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            run(ExperimentConfig.from_dict({"task": "volume", "seed": 0, "body": body}))
 
     def test_duplicate_check_names_are_config_error(self, tmp_path):
         res = run_cli(["verify", "--checks", "fourier-tail,fourier-tail",

@@ -8,7 +8,7 @@ import pytest
 from widthlab import harness, widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder
-from widthlab.harness import _radius_check, _report
+from widthlab.harness import _gather, _radius_check, _report
 from widthlab.manifolds import quaternionic_projective, sphere
 from widthlab.systems import trig_prefix_system, trig_system
 from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
@@ -289,7 +289,7 @@ class TestRadiusBounds:
     def test_calibrate_then_validate_small_grid(self, monkeypatch):
         monkeypatch.setattr(harness, "RADIUS_GRID", dict(dims=(3, 4), ps=(2.0,), qs=(),
                                                          subspaces=2, restarts=16))
-        report = _report("radius-l1", "", *_radius_check("l1", range(0, 4), range(4, 8)))
+        report = _report("radius-l1", "", *_gather(_radius_check("l1", range(0, 4), range(4, 8))))
         assert report.details["constant"] > 0
         assert report.details["training_trials"] == 16
         assert (report.trials, report.violations) == (16, 0)
@@ -308,7 +308,7 @@ class TestRadiusBounds:
         # one call returns the training ratios, then the same ones to validate
         monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios * 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            report = _report("radius-l1", "", *_radius_check("l1", range(2), range(2, 4)))
+            report = _report("radius-l1", "", *_gather(_radius_check("l1", range(2), range(2, 4))))
         assert not report.passed
         assert report.violations == report.trials == 2
 
@@ -316,7 +316,7 @@ class TestRadiusBounds:
         for bad in (float("nan"), float("inf")):
             ratios = [4.0, 4.0, bad, 6.0]  # one training seed, then three to validate
             monkeypatch.setattr(widths, "radius_ratio_samples", lambda *a, **k: ratios)
-            report = _report("radius-l1", "", *_radius_check("l1", range(1), range(1, 4)))
+            report = _report("radius-l1", "", *_gather(_radius_check("l1", range(1), range(1, 4))))
             assert report.details["constant"] == 3.0
             assert (report.trials, report.violations) == (3, 1)
             assert math.isnan(report.worst_margin)
