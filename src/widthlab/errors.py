@@ -26,7 +26,7 @@ class VarianceBlowup(WidthLabError):
 
 
 class Saturation(WidthLabError):
-    """A greedy net grew past the hard point-count cap."""
+    """A greedy net lost the separation its construction guarantees."""
 
 
 class BadOrder(WidthLabError):

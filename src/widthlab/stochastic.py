@@ -240,6 +240,8 @@ def section_radius(body: Body, target: Body, subspace: Subspace,
     otherwise the best value of one ``_optim.ratio_ascent`` call over
     ``restarts`` random starts, a certified lower bound of the true radius.
     """
+    if not body.dim == target.dim == subspace.ambient_dim:
+        raise BadDimensions("bodies and subspace must share a dimension")
     if restarts < 8:
         raise BadDimensions("need at least 8 restarts")
     starts = as_generator(seed).standard_normal((restarts, subspace.dim))
@@ -257,6 +259,16 @@ def _body_cloud(body: Body, count: int, rng) -> np.ndarray:
     return u * scale[:, None]
 
 
+def _drop_settled(keep, *arrays):
+    """``arrays`` cut in place to their ``keep`` rows, in order, once at most half are kept."""
+    k = np.count_nonzero(keep)
+    if 2 * k > len(keep):
+        return arrays
+    for a in arrays:
+        a[:k] = a[keep]
+    return tuple(a[:k] for a in arrays)
+
+
 def greedy_nets(body: Body, reference_gauge: Body, deltas, seed=0) -> list[NetReport]:
     """Farthest-point greedy nets/packings of a body at each scale in ``deltas``.
 
@@ -266,24 +278,25 @@ def greedy_nets(body: Body, reference_gauge: Body, deltas, seed=0) -> list[NetRe
     *Theor. Comput. Sci.* 38, 1985), which a separate run at delta selects:
     delta-separated, and covering the cloud within delta.  Coverage of the
     body itself is certified on one fresh sample, folded in prefix by prefix.
+    Rows within min(deltas) of the net settle (never picked, covered at every
+    scale) and are dropped; the nets stay those of separate runs, bit for bit.
     """
     n = body.dim
-    if n > 6:
-        raise BadDimensions("greedy nets are limited to n <= 6")
+    if n > 6 or reference_gauge.dim != n:
+        raise BadDimensions("greedy nets need bodies of one dimension n <= 6")
     if len(deltas) == 0 or not all(math.isfinite(d) and d > 0 for d in deltas):
         raise BadDimensions(f"each delta must be positive and finite, got {deltas!r}")
     rng = as_generator(seed)
     cloud = _body_cloud(body, int(min(65536, max(8192, 4000 * 4**n))), rng)
 
-    selected, inserted = [cloud[0]], [math.inf]
+    selected, inserted = [cloud[0].copy()], [math.inf]
     dist = reference_gauge.gauge_many(cloud - cloud[0])
     while True:
-        idx = int(np.argmax(dist))
-        if dist[idx] < min(deltas):
+        cloud, dist = _drop_settled(dist >= min(deltas), cloud, dist)
+        if not len(dist):
             break
-        if len(selected) >= 1_000_000:
-            raise Saturation("net exceeded the 1e6 point cap")
-        selected.append(cloud[idx])
+        idx = int(np.argmax(dist))
+        selected.append(cloud[idx].copy())  # compaction overwrites the cloud's rows
         inserted.append(dist[idx])
         np.minimum(dist, reference_gauge.gauge_many(cloud - cloud[idx]), out=dist)
     points, inserted = np.array(selected), np.array(inserted)
@@ -301,8 +314,10 @@ def greedy_nets(body: Body, reference_gauge: Body, deltas, seed=0) -> list[NetRe
             raise Saturation("internal error: greedy selection lost separation")
         for p in points[done:size]:
             np.minimum(mind, reference_gauge.gauge_many(fresh - p), out=mind)
+            fresh, mind = _drop_settled(~(mind <= min(deltas) + 1e-12), fresh, mind)
         done = size
-        coverage = float(np.mean(mind <= delta + 1e-12))
+        covered = np.count_nonzero(mind <= delta + 1e-12) + _NET_CERTIFICATE_SAMPLES - len(mind)
+        coverage = covered / _NET_CERTIFICATE_SAMPLES  # dropped rows (never NaN) are covered
         nets[delta] = NetReport(points[:size].copy(), coverage >= 0.999, coverage)
     return [nets[d] for d in deltas]
 

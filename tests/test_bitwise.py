@@ -440,16 +440,34 @@ def test_held_stream_reused_unchanged(samples, monkeypatch):
 NET_SCALES = (0.25, 0.5, 1.0, 2.0)
 
 
-@pytest.mark.parametrize("body, seed", [
-    *((euclidean_ball(2), k) for k in range(7, 12)),
-    *((LpBall(2, np.inf), k) for k in range(7, 12)),
-    (InducedBall(trig_system(1), 4.0), 3)], ids=lambda v: getattr(v, "label", v))
-def test_shared_net_traversal_unchanged(body, seed):
+def _net_case(body, seed, ref=None, scales=NET_SCALES):
+    """A Euclidean net at the net-chain scales, or one in ``ref`` at ``scales``."""
+    label = body.label if ref is None else f"{body.label}|{ref.label}"
+    return pytest.param(body, ref or euclidean_ball(body.dim), scales, seed, id=f"{label}-{seed}")
+
+
+def _induced_net_cases():
+    """The nets of the dual-search benchmark, an induced p-ball in an induced
+    q-norm, at its scale and twice it: these gauges take the BLAS row path."""
+    for n, p, q, delta in ((3, 4.0, 2.0, 0.5), (4, 4.0, 1.0, 0.8), (5, 2.0, 1.0, 1.2)):
+        system = trig_prefix_system(n)
+        for seed in (7, 8):
+            yield _net_case(InducedBall(system, p), seed, InducedBall(system, q), (delta, 2 * delta))
+
+
+@pytest.mark.parametrize("body, ref, scales, seed", [
+    *(_net_case(euclidean_ball(2), k) for k in range(7, 12)),
+    *(_net_case(LpBall(2, np.inf), k) for k in range(7, 12)),
+    _net_case(InducedBall(trig_system(1), 4.0), 3),
+    *_induced_net_cases(),
+    # every row is settled before the first pick: the open set empties at once
+    _net_case(euclidean_ball(2), 1, euclidean_ball(2), (2.2,))])
+def test_shared_net_traversal_unchanged(body, ref, scales, seed):
     """One traversal for every scale, as in net-chain, against a separate run
-    of the replaced single-scale construction at each scale."""
-    ref = euclidean_ball(body.dim)
-    nets = greedy_nets(body, ref, NET_SCALES, seed)
-    for net, delta in zip(nets, NET_SCALES):
+    of the replaced single-scale construction at each scale; the traversal
+    and the certificate drop settled rows, the replaced code gauged them all."""
+    nets = greedy_nets(body, ref, scales, seed)
+    for net, delta in zip(nets, scales):
         points, certified, coverage = _greedy_net_old(body, ref, delta, seed)
         assert _same_bits(net.net_points, points)
         assert (net.certified, net.coverage) == (certified, coverage)

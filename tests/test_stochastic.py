@@ -304,6 +304,14 @@ class TestSectionRadius:
             section_radius(euclidean_ball(2), euclidean_ball(2),
                            orthonormalize([[1.0, 0.0]]), restarts=4)
 
+    def test_dimensions_must_agree(self):
+        # a target or subspace of another dimension is a caller error, not a matmul error
+        sub = random_subspace(3, 2, seed=0)
+        with pytest.raises(BadDimensions, match="share a dimension"):
+            section_radius(euclidean_ball(3), euclidean_ball(2), sub)
+        with pytest.raises(BadDimensions, match="share a dimension"):
+            section_radius(euclidean_ball(2), euclidean_ball(2), sub)
+
 
 class TestGreedyNet:
     def test_one_dimensional_interval(self):
@@ -341,6 +349,11 @@ class TestGreedyNet:
         with pytest.raises(BadDimensions):
             greedy_net(euclidean_ball(2), euclidean_ball(2), 0.0)
 
+    def test_reference_of_another_dimension_rejected(self):
+        # it used to return a "certified" net measured in the wrong gauge
+        with pytest.raises(BadDimensions, match="one dimension"):
+            greedy_net(euclidean_ball(2), euclidean_ball(3), 0.5)
+
     def test_nets_come_in_the_order_of_the_scales(self):
         ball = euclidean_ball(2)
         coarse, fine, again = greedy_nets(ball, ball, (1.0, 0.5, 1.0), seed=3)
@@ -352,7 +365,8 @@ class TestGreedyNet:
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, np.float64(-math.inf)])
     def test_non_finite_delta_rejected(self, delta):
-        # NaN never satisfies dist < delta: the loop would run to the 1e6 cap
+        # -inf settles no row, so the traversal would never end; NaN compares
+        # false with every distance, so it would settle every row at once
         with pytest.raises(BadDimensions):
             greedy_net(euclidean_ball(2), euclidean_ball(2), delta)
 
