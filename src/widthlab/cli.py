@@ -3,10 +3,11 @@
 Usage::
 
     widthlab <task> --config experiment.json [--seed S] [--out DIR]
-    widthlab verify --all [--seed S] [--out DIR] [--checks a,b,c]
+    widthlab verify [--all | --checks a,b,c] [--config C] [--seed S] [--out DIR]
 
-Tasks: expect, volume, radius, widths, scaling, verify.  The exit status is
-0 when every checked property passed and 1 otherwise.
+Subcommands are the tasks of ``harness.TASKS``.  ``--all`` or ``--checks``
+replace the config's checks.  The exit status is 0 when every checked
+property passed, 1 otherwise and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, WidthLabError
-from .harness import _TASKS, ExperimentConfig, _json_ready, run
+from .harness import TASKS, ExperimentConfig, _json_ready, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="volume, radius, net and width experiments for induced convex bodies",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in _TASKS:
+    for task in TASKS:
         tp = sub.add_parser(task, help=f"run the {task} task")
         tp.add_argument("--config", type=str, default=None,
                         help="JSON configuration file")
@@ -35,10 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--out", type=str, default=None,
                         help="directory for CSV/JSON reports")
         if task == "verify":
-            tp.add_argument("--all", action="store_true",
-                            help="run every named check")
-            tp.add_argument("--checks", type=str, default=None,
-                            help="comma-separated check names")
+            pick = tp.add_mutually_exclusive_group()
+            pick.add_argument("--all", action="store_true", help="run every named check")
+            pick.add_argument("--checks", type=str, default=None,
+                              help="comma-separated check names")
     return parser
 
 
@@ -62,12 +63,14 @@ def _load_config(args) -> ExperimentConfig:
         raw["task"] = args.task
     elif args.task == "verify":
         raw = {"task": "verify", "seed": 0}
-        if getattr(args, "checks", None):
-            raw["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
-        elif not getattr(args, "all", False):
-            raise ConfigError("verify needs --all, --checks, or a config file")
     else:
         raise ConfigError(f"task {args.task!r} requires --config")
+    if getattr(args, "all", False):  # verify's selection overrides the config's, as --seed does
+        raw["checks"] = "all"
+    elif getattr(args, "checks", None) is not None:
+        raw["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
+    elif args.task == "verify" and args.config is None:
+        raise ConfigError("verify needs --all, --checks, or a config file")
     return ExperimentConfig.from_dict(raw, seed_override=args.seed)
 
 

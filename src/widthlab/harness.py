@@ -5,15 +5,17 @@ once as ``@_check(name, statement)`` over a body that takes the check's own
 seed and yields one ``(key, margins, detail)`` per case; ``_gather`` joins
 the margins in order and keys the details for the report.  That seed is
 drawn from the run seed by hashing the check name, so checks are
-independent and the whole suite is reproducible byte for byte.
-Budgets are sized to keep a full run around five seconds (serial, on a small
-2-core VM); the acceptance tests rerun the heavy protocols at full scale.
+independent and the whole suite is reproducible byte for byte.  The 15
+checks took 3.0 s in one process at seed 7 on a 2-core VM; the acceptance
+tests rerun the heavy protocols at full scale.  Each task is one runner
+``TASKS[name](seed, **fields)``, whose signature is the task's config schema.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -355,18 +357,6 @@ def verify_all(seed: int = 0, names=None) -> list[VerificationReport]:
 # experiment configuration and the task runner
 # --------------------------------------------------------------------------
 
-_TASKS = ("expect", "volume", "radius", "widths", "verify", "scaling")
-
-_ALLOWED_FIELDS = {
-    "expect": {"system", "p", "samples"},
-    "volume": {"body", "reference", "samples"},
-    "radius": {"system", "p", "q", "diagonal", "subspace_dim", "subspaces", "restarts"},
-    "widths": {"semiaxes", "orders", "restarts"},
-    "verify": {"checks"},
-    "scaling": {"family", "d", "gamma", "levels"},
-}
-
-
 def _checked(name: str, value, rule):
     """``value`` if it passes ``rule = (predicate, description)``, else ConfigError."""
     if not rule[0](value):
@@ -417,25 +407,25 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         data = dict(raw)
-        task = data.pop("task", None)
-        if task not in _TASKS:
-            raise ConfigError(f"field 'task': expected one of {_TASKS}, got {task!r}")
+        task, names = data.pop("task", None), tuple(TASKS)
+        if task not in names:
+            raise ConfigError(f"field 'task': expected one of {names}, got {task!r}")
         seed = data.pop("seed", None)
         if seed_override is not None:
             seed = seed_override
         if seed is None:
             raise ConfigError("field 'seed': a seed is mandatory for reproducibility")
         _checked("seed", seed, (lambda v: _ints([v], 0), "an integer >= 0"))
-        extra = set(data) - _ALLOWED_FIELDS[task]
+        fields = list(inspect.signature(TASKS[task]).parameters.values())[1:]  # after seed
+        extra = set(data) - {f.name for f in fields}
         if extra:
-            raise ConfigError(
-                f"task {task!r}: unknown fields {sorted(extra)}; "
-                f"allowed: {sorted(_ALLOWED_FIELDS[task])}")
-        missing = {"volume": {"body"}, "widths": {"semiaxes"}}.get(task, set()) - set(data)
+            raise ConfigError(f"task {task!r}: unknown fields {sorted(extra)}; "
+                              f"allowed: {sorted(f.name for f in fields)}")
+        missing = {f.name for f in fields if f.default is f.empty} - set(data)
         if missing:
             raise ConfigError(f"task {task!r}: missing fields {sorted(missing)}")
-        for key in sorted(data.keys() & _FIELD_RULES.keys()):
-            _checked(key, data[key], _FIELD_RULES[key])
+        for key in sorted(data):  # null is no field's value, nor a stand-in for its default
+            _checked(key, data[key], _FIELD_RULES.get(key, (lambda v: v is not None, "a value")))
         if task == "expect" and "samples" in data:
             low = stochastic.EXPECT_MIN_SAMPLES
             _checked("samples", data["samples"], (lambda v: v >= low, f"an integer >= {low}"))
@@ -488,73 +478,71 @@ def _build_body(spec) -> bodies.Body:
         raise ConfigError(f"field 'body.matrix': {exc}") from None
 
 
-def _task_expect(config: ExperimentConfig):
-    p = float(config.params.get("p", 2.0))
-    samples = int(config.params.get("samples", 200_000))
-    system = _build_system(config.params.get("system", {"kind": "trig", "max_degree": 1}))
-    est = expectation_norm(induced_ball(system, p), samples=samples, seed=config.seed)
+_TRIG3 = {"kind": "trig", "max_degree": 1}  # the trigonometric system of size 3
+
+
+def _task_expect(seed, system=_TRIG3, p=2.0, samples=200_000):
+    p = float(p)
+    system = _build_system(system)
+    est = expectation_norm(induced_ball(system, p), samples=samples, seed=seed)
     bound = expected_norm_bound(p) if 2 <= p < math.inf else None
     row = {"system": system.name, "n": system.n, "p": p, "value": est.value,
-           "half_width": est.half_width,
-           "bound": "" if bound is None else bound}
+           "half_width": est.half_width, "bound": "" if bound is None else bound}
     ok = bound is None or est.value <= bound + est.half_width + 1e-6
     return [row], ok
 
 
-def _task_volume(config: ExperimentConfig):
-    samples = int(config.params.get("samples", 500_000))
+def _task_volume(seed, body, reference=None, samples=500_000):
+    """``reference`` defaults to the Euclidean ball of the body's dimension."""
     try:
-        body = _build_body(config.params["body"])
-        reference = _build_body(config.params.get("reference", {"kind": "lp", "dim": body.dim}))
+        body = _build_body(body)
+        reference = _build_body({"kind": "lp", "dim": body.dim} if reference is None
+                                else reference)
     except RecursionError:  # a descriptor deeper than the interpreter's stack
         raise ConfigError("field 'body': nested too deeply") from None
-    est = mc_volume_ratio(body, reference, samples=samples, seed=config.seed)
+    est = mc_volume_ratio(body, reference, samples=samples, seed=seed)
     row = {"body": body.label, "reference": reference.label,
            "value": est.value, "half_width": est.half_width, "samples": est.samples}
     return [row], True
 
 
-def _task_radius(config: ExperimentConfig):
-    system = _build_system(config.params.get("system", {"kind": "trig", "max_degree": 1}))
+def _task_radius(seed, system=_TRIG3, p=2.0, q=1.0, diagonal=None, subspace_dim=None,
+                 subspaces=5, restarts=24):
+    """``diagonal`` defaults to all ones and ``subspace_dim`` to ceil(2n/3), n the system size."""
+    system = _build_system(system)
     n = system.n
-    p = float(config.params.get("p", 2.0))
-    q = float(config.params.get("q", 1.0))
-    diag = config.params.get("diagonal", [1.0] * n)
+    diag = [1.0] * n if diagonal is None else diagonal
     if len(diag) != n:
         raise ConfigError("field 'diagonal': length must match the system size")
-    sdim = int(config.params.get("subspace_dim", math.ceil(2 * n / 3)))
-    count = int(config.params.get("subspaces", 5))
-    restarts = int(config.params.get("restarts", 24))
-    body = linear_image(induced_ball(system, p), np.diag(diag))
-    gauge = induced_ball(system, q)
+    sdim = math.ceil(2 * n / 3) if subspace_dim is None else subspace_dim
+    body = linear_image(induced_ball(system, float(p)), np.diag(diag))
+    gauge = induced_ball(system, float(q))
     rows = []
-    for j in range(count):
-        sub = random_subspace(n, sdim, [config.seed, j])
-        rad = section_radius(body, gauge, sub, restarts=restarts,
-                             seed=[config.seed, j, 1])
+    for j in range(subspaces):
+        sub = random_subspace(n, sdim, [seed, j])
+        rad = section_radius(body, gauge, sub, restarts=restarts, seed=[seed, j, 1])
         rows.append({"subspace": j, "dim": sdim, "radius": rad})
     return rows, True
 
 
-def _task_widths(config: ExperimentConfig):
-    axes = np.sort(np.asarray(config.params["semiaxes"], dtype=float))[::-1]
-    orders = config.params.get("orders", list(range(len(axes) + 1)))
-    restarts = int(config.params.get("restarts", 128))
+def _task_widths(seed, semiaxes, orders=None, restarts=128):
+    """``orders`` defaults to 0, 1, ..., n, n the number of semiaxes."""
+    axes = np.sort(np.asarray(semiaxes, dtype=float))[::-1]
     rows = []
-    for m in orders:
-        exact, kol, gel = _ellipsoid_widths(axes, m, restarts, config.seed)
+    for m in range(len(axes) + 1) if orders is None else orders:
+        exact, kol, gel = _ellipsoid_widths(axes, m, restarts, seed)
         rows.append({"m": m, "exact": exact, "kolmogorov": kol, "gelfand": gel,
                      "agree": abs(kol - exact) <= 1e-3 and abs(gel - exact) <= 1e-3})
     return rows, all(row["agree"] for row in rows)
 
 
-def _task_scaling(config: ExperimentConfig):
-    family = config.params.get("family", "sphere")
-    d = int(config.params.get("d", 2))
-    gamma = float(config.params.get("gamma", 2.0))
-    lo, hi = config.params.get("levels", [4, 12])
-    space = manifolds.FAMILIES[family](d)
-    s_bound, s_exact = widths.sobolev_width_order(space, gamma, range(int(lo), int(hi) + 1))
+def _task_verify(seed, checks="all") -> list[VerificationReport]:
+    return verify_all(seed, names=None if checks == "all" else checks)
+
+
+def _task_scaling(seed, family="sphere", d=2, gamma=2.0, levels=(4, 12)):
+    gamma, space = float(gamma), manifolds.FAMILIES[family](d)
+    s_bound, s_exact = widths.sobolev_width_order(space, gamma, range(levels[0], levels[1] + 1))
     target = -gamma / space.d
     rows = [{"space": space.name, "gamma": gamma, "slope_bound": s_bound,
              "slope_exact": s_exact, "target": target}]
@@ -562,16 +550,19 @@ def _task_scaling(config: ExperimentConfig):
     return rows, ok
 
 
+#: task name -> runner(seed, **fields), in command line order; verify returns its reports,
+#: the others (rows, ok).  A parameter without a default is a required field
+TASKS = {"expect": _task_expect, "volume": _task_volume, "radius": _task_radius,
+         "widths": _task_widths, "verify": _task_verify, "scaling": _task_scaling}
+
+
 def _write_csv(path: Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
-        if not rows:
-            fh.write("")
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows({k: (repr(v) if isinstance(v, float) else v)
+                              for k, v in row.items()} for row in rows)
 
 
 def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
@@ -587,9 +578,7 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
         except OSError as exc:
             raise WidthLabError(f"output directory {out_dir}: {exc.strerror}") from None
     if config.task == "verify":
-        checks = config.params.get("checks", "all")
-        names = None if checks == "all" else list(checks)
-        reports = verify_all(config.seed, names=names)
+        reports = _task_verify(config.seed, **config.params)
         rows = [{"check": r.name, "trials": r.trials, "violations": r.violations,
                  "worst_margin": r.worst_margin, "passed": r.passed}
                 for r in reports]
@@ -597,12 +586,9 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
         summary = {"task": "verify", "seed": config.seed, "all_pass": ok,
                    "reports": [asdict(r) for r in reports]}
     else:
-        runner = {"expect": _task_expect, "volume": _task_volume,
-                  "radius": _task_radius, "widths": _task_widths,
-                  "scaling": _task_scaling}[config.task]
         try:  # a value outside the float range is an error, not a null in the output
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                rows, ok = runner(config)
+                rows, ok = TASKS[config.task](config.seed, **config.params)
         except (ArithmeticError, FloatRange) as exc:
             raise FloatRange(f"task {config.task!r}: {exc}") from None
         summary = {"task": config.task, "seed": config.seed, "all_pass": ok,

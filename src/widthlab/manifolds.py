@@ -144,7 +144,7 @@ FAMILIES: dict[str, Callable[[int], TwoPointSpace]] = {
 
 
 def all_families() -> list[TwoPointSpace]:
-    """One representative per family, smallest admissible dimension first."""
+    """One per family at its smallest admissible d, except real projective space at d = 3."""
     return [sphere(2), real_projective(3), complex_projective(4),
             quaternionic_projective(8), cayley_plane()]
 

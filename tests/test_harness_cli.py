@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from widthlab import harness, manifolds, stochastic, widths
 from widthlab.bodies import Body, PolarBody
 from widthlab.errors import BadDimensions, ConfigError, WidthLabError
-from widthlab.harness import (_ALLOWED_FIELDS, _TASKS, CHECKS, ExperimentConfig,
-                              _build_body, _build_system, _report, check_santalo,
-                              check_seed, run, verify_all)
+from widthlab.harness import (CHECKS, TASKS, ExperimentConfig, _build_body, _build_system,
+                              _report, check_santalo, check_seed, run, verify_all)
 from widthlab.systems import OrthonormalSystem
 
 JSON = st.recursive(
@@ -45,10 +44,19 @@ FIELD_VALUES = {"system": SYSTEM | JSON, "body": BODY, "reference": BODY,
                 "checks": st.just("all") | st.lists(st.sampled_from(list(CHECKS)), max_size=2)
                 | JSON,
                 "levels": st.lists(st.integers(-1, 5), max_size=3) | JSON}
-CONFIG = st.sampled_from(_TASKS).flatmap(lambda task: st.fixed_dictionaries(
+
+
+def _fields(task) -> dict:
+    """Field name -> default (``inspect.Parameter.empty`` if required) of ``task``."""
+    params = list(inspect.signature(TASKS[task]).parameters.values())
+    assert params[0].name == "seed"
+    return {f.name: f.default for f in params[1:]}
+
+
+CONFIG = st.sampled_from(list(TASKS)).flatmap(lambda task: st.fixed_dictionaries(
     {"task": st.just(task), "seed": st.integers(-3, 2**40) | JSON},
     optional={f: FIELD_VALUES.get(f, NUMBER | st.lists(NUMBER, max_size=3) | JSON)
-              for f in sorted(_ALLOWED_FIELDS[task])})) | JSON
+              for f in sorted(_fields(task))})) | JSON
 
 EXPONENT = st.integers(1, 30) | st.floats(1.0, allow_infinity=False) | st.just("inf")
 SMALL_SYSTEM = (st.fixed_dictionaries({"kind": st.just("trig"), "max_degree": st.integers(0, 3)})
@@ -81,6 +89,22 @@ RUNNABLE = (
                            unique=True).map(sorted)})
     | st.fixed_dictionaries({"task": st.just("verify"), "seed": SEED, "checks": st.lists(
         st.sampled_from(["fourier-tail", "weyl-ratio"]), min_size=1, max_size=2, unique=True)}))
+
+REQUIRED = inspect.Parameter.empty
+TRIG3 = {"kind": "trig", "max_degree": 1}
+#: every task's fields and their defaults, as the per-task field lists and
+#: ``params.get`` defaults had them; None marks a default derived from other
+#: fields (the Euclidean ball of the body's dimension, all-ones diagonal,
+#: ceil(2n/3) and orders 0..n)
+SCHEMAS = {
+    "expect": {"system": TRIG3, "p": 2.0, "samples": 200_000},
+    "volume": {"body": REQUIRED, "reference": None, "samples": 500_000},
+    "radius": {"system": TRIG3, "p": 2.0, "q": 1.0, "diagonal": None, "subspace_dim": None,
+               "subspaces": 5, "restarts": 24},
+    "widths": {"semiaxes": REQUIRED, "orders": None, "restarts": 128},
+    "verify": {"checks": "all"},
+    "scaling": {"family": "sphere", "d": 2, "gamma": 2.0, "levels": (4, 12)},
+}
 
 
 def _affine(fn, scale=1.0, shift=0.0):
@@ -202,6 +226,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_dict({"task": "expect"})
 
+    def test_task_schemas(self):
+        assert list(TASKS) == ["expect", "volume", "radius", "widths", "verify", "scaling"]
+        assert {task: _fields(task) for task in TASKS} == SCHEMAS
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"task": "juggle", "seed": 1}, "field 'task': expected one of ('expect', 'volume', "
+         "'radius', 'widths', 'verify', 'scaling'), got 'juggle'"),
+        ({"task": ["expect"], "seed": 1}, "field 'task': expected one of ('expect', 'volume', "
+         "'radius', 'widths', 'verify', 'scaling'), got ['expect']"),
+        ({"task": "expect", "seed": 1, "wobble": 2},
+         "task 'expect': unknown fields ['wobble']; allowed: ['p', 'samples', 'system']"),
+        ({"task": "radius", "seed": 1, "wobble": 2, "q": 1}, "task 'radius': unknown fields "
+         "['wobble']; allowed: ['diagonal', 'p', 'q', 'restarts', 'subspace_dim', 'subspaces', "
+         "'system']"),
+        ({"task": "volume", "seed": 1}, "task 'volume': missing fields ['body']"),
+        ({"task": "widths", "seed": 1, "orders": [1]},
+         "task 'widths': missing fields ['semiaxes']"),
+    ], ids=["unknown-task", "list-task", "unknown-field", "unknown-field-radius",
+            "missing-body", "missing-semiaxes"])
+    def test_schema_messages(self, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert str(exc.value) == message
+
     def test_seed_override(self):
         cfg = ExperimentConfig.from_dict({"task": "expect", "seed": 1},
                                          seed_override=9)
@@ -214,7 +262,7 @@ class TestConfig:
             cfg = ExperimentConfig.from_dict(raw)
         except ConfigError:
             return
-        assert cfg.task in _TASKS
+        assert cfg.task in TASKS
         for key in ("p", "q", "gamma"):
             if key in cfg.params:
                 assert float(cfg.params[key]) > 0
@@ -306,6 +354,33 @@ class TestTasks:
         code, outputs = run(cfg)
         assert code == 0
         assert outputs["rows"][0]["slope_bound"] == pytest.approx(-1.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("task, required, written_out", [
+        ("radius", {}, {"system": TRIG3, "p": 2.0, "q": 1.0, "diagonal": [1.0, 1.0, 1.0],
+                        "subspace_dim": 2, "subspaces": 5, "restarts": 24}),
+        ("scaling", {}, {"family": "sphere", "d": 2, "gamma": 2.0, "levels": [4, 12]}),
+        ("volume", {"body": {"kind": "lp", "dim": 3, "p": 1}, "samples": 2000},
+         {"reference": {"kind": "lp", "dim": 3}}),
+        ("widths", {"semiaxes": [2, 1], "restarts": 4}, {"orders": [0, 1, 2]}),
+    ])
+    def test_defaults_written_out_give_the_same_rows(self, task, required, written_out):
+        def rows(fields):
+            return run(ExperimentConfig.from_dict({"task": task, "seed": 5, **fields}))[1]["rows"]
+
+        assert rows(required) == rows({**required, **written_out})
+
+    @pytest.mark.parametrize("reference", [{}, None], ids=["empty", "null"])
+    def test_empty_or_null_reference_is_config_error(self, reference):
+        with pytest.raises(ConfigError, match="field '(body|reference)'"):
+            run(ExperimentConfig.from_dict({"task": "volume", "seed": 0, "samples": 10,
+                                            "body": {"kind": "lp", "dim": 2},
+                                            "reference": reference}))
+
+    def test_empty_orders_give_no_rows(self):
+        code, outputs = run(ExperimentConfig.from_dict(
+            {"task": "widths", "seed": 0, "semiaxes": [1], "orders": []}))
+        assert (code, outputs["rows"]) == (0, [])
 
 
 class TestVerify:
@@ -573,6 +648,28 @@ class TestCli:
         assert res.returncode == 1
         assert res.stderr.startswith("configuration error: "), res.stderr
         assert "PASS" not in res.stdout
+
+    @pytest.mark.parametrize("flag, names", [
+        (["--checks", "weyl-ratio,sobolev-slope"], ["weyl-ratio", "sobolev-slope"]),
+        (["--all"], ["fourier-tail", "weyl-ratio", "sobolev-slope"]),
+    ], ids=["checks", "all"])
+    def test_command_line_selection_overrides_the_config(self, tmp_path, monkeypatch, flag,
+                                                         names):
+        # three cheap checks stand in for the registry that --all runs
+        monkeypatch.setattr(harness, "CHECKS", {
+            n: CHECKS[n] for n in ("fourier-tail", "weyl-ratio", "sobolev-slope")})
+        raw = {"task": "verify", "seed": 7, "checks": ["fourier-tail"]}
+        assert _main(tmp_path, raw, *flag, "--out", str(tmp_path / "out")) == 0
+        summary = json.loads((tmp_path / "out" / "verify_summary.json").read_text())
+        assert [r["name"] for r in summary["reports"]] == names
+
+    def test_all_and_checks_together_are_a_usage_error(self, capsys):
+        from widthlab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--checks", "fourier-tail"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_verify_requires_selection(self):
         res = run_cli(["verify"])
