@@ -2,23 +2,25 @@
 
 A body is its Minkowski functional: membership, boundary points, volumes,
 radii and expectations are all expressible through the gauge, which keeps
-the dimension generic and avoids any vertex/facet bookkeeping.  Linear
-images and polars are thin wrappers over a base gauge, a projection solves
-a weighted L_p regression on its base's ``_lp_form``, and a section is the
-maps of a ``_optim.ratio_ascent`` problem.
+the dimension generic and avoids any vertex/facet bookkeeping.  A linear
+image wraps a base gauge, a section is the maps of a ``_optim.ratio_ascent``
+problem, and projections and polars are weighted minima on their base's
+``_lp_form``, bracketed row by row by ``_irls``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _optim
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
 
-IRLS_PASSES = 100  # reweighted least-squares passes of a projection gauge
-_IRLS_FLOOR = 1e-6  # |residual| floor of the weights, relative to the row's largest |a|
+IRLS_PASSES = 100  # cap on the reweighted least-squares passes of a row
+BRACKET_RTOL = 1e-6  # a row stops once its bracket is this narrow, relative
+_IRLS_FLOOR = 1e-6  # |entry| floor of the weights, relative to the row's largest
+_END_EXPONENT = 64.0  # the exponent an infinite one iterates at
+_CHECK_EVERY = 5  # passes per bracket evaluation, from the first
 
 
 def _grad_scale(g: np.ndarray, p: float) -> np.ndarray:
@@ -182,13 +184,8 @@ class ProjectionBody(Body):
     The gauge at u is min over z of base.gauge(u F + z C), F and C the frames
     of the subspace and its complement: with the base's ``_lp_form``
     (M, w, p), a weighted L_p regression of a = u F M on the rows of B = C M.
-    ``IRLS_PASSES`` reweighted least-squares passes solve every row at once,
-    one m x m system per row and pass; for p > 2 the step is damped by
-    1/(p - 1), or it diverges.  The gauge returned is the Hoelder dual bound
-    <lambda, a>_w, lambda = r max(|r|, floor)^(p-2) from the last residual r
-    projected onto B (w lambda) = 0 and scaled to weighted L_p' norm 1: a
-    certified lower bound.  A base with no form (p = inf, polars,
-    projections) raises BadDimensions.
+    The gauge is its bracket's lower end, a certified Hoelder dual bound.  A
+    base with no form or with p = inf raises BadDimensions.
     """
 
     def __init__(self, base: Body, subspace: Subspace):
@@ -197,7 +194,7 @@ class ProjectionBody(Body):
         if subspace.dim == subspace.ambient_dim:
             raise BadDimensions("projection onto the full space is the body itself")
         form = _lp_form(base)
-        if form is None:
+        if form is None or np.isinf(form[2]):
             raise BadDimensions(f"{base.label} has no L_p form to project")
         self.base = base
         self.dim = subspace.dim
@@ -206,54 +203,128 @@ class ProjectionBody(Body):
         self._anchor, self._offsets = subspace.frame @ m, subspace.complement().frame @ m
 
     def gauge_many(self, points):
-        return self._regression(points)[1]
+        return self._bracket(points)[1]
 
-    def _regression(self, points):
-        """IRLS minima (norms of the last residuals) and certified dual bounds per row."""
+    def _bracket(self, points):
+        """The ends of each row's bracket: IRLS minima and certified dual bounds."""
         a = np.atleast_2d(np.asarray(points, dtype=float)) @ self._anchor
-        b, w, p = self._offsets, self._w, self._p
-        scale = np.max(np.abs(a), axis=1)
-        a = r = a / np.where(scale > 0, scale, 1.0)[:, None]  # a zero row stays 0
+        b, w = self._offsets, self._w
         outer = b[:, None] * b  # row k's B diag(c_k) B^T is c_k contracted with outer
-        for _ in range(IRLS_PASSES):
-            t = np.maximum(np.abs(r), _IRLS_FLOOR)
-            c = w * (t / t.max(axis=1, keepdims=True)) ** (p - 2.0)  # at most w: no underflow
+        fit = np.linalg.solve((b * w) @ b.T, b)  # u - (u w B^T) fit: onto B (w u) = 0
+
+        def solve(s, r, rows):
+            c = w * s
             step = np.linalg.solve(np.tensordot(c, outer, (1, 2)), ((c * r) @ b.T)[..., None])
-            r = r - step[..., 0] @ b / max(p - 1.0, 1.0)
-        t = np.maximum(np.abs(r), _IRLS_FLOOR)
-        lam = r * (t / t.max(axis=1, keepdims=True)) ** (p - 2.0)
-        lam -= (lam * w) @ b.T @ np.linalg.solve((b * w) @ b.T, b)  # one system for all rows
-        q = _conjugate(p)
-        norm = np.max(np.abs(lam), axis=1) if q == np.inf else (np.abs(lam) ** q @ w) ** (1.0 / q)
-        value = (np.abs(r) ** p @ w) ** (1.0 / p)
-        return value * scale, (lam * a) @ w / np.maximum(norm, 1e-300) * scale
+            return r - step[..., 0] @ b
+
+        def dual(u, rows):
+            u = u - ((u * w) @ b.T) @ fit
+            return u, (u * a[rows]) @ w
+
+        return _irls(a, self._p, w, solve, dual)[:2]
 
 
 class PolarBody(Body):
     """Polar (dual) body; its gauge is the support function of the base.
 
-    Evaluated by one ``_optim.support_values`` ascent over ``restarts``
-    starts per point, capped at ``_optim.MAX_ITERS`` passes, so gauges are
-    certified lower bounds; callers rely on that direction.  Where the base
-    has a support majorant the ascent also stops on its duality gap, and the
-    gauge is still the best value achieved.  The gradient is Danskin's: the
-    maximizer y* the ascent finds, signed to the side of the point.
+    By Hoelder duality the support function of a base with ``_lp_form``
+    (M, w, p) is h(x) = min{||lambda||_{p',w} : M diag(w) lambda = x}
+    (Rockafellar, *Convex Analysis*, 1970, section 16).  The gauge is its
+    bracket's lower end <x, y> / g(y), so polar volumes err high, and the
+    gradient Danskin's maximizer y / g(y), signed toward x.  A base with no
+    form raises BadDimensions.  ``seed`` is ignored: nothing is drawn, and
+    older callers still pass one.
     """
 
-    def __init__(self, base: Body, restarts: int = 6, seed=0):
+    def __init__(self, base: Body, seed=None):
+        form = _lp_form(base)
+        if form is None:
+            raise BadDimensions(f"{base.label} has no L_p form to polarize")
         self.base = base
-        self.restarts = restarts
-        self.seed = seed
         self.dim = base.dim
         self.label = f"({base.label})^o"
+        m, w, self._p = form
+        keep = np.isinf(self._p) | (w > 0)  # a zero weight leaves its lambda_i free
+        self._m, self._w = m[:, keep], w[keep]
 
     def gauge_many(self, points):
         return self.gauge_grad_many(points)[0]
 
     def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g, y = _optim.support_values(self.base, pts, restarts=self.restarts, seed=self.seed)
-        return g, np.sign(_by_column(np.add, pts * y))[:, None] * y
+        return self._bracket(points)[1:]
+
+    def _bracket(self, points):
+        """The ends of each row's bracket and the signed maximizer of the lower one."""
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        m, w, p = self._m, self._w, self._p
+        pinv = np.linalg.solve((m * w) @ m.T, m)  # x pinv: the least 2-norm feasible lambda
+        outer, fit = m[:, None] * m, (pinv * w).T  # u fit: the y of the best fit y M to u
+
+        def solve(s, lam, rows):
+            target = lam @ (m * w).T  # the row's x, as the kernel scales it
+            y = np.linalg.solve(np.tensordot(w / s, outer, (1, 2)), target[..., None])
+            lam = (y[..., 0] @ m) / s
+            return lam + (target - lam @ (m * w).T) @ pinv  # feasible to roundoff
+
+        def dual(u, rows):
+            y = u @ fit
+            return y @ m, _by_column(np.add, y * x[rows])
+
+        upper, lower, cert = _irls(x @ pinv, _conjugate(p), w, solve, dual)
+        y = cert @ fit
+        side = np.sign(_by_column(np.add, y * x)) / np.maximum(_lp_norms(y @ m, w, p), 1e-300)
+        return upper, lower, side[:, None] * y
+
+
+def _lp_norms(v: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted L_p norms of the rows of v; at p = inf the max over all entries
+    (zero-weight ones too, which can only raise it)."""
+    if np.isinf(p):
+        return np.max(np.abs(v), axis=1)
+    return (_power_in_place(np.abs(v), p) @ w) ** (1.0 / p)
+
+
+def _irls(v, e, w, solve, dual):
+    """Bracket min ||v_k + z||_{e,w} over z in S, for every row k of ``v``
+    (a point of each row's affine set, scaled here to largest |entry| 1).
+
+    A pass reweights by s = max(|v| / max|v|, floor)^(e - 2), the floor
+    raised past e = 4 to keep s within 1e12, and steps to ``solve(s, v,
+    rows)``, the minimizers of sum w s v^2, damped by 1/(e - 1) past e = 2.
+    Every ``_CHECK_EVERY``-th pass brackets the rows: the upper end is the
+    minimizer's norm, and a certificate u (s v, or s times the minimizer) gives
+    the lower end |pairing| / ||u'||_{e',w} (Hoelder), ``dual(u, rows)``
+    being u' projected w-orthogonally off S and its pairing with the data.
+    A row stops once its best ends are ``BRACKET_RTOL`` close, or at the
+    cap.  An infinite e iterates at ``_END_EXPONENT``; the ends take the
+    true e.  Returns the upper and lower ends and each lower end's u.
+    """
+    ei, q = (_END_EXPONENT if np.isinf(e) else e), _conjugate(e)
+    floor, damping = _IRLS_FLOOR ** (2.0 / max(ei - 2.0, 2.0)), max(ei - 1.0, 1.0)
+    scale = np.maximum(np.max(np.abs(v), axis=1), 1e-300)  # a zero row stays 0
+    v, upper, lower, cert = v / scale[:, None], np.empty(len(v)), np.empty(len(v)), np.empty_like(v)
+    live, up, low, best = np.arange(len(v)), np.full(len(v), np.inf), np.full(len(v), -1.0), v
+    for it in range(IRLS_PASSES):
+        t = np.abs(v)
+        t /= np.maximum(t.max(axis=1, keepdims=True), 1e-300)
+        s = np.maximum(t, floor, out=t) ** (ei - 2.0)
+        full, last = solve(s, v, live), it == IRLS_PASSES - 1
+        if it % _CHECK_EVERY == 0 or last:
+            np.fmin(up, _lp_norms(full, w, e), out=up)
+            for u in (s * v, s * full):
+                node, pair = dual(u, live)
+                ends = np.abs(pair) / scale[live] / np.maximum(_lp_norms(node, w, q), 1e-300)
+                best = np.where((ends > low)[:, None], u, best)
+                np.fmax(low, ends, out=low)
+            done = (up - low <= BRACKET_RTOL * up) | last
+            if done.any():
+                rows = live[done]
+                upper[rows], lower[rows], cert[rows] = up[done], low[done], best[done]
+                live, v, full, up, low, best = (a[~done] for a in (live, v, full, up, low, best))
+                if not live.size:
+                    break
+        v = full if damping == 1.0 else v + (full - v) / damping
+    return upper * scale, lower * scale, cert
 
 
 def _conjugate(p: float) -> float:
@@ -276,32 +347,15 @@ def _polar(body: Body) -> Body:
 
 def _lp_form(body: Body):
     """``(M, w, p)`` with gauge (sum_i w_i |(x M)_i|^p)^(1/p), or None: ell_p
-    and induced p-balls for p < inf, and their linear images A V, whose M is
-    A^{-T} M_V."""
-    if isinstance(body, LpBall) and not np.isinf(body.p):
+    and induced p-balls and their linear images A V, whose M is A^{-T} M_V;
+    at p = inf the gauge is max_i |(x M)_i| over every node (sphere poles too)."""
+    if isinstance(body, LpBall):
         return np.eye(body.dim), np.ones(body.dim), body.p
-    if isinstance(body, InducedBall) and not np.isinf(body.p):
-        return body.system.values, body.system.weights, body.p
+    if isinstance(body, InducedBall):
+        values = body.system.values
+        return values, np.ones(values.shape[1]) if np.isinf(body.p) else body.system.weights, body.p
     if isinstance(body, LinearImageBody) and (form := _lp_form(body.base)):
         return (body.inverse.T @ form[0],) + form[1:]
-    return None
-
-
-def _support_majorant(body: Body):
-    """A gauge M with M >= h_K, the support function of ``body``, or None.
-
-    ell_p balls give their dual ball (exact); an induced p-ball gives the
-    induced p'-ball, since pairing through the system is the quadrature
-    inner product and Hoelder applies (exact up to the Gram roundoff); and
-    h_{A V}(x) = h_V(A^T x) <= M_V(A^T x), the gauge of A^{-T} M_V.
-    """
-    if isinstance(body, LpBall):
-        return _polar(body)
-    if isinstance(body, InducedBall):
-        return InducedBall(body.system, _conjugate(body.p))
-    if isinstance(body, LinearImageBody):
-        base = _support_majorant(body.base)
-        return None if base is None else LinearImageBody(base, body.inverse.T)
     return None
 
 

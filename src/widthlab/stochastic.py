@@ -264,8 +264,9 @@ def _drop_settled(keep, *arrays):
     k = np.count_nonzero(keep)
     if 2 * k > len(keep):
         return arrays
+    rows = np.flatnonzero(keep)  # an index gather: a boolean one is 3x slower on 2-D rows
     for a in arrays:
-        a[:k] = a[keep]
+        a[:k] = a[rows]
     return tuple(a[:k] for a in arrays)
 
 

@@ -7,17 +7,18 @@ observed ratios for section radii of coefficient bodies; and the
 smoothness-scaling fit, whose one call gives both the lower-bound and the
 exact-width slope.
 
-The brute-force searches are upper-bound constructions (best subspace
-found by a batched compass search over frames, every objective scoring a
-whole stack of frames at once); the radius evaluators are lower bounds
-with an empirically calibrated constant, which the harness fits on
-training seeds and validates on fresh ones.  Tests therefore compare the
-two against exact oracles only where those exist, and otherwise check
-one-sided validity.  One frame search serves both widths: by polar
-duality d_m(K, Z) = d^m(Z^o, K^o) for symmetric convex bodies in finite
-dimensions (Ioffe and Tikhomirov 1968; Pinkus, n-Widths in Approximation
-Theory, 1985, ch. II), so a Kolmogorov width is the Gelfand width of the
-polars.
+The brute-force searches (best subspace found by a batched compass search
+over frames, each objective scoring a stack of frames) are upper bounds
+where each frame's inner supremum is exact, for ellipsoid pairs and 1-D
+sections, and not where it is an ascent's lower bound; the radius
+evaluators are lower bounds with an empirically calibrated constant, which
+the harness fits on training seeds and validates on fresh ones.  Tests
+therefore compare the two against exact oracles only where those exist,
+and otherwise check one-sided validity.  One frame search serves both
+widths: by polar duality d_m(K, Z) = d^m(Z^o, K^o) for symmetric convex
+bodies in finite dimensions (Ioffe and Tikhomirov 1968; Pinkus, n-Widths in
+Approximation Theory, 1985, ch. II), so a Kolmogorov width is the Gelfand
+width of the polars.
 """
 
 from __future__ import annotations

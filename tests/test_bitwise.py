@@ -308,20 +308,6 @@ def test_induced_gauge_grad_unchanged(system, p):
     assert got[0][0] == 0.0 and _same_grads(got, ref, got[0] == 0)
 
 
-def test_ratio_ascent_support_problem_unchanged():
-    """``support_values``'s problem form on an induced 1.5-ball, as in Santalo."""
-    body = InducedBall(trig_system(1), 1.5)
-    rng = as_generator(3)
-    x = rng.standard_normal((40, 3))
-    y = rng.standard_normal((40 * 3, 3))
-    y[::3] = x
-    args = (LpBall(1, 1.0), body, y.reshape(40, 3, 3))
-    kwargs = dict(num_maps=x[:, :, None])
-    values, points = _optim.ratio_ascent(*args, **kwargs)
-    ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
-    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
-
-
 def test_ratio_ascent_mapped_section_radii_unchanged():
     """Section radii of an ellipsoidal induced 4-ball in the induced 1.5-norm,
     every problem with its own frame maps, as in the radius checks."""
@@ -370,20 +356,6 @@ def test_one_dimensional_problems_stop_after_scoring():
     # one gradient call per base body; the denominator's second call is the
     # final scaling to gauge 1 that every ascent makes
     assert (num.calls, den.calls) == (1, 2)
-
-
-def test_one_dimensional_support_problem_unchanged():
-    """``support_values``'s problem form on a 1-D body: the lifted numerator
-    |t| is 1-D, and so is every iterate."""
-    body = LpBall(1, 3.0)
-    x = as_generator(4).standard_normal((25, 1))
-    starts = as_generator(5).standard_normal((25, 4, 1))
-    args = (LpBall(1, 1.0), body, starts)
-    kwargs = dict(num_maps=x[:, :, None])
-    values, points = _optim.ratio_ascent(*args, **kwargs)
-    ref_values, ref_points = _ratio_ascent_old(*args, **kwargs)
-    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
-    assert np.array_equal(values, np.abs(x[:, 0]))
 
 
 # one and several chunks of 8,192 (slices) and 65,536 (sphere means) rows,

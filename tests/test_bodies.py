@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab.bodies import (InducedBall, LinearImageBody, LpBall, PolarBody, ProjectionBody,
-                             _polar, _support_majorant, euclidean_ball, induced_ball,
+                             _polar, euclidean_ball, induced_ball,
                              linear_image)
 from widthlab.errors import BadDimensions, DimensionMismatch, SingularMatrix
 from widthlab.harness import _build_body
@@ -154,40 +154,42 @@ class TestDualGauge:
         rng = np.random.default_rng(4)
         for _ in range(5):
             x = rng.standard_normal(3)
-            assert PolarBody(induced_ball(trig3, 2.0), restarts=8).gauge(x) == pytest.approx(
+            assert PolarBody(induced_ball(trig3, 2.0)).gauge(x) == pytest.approx(
                 np.linalg.norm(x), abs=1e-6)
 
     def test_zero_vector(self, trig3):
         assert PolarBody(induced_ball(trig3, 2.0)).gauge(np.zeros(3)) == 0.0
 
     def test_p1_bounded_by_sup_norm(self, trig3):
-        val = PolarBody(induced_ball(trig3, 1.0), restarts=16).gauge(np.array([0.0, 1.0, 0.0]))
+        val = PolarBody(induced_ball(trig3, 1.0)).gauge(np.array([0.0, 1.0, 0.0]))
         assert val <= math.sqrt(2.0) + 1e-6
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
     def test_dominated_by_dual_exponent_norm(self, trig3, p):
         # pairing through an orthonormal system is an L2 inner product, so
         # Hoelder gives h_p(x) <= ||x||_(p') pointwise
-        from widthlab._optim import support_values
-
         p_dual = p / (p - 1.0)
         rng = np.random.default_rng(int(p))
         x = rng.standard_normal((500, 3))
-        h, _ = support_values(induced_ball(trig3, p), x, restarts=4, seed=0)
+        h = PolarBody(induced_ball(trig3, p)).gauge_many(x)
         dom = trig3.lp_norm_many(x, p_dual)
         assert np.all(h <= dom + 1e-6)
 
     def test_polar_body_matches_support_function(self, trig3):
         body = induced_ball(trig3, 4.0)
-        polar = PolarBody(body, restarts=6, seed=0)
         x = np.array([0.3, -0.7, 0.2])
-        assert polar.gauge(x) == pytest.approx(
-            PolarBody(body, restarts=8).gauge(x), rel=1e-4)
+        # h(x) = sup <x, y> / g(y): the best of many sampled ratios stays
+        # below the gauge's bracket and close to it
+        y = np.random.default_rng(0).standard_normal((20_000, 3))
+        sampled = np.max(y @ x / body.gauge_many(y))
+        value = PolarBody(body).gauge(x)
+        assert sampled <= value * (1 + 1e-6)
+        assert value == pytest.approx(sampled, rel=1e-3)
 
     def test_polar_body_gradient_is_danskin(self, trig3):
         # the gradient of the support function is the maximizer: central
         # differences of the gauge agree with it, and Euler's identity holds
-        polar = PolarBody(induced_ball(trig3, 4.0), restarts=6, seed=0)
+        polar = PolarBody(induced_ball(trig3, 4.0))
         x = np.random.default_rng(6).standard_normal((5, 3))
         g, grad = polar.gauge_grad_many(x)
         assert np.array_equal(g, polar.gauge_many(x))
@@ -230,45 +232,6 @@ class TestPolarRules:
         body = induced_ball(trig3, 4.0)
         polar = _polar(body)
         assert isinstance(polar, PolarBody) and polar.base is body
-
-
-class TestSupportMajorant:
-    @pytest.mark.parametrize("p, dual", [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0),
-                                         (4.0, 4.0 / 3.0), (np.inf, 1.0)])
-    def test_lp_ball_gives_its_dual_ball(self, p, dual):
-        major = _support_majorant(LpBall(3, p))
-        assert isinstance(major, LpBall) and major.dim == 3 and major.p == dual
-        x = np.random.default_rng(2).standard_normal((20, 3))
-        assert np.allclose(major.gauge_many(x), np.linalg.norm(x, ord=dual, axis=1),
-                           rtol=1e-14)
-
-    @pytest.mark.parametrize("p, dual", [(1.0, np.inf), (1.5, 3.0), (4.0, 4.0 / 3.0),
-                                         (np.inf, 1.0)])
-    def test_induced_ball_gives_hoelder_bound(self, trig3, p, dual):
-        body = induced_ball(trig3, p)
-        major = _support_majorant(body)
-        assert isinstance(major, InducedBall) and major.system is trig3 and major.p == dual
-        # every pairing <x, y> / g_K(y) stays below M(x), up to roundoff
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((2, 4000, 3))
-        pairing = np.abs(np.sum(x * y, axis=1)) / body.gauge_many(y)
-        assert np.all(pairing <= major.gauge_many(x) * (1 + 1e-12))
-
-    def test_linear_image_pulls_back_through_the_transpose(self, trig3):
-        a = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.5]])
-        major = _support_majorant(linear_image(induced_ball(trig3, 4.0), a))
-        assert isinstance(major, LinearImageBody) and isinstance(major.base, InducedBall)
-        assert major.base.p == 4.0 / 3.0
-        # M(x) = M_V(A^T x), the bound h_{A V}(x) = h_V(A^T x) <= M_V(A^T x)
-        x = np.random.default_rng(4).standard_normal((20, 3))
-        assert np.allclose(major.gauge_many(x), major.base.gauge_many(x @ a), rtol=1e-12)
-
-    def test_other_bodies_have_none(self, trig3):
-        body = induced_ball(trig3, 4.0)
-        sub = random_subspace(3, 2, seed=0)
-        for other in (PolarBody(body), ProjectionBody(body, sub),
-                      linear_image(PolarBody(body), np.diag([2.0, 1.0, 1.0]))):
-            assert _support_majorant(other) is None
 
 
 class TestMultiplier:

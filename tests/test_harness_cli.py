@@ -134,8 +134,8 @@ def _low_central_slice(fn):
 
 
 class _LowPolar(PolarBody):
-    """Polar gauges 5% low, which inflate the polar volume by 1.05^3: the early
-    stop on the duality gap must not hide an under-estimated support value."""
+    """Polar gauges 5% low, which inflate the polar volume by 1.05^3: the
+    check must catch support values that far below the bracket."""
 
     def gauge_grad_many(self, points):
         g, grad = super().gauge_grad_many(points)
