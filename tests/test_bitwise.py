@@ -308,6 +308,22 @@ def test_induced_gauge_grad_unchanged(system, p):
     assert got[0][0] == 0.0 and _same_grads(got, ref, got[0] == 0)
 
 
+def test_ratio_ascent_support_problem_unchanged():
+    """The support-function problem form |<x, y>| / g(y) on an induced
+    1.5-ball: an identity denominator map gives the old unmapped kernel's
+    values and points bit for bit."""
+    body = InducedBall(trig_system(1), 1.5)
+    rng = as_generator(3)
+    x = rng.standard_normal((40, 3))
+    y = rng.standard_normal((40 * 3, 3))
+    y[::3] = x
+    args = (LpBall(1, 1.0), body, y.reshape(40, 3, 3))
+    values, points = _optim.ratio_ascent(*args, num_maps=x[:, :, None],
+                                         den_maps=np.broadcast_to(np.eye(3), (40, 3, 3)))
+    ref_values, ref_points = _ratio_ascent_old(*args, num_maps=x[:, :, None])
+    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
+
+
 def test_ratio_ascent_mapped_section_radii_unchanged():
     """Section radii of an ellipsoidal induced 4-ball in the induced 1.5-norm,
     every problem with its own frame maps, as in the radius checks."""
@@ -356,6 +372,20 @@ def test_one_dimensional_problems_stop_after_scoring():
     # one gradient call per base body; the denominator's second call is the
     # final scaling to gauge 1 that every ascent makes
     assert (num.calls, den.calls) == (1, 2)
+
+
+def test_one_dimensional_support_problem_unchanged():
+    """The support-function problem form on a 1-D body: the lifted numerator
+    |t| is 1-D, and so is every iterate."""
+    body = LpBall(1, 3.0)
+    x = as_generator(4).standard_normal((25, 1))
+    starts = as_generator(5).standard_normal((25, 4, 1))
+    args = (LpBall(1, 1.0), body, starts)
+    values, points = _optim.ratio_ascent(*args, num_maps=x[:, :, None],
+                                         den_maps=np.ones((25, 1, 1)))
+    ref_values, ref_points = _ratio_ascent_old(*args, num_maps=x[:, :, None])
+    assert _same_bits(values, ref_values) and _same_bits(points, ref_points)
+    assert np.array_equal(values, np.abs(x[:, 0]))
 
 
 # one and several chunks of 8,192 (slices) and 65,536 (sphere means) rows,
