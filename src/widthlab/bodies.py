@@ -5,7 +5,8 @@ radii and expectations are all expressible through the gauge, which keeps
 the dimension generic and avoids any vertex/facet bookkeeping.  A linear
 image wraps a base gauge, a section is the maps of a ``_optim.ratio_ascent``
 problem, and projections and polars are weighted minima on their base's
-``_lp_form``, bracketed row by row by ``_irls``.
+``_lp_form``, bracketed row by row by ``_irls`` in the norms of
+``systems._lp_norms``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
-from .systems import OrthonormalSystem, _in_row_blocks, _power_in_place
+from .systems import OrthonormalSystem, _in_row_blocks, _lp_norms, _power_in_place
 
 IRLS_PASSES = 100  # cap on the reweighted least-squares passes of a row
 BRACKET_RTOL = 1e-6  # a row stops once its bracket is this narrow, relative
@@ -61,7 +62,7 @@ class LpBall(Body):
     def __init__(self, dim: int, p: float):
         if dim < 1:
             raise BadDimensions("dimension must be >= 1")
-        if p < 1:
+        if not p >= 1:
             raise BadDimensions("p must be >= 1")
         self.dim = int(dim)
         self.p = float(p)
@@ -73,8 +74,6 @@ class LpBall(Body):
             return _by_column(np.maximum, np.abs(pts))
         if self.p == 2.0:
             return np.sqrt(_by_column(np.add, pts * pts))
-        if self.p == 1.0:
-            return _by_column(np.add, np.abs(pts))
         return _by_column(np.add, np.abs(pts) ** self.p) ** (1.0 / self.p)
 
     def gauge_grad_many(self, points):
@@ -86,8 +85,6 @@ class LpBall(Body):
             rows = np.arange(len(pts))
             grad[rows, idx] = np.sign(pts[rows, idx])
             return g, grad
-        if self.p == 1.0:
-            return g, np.sign(pts)
         if self.p == 2.0:
             return g, pts / np.maximum(g, 1e-300)[:, None]
         scale = _grad_scale(g, self.p)
@@ -103,7 +100,7 @@ class InducedBall(Body):
     """Unit ball of the L_p norm pulled back through an orthonormal system."""
 
     def __init__(self, system: OrthonormalSystem, p: float):
-        if p < 1:
+        if not p >= 1:
             raise BadDimensions("p must be >= 1")
         self.system = system
         self.p = float(p)
@@ -274,14 +271,6 @@ class PolarBody(Body):
         y = cert @ fit
         side = np.sign(_by_column(np.add, y * x)) / np.maximum(_lp_norms(y @ m, w, p), 1e-300)
         return upper, lower, side[:, None] * y
-
-
-def _lp_norms(v: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Weighted L_p norms of the rows of v; at p = inf the max over all entries
-    (zero-weight ones too, which can only raise it)."""
-    if np.isinf(p):
-        return np.max(np.abs(v), axis=1)
-    return (_power_in_place(np.abs(v), p) @ w) ** (1.0 / p)
 
 
 def _irls(v, e, w, solve, dual):

@@ -600,6 +600,4 @@ def run(config: ExperimentConfig, out_dir=None) -> tuple[int, dict]:
         with open(out / f"{config.task}_summary.json", "w") as fh:
             json.dump(_json_ready(summary), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
-        outputs["csv"] = str(out / f"{config.task}.csv")
-        outputs["json"] = str(out / f"{config.task}_summary.json")
     return (0 if ok else 1), outputs

@@ -144,7 +144,7 @@ def expected_norm_bound(p: float) -> float:
 
     Equals 1 at p=2 and grows like sqrt(p), so it is infinite at p=inf.
     """
-    if p < 2:
+    if not p >= 2:
         raise BadDimensions("the bound holds for p >= 2")
     if math.isinf(p):
         return math.inf

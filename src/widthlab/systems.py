@@ -14,7 +14,9 @@ systems.
 
 The node-space oracles (``lp_norm_many`` here, ``InducedBall.gauge_grad_many``)
 run over row blocks of about 2^15 node values: cache-sized temporaries, and
-memory bounded by the output whatever the number of rows.
+memory bounded by the output whatever the number of rows.  One weighted L_p
+norm of node values, ``_lp_norms``, serves ``lp_norm_many`` and the brackets
+of ``bodies``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def _power_in_place(a: np.ndarray, p: float) -> np.ndarray:
     return acc if root is None else np.multiply(acc, root, out=acc)
 
 
+def _lp_norms(f: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Weighted L_p norms of the rows of node values ``f`` (left unchanged); at
+    p = inf the max over every node, zero-weight ones too, which can only raise it."""
+    if np.isinf(p):
+        return np.max(np.abs(f), axis=1)
+    return (_power_in_place(np.abs(f), p) @ w) ** (1.0 / p)
+
+
 def _next_prime(m: int) -> int:
     def is_prime(q: int) -> bool:
         if q < 2:
@@ -133,26 +143,26 @@ class OrthonormalSystem:
         return (self.values * self.weights) @ self.values.T
 
     def lp_norm_many(self, coeffs: np.ndarray, p: float) -> np.ndarray:
-        """Quadrature L_p norms of the functions with coefficient rows ``coeffs``."""
+        """Quadrature L_p norms of the functions with coefficient rows ``coeffs``;
+        a row whose |f|^p leaves the float range is computed again, scaled by
+        its largest |f|, and every other row keeps its unscaled bits."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"coefficient length {coeffs.shape[-1]} != system size {self.n}"
             )
-        if p < 1:
+        if not p >= 1:
             raise BadDimensions(f"p must be >= 1, got {p}")
-        norms = _in_row_blocks(self._lp_norm_block, coeffs.reshape(-1, self.n),
-                               len(self.weights), p)
+        rows, w = coeffs.reshape(-1, self.n), self.weights
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf * 0 at a zero weight
+            norms = _in_row_blocks(lambda b: _lp_norms(b @ self.values, w, p), rows, len(w))
+            redo = np.flatnonzero(~((norms > 0) & (norms < np.inf)))  # 0, inf or NaN
+            if redo.size:
+                f = rows[redo] @ self.values
+                top = np.max(np.abs(f), axis=1)
+                fix = np.isfinite(top) & (top > 0)  # zero rows and inf or NaN values keep theirs
+                norms[redo[fix]] = top[fix] * _lp_norms(f[fix] / top[fix, None], w, p)
         return norms.reshape(coeffs.shape[:-1])[()]
-
-    def _lp_norm_block(self, coeffs: np.ndarray, p: float) -> np.ndarray:
-        f = coeffs @ self.values
-        if np.isinf(p):
-            return np.max(np.abs(f), axis=-1)
-        w = self.weights
-        if p == 2.0:  # exact by quadrature construction, keep the fast path stable
-            return np.sqrt((f * f) @ w)
-        return (_power_in_place(np.abs(f, out=f), p) @ w) ** (1.0 / p)
 
     def prefix(self, n: int) -> "OrthonormalSystem":
         """Subsystem made of the first ``n`` functions (still orthonormal)."""

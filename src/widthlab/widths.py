@@ -182,7 +182,7 @@ def l1_section_radius_bound(matrix, system, p: float) -> float:
     by subspaces of dimension >= 2n/3 from below; the harness fits the
     constant on training seeds and validates it on fresh ones.
     """
-    if p < 2:
+    if not p >= 2:
         raise BadDimensions("the bound needs p >= 2")
     rho = min_singular_value(matrix)
     return float(rho * _cached_expectation(system, p) ** (-1.5))
@@ -192,7 +192,7 @@ def lq_section_radius_bound(matrix, system, p: float, q: float, s: int) -> float
     """Bound factor for the radius of proportional sections measured in the
     induced q-norm, 1 < q <= 2 <= p: rho * (E_q' * E_p)^(-n/s) with
     1/q + 1/q' = 1; a calibrated constant times it is the lower bound."""
-    if p < 2:
+    if not p >= 2:
         raise BadDimensions("the bound needs p >= 2")
     if not 1.0 < q <= 2.0:
         raise BadDimensions("q must lie in (1, 2]")

@@ -14,7 +14,8 @@ from widthlab.stochastic import (_CHUNK, _NET_CERTIFICATE_SAMPLES, _Z95, Estimat
                                  _body_cloud, _offset_section_volume, _sphere_chunks,
                                  _stream, expectation_norm, greedy_nets,
                                  haar_sphere_sample, mc_volume_ratio)
-from widthlab.systems import _in_row_blocks, trig_prefix_system, trig_system
+from widthlab.systems import (_in_row_blocks, _lp_norms, _power_in_place,
+                              sphere_harmonics_system, trig_prefix_system, trig_system)
 
 SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.inf, -np.inf, np.nan])
 
@@ -90,6 +91,22 @@ def _lp_gauge_grad_old(p, pts):
         return g, pts / np.maximum(g, 1e-300)[:, None]
     scale = np.maximum(g, 1e-300) ** (p - 1.0)
     return g, np.abs(pts) ** (p - 1.0) * np.sign(pts) / scale[:, None]
+
+
+def _lp_norm_block_old(f, w, p):
+    """``OrthonormalSystem._lp_norm_block`` from its node values f = coeffs @ values."""
+    if np.isinf(p):
+        return np.max(np.abs(f), axis=-1)
+    if p == 2.0:
+        return np.sqrt((f * f) @ w)
+    return (_power_in_place(np.abs(f, out=f), p) @ w) ** (1.0 / p)
+
+
+def _lp_norms_old(v, w, p):
+    """``bodies._lp_norms``, the polar and IRLS norm."""
+    if np.isinf(p):
+        return np.max(np.abs(v), axis=1)
+    return (_power_in_place(np.abs(v), p) @ w) ** (1.0 / p)
 
 
 def _induced_block_old(system, p, pts):
@@ -306,6 +323,41 @@ def test_induced_gauge_grad_unchanged(system, p):
         got = InducedBall(system, p).gauge_grad_many(pts)
         ref = _in_row_blocks(lambda b: _induced_block_old(system, p, b), pts, nodes)
     assert got[0][0] == 0.0 and _same_grads(got, ref, got[0] == 0)
+
+
+NORM_SYSTEMS = [trig_system(4), sphere_harmonics_system(3)]
+NORM_PS = [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, np.inf]
+
+
+@pytest.mark.parametrize("system", NORM_SYSTEMS, ids=lambda s: s.name)
+@pytest.mark.parametrize("p", NORM_PS)
+def test_lp_norm_kernel_matches_both_replaced(system, p):
+    """One kernel for the system norms and the polar and IRLS norms: at p = 2
+    without the square-root path, on node values over 40 decades, rows with
+    special values, and zero rows."""
+    nodes = len(system.weights)
+    f = np.concatenate([_data((300, nodes), seed=nodes, specials=False),
+                        _data((40, nodes), seed=nodes + 1)])
+    f[[7, 100]] = 0.0
+    w = system.weights
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _lp_norms(f, w, p)
+        assert _same_bits(got, _lp_norm_block_old(f.copy(), w, p))
+        assert _same_bits(got, _lp_norms_old(f, w, p))
+    assert np.isfinite(got[:300]).all() and got[0] == got[7] == 0.0
+
+
+@pytest.mark.parametrize("system", NORM_SYSTEMS, ids=lambda s: s.name)
+@pytest.mark.parametrize("p", NORM_PS)
+def test_lp_norm_many_unchanged(system, p):
+    nodes = len(system.weights)
+    rows = 3 * max(8, 2**15 // nodes // 8 * 8) + 7  # three blocks and a tail
+    x = np.random.default_rng(6).standard_normal((rows, system.n))
+    x[1] = 0.0
+    x[2, 1:] = 0.0
+    ref = _in_row_blocks(lambda b: _lp_norm_block_old(b @ system.values, system.weights, p),
+                         x, nodes)
+    assert _same_bits(system.lp_norm_many(x, p), ref)
 
 
 def test_ratio_ascent_support_problem_unchanged():

@@ -54,6 +54,15 @@ class TestGaugeAxioms:
         for k in range(3):
             assert body.gauge(np.eye(3)[k]) > 1e-12
 
+    @pytest.mark.parametrize("p", [0.5, np.nan])
+    def test_exponent_below_one_rejected(self, trig3, p):
+        # NaN passed a "p < 1" guard: B_nan^2 gave NaN gauges and the induced
+        # ball a raw ValueError from its power kernel
+        with pytest.raises(BadDimensions):
+            LpBall(2, p)
+        with pytest.raises(BadDimensions):
+            induced_ball(trig3, p)
+
 
 @pytest.mark.parametrize("p", [2.0, 2.05, 2.1, 2.5, 3.0, 4.0])
 def test_zero_row_has_zero_subgradient(trig3, p):

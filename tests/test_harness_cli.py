@@ -596,17 +596,27 @@ class TestCli:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("task, raw", [
-        ("expect", {"p": 1293.0, "samples": 1000}),
         ("scaling", {"gamma": 727.0, "levels": [5, 8]}),
         ("volume", {"samples": 10, "body": {"kind": "linear_image", "base": {
             "kind": "lp", "dim": 2}, "matrix": {"diagonal": [1e-200, 1e-200]}}}),
         # |x|^p overflows inside the gauge kernel for part of the samples only
         ("volume", {"samples": 1000, "body": {"kind": "linear_image", "base": {
             "kind": "lp", "dim": 2, "p": 2000}, "matrix": {"diagonal": [0.6, 0.6]}}}),
-    ], ids=["power-overflow", "rate-underflow", "extreme-matrix", "gauge-overflow"])
+    ], ids=["rate-underflow", "extreme-matrix", "gauge-overflow"])
     def test_float_range_is_an_error_line(self, tmp_path, capsys, task, raw):
         assert _main(tmp_path, {"task": task, "seed": 0, **raw}) == 1
         assert capsys.readouterr().err.startswith(f"error: task {task!r}: ")
+
+    @pytest.mark.parametrize("task, raw", [
+        ("expect", {"p": 1293.0, "samples": 1000}),
+        ("volume", {"samples": 1000, "body": {
+            "kind": "induced", "system": {"kind": "trig", "max_degree": 1}, "p": 1293.0}}),
+    ], ids=["expect-1293", "volume-1293"])
+    def test_high_exponent_norms_in_range(self, tmp_path, capsys, task, raw):
+        # |f|^1293 leaves the float range: such rows are computed again scaled
+        assert _main(tmp_path, {"task": task, "seed": 1, **raw}) == 0
+        value = json.loads(capsys.readouterr().out)["rows"][0]["value"]
+        assert 0 < value < np.inf
 
     @pytest.mark.parametrize("config, out_taken, prefix", [
         (None, False, "configuration error: "),

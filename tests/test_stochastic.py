@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from widthlab import stochastic
-from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
+from widthlab.bodies import Body, LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
 from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
@@ -53,11 +53,17 @@ class TestExpectationNorm:
             expectation_norm(euclidean_ball(2), samples=10)
 
     def test_mean_out_of_float_range_raises(self):
-        # |f|^1293 overflows in the L_p kernel; with that overflow ignored the
-        # mean was inf with a NaN half width
-        body = induced_ball(trig_system(1), 1293.0)
-        with np.errstate(over="ignore"), pytest.raises(FloatRange, match="float range"):
-            expectation_norm(body, samples=1000)
+        # an infinite gauge on some rows made the mean inf with a NaN half width
+        class Unbounded(Body):
+            dim, label = 3, "unbounded"
+
+            def gauge_many(self, points):
+                g = np.linalg.norm(points, axis=1)
+                g[::7] = np.inf
+                return g
+
+        with pytest.raises(FloatRange, match="float range"):
+            expectation_norm(Unbounded(), samples=1000)
 
     @pytest.mark.parametrize("exponent", [520, -520])
     def test_half_width_with_squares_out_of_range(self, exponent):
@@ -92,8 +98,9 @@ class TestExpectedNormBound:
         assert 1.6 <= expected_norm_bound(16.0) / expected_norm_bound(4.0) <= 2.4
 
     def test_requires_p_at_least_two(self):
-        with pytest.raises(BadDimensions):
-            expected_norm_bound(1.5)
+        for p in (1.5, math.nan):
+            with pytest.raises(BadDimensions):
+                expected_norm_bound(p)
 
     def test_unbounded_at_p_inf(self):
         assert expected_norm_bound(math.inf) == math.inf

@@ -79,8 +79,9 @@ class TestTrigSystem:
             trig3.lp_norm_many([1.0, 0.0], 2.0)
 
     def test_p_below_one_rejected(self, trig3):
-        with pytest.raises(BadDimensions):
-            trig3.lp_norm_many([1.0, 0.0, 0.0], 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(BadDimensions):
+                trig3.lp_norm_many([1.0, 0.0, 0.0], p)
 
 
 class TestSphereSystem:

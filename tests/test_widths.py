@@ -281,8 +281,11 @@ class TestRadiusBounds:
 
     def test_parameter_validation(self):
         system = trig_system(1)
-        with pytest.raises(BadDimensions):
-            l1_section_radius_bound(np.eye(3), system, 1.5)
+        for p in (1.5, math.nan):
+            with pytest.raises(BadDimensions):
+                l1_section_radius_bound(np.eye(3), system, p)
+            with pytest.raises(BadDimensions):
+                lq_section_radius_bound(np.eye(3), system, p, 1.5, 2)
         with pytest.raises(BadDimensions):
             lq_section_radius_bound(np.eye(3), system, 2.0, 1.0, 2)
 
