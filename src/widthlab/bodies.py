@@ -209,7 +209,7 @@ class ProjectionBody(Body):
         outer = b[:, None] * b  # row k's B diag(c_k) B^T is c_k contracted with outer
         fit = np.linalg.solve((b * w) @ b.T, b)  # u - (u w B^T) fit: onto B (w u) = 0
 
-        def solve(s, r, rows):
+        def solve(s, r):
             c = w * s
             step = np.linalg.solve(np.tensordot(c, outer, (1, 2)), ((c * r) @ b.T)[..., None])
             return r - step[..., 0] @ b
@@ -257,7 +257,7 @@ class PolarBody(Body):
         pinv = np.linalg.solve((m * w) @ m.T, m)  # x pinv: the least 2-norm feasible lambda
         outer, fit = m[:, None] * m, (pinv * w).T  # u fit: the y of the best fit y M to u
 
-        def solve(s, lam, rows):
+        def solve(s, lam):
             target = lam @ (m * w).T  # the row's x, as the kernel scales it
             y = np.linalg.solve(np.tensordot(w / s, outer, (1, 2)), target[..., None])
             lam = (y[..., 0] @ m) / s
@@ -278,8 +278,8 @@ def _irls(v, e, w, solve, dual):
     (a point of each row's affine set, scaled here to largest |entry| 1).
 
     A pass reweights by s = max(|v| / max|v|, floor)^(e - 2), the floor
-    raised past e = 4 to keep s within 1e12, and steps to ``solve(s, v,
-    rows)``, the minimizers of sum w s v^2, damped by 1/(e - 1) past e = 2.
+    raised past e = 4 to keep s within 1e12, and steps to ``solve(s, v)``,
+    the minimizers of sum w s v^2, damped by 1/(e - 1) past e = 2.
     Every ``_CHECK_EVERY``-th pass brackets the rows: the upper end is the
     minimizer's norm, and a certificate u (s v, or s times the minimizer) gives
     the lower end |pairing| / ||u'||_{e',w} (Hoelder), ``dual(u, rows)``
@@ -297,7 +297,7 @@ def _irls(v, e, w, solve, dual):
         t = np.abs(v)
         t /= np.maximum(t.max(axis=1, keepdims=True), 1e-300)
         s = np.maximum(t, floor, out=t) ** (ei - 2.0)
-        full, last = solve(s, v, live), it == IRLS_PASSES - 1
+        full, last = solve(s, v), it == IRLS_PASSES - 1
         if it % _CHECK_EVERY == 0 or last:
             np.fmin(up, _lp_norms(full, w, e), out=up)
             for u in (s * v, s * full):

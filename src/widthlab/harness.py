@@ -364,6 +364,13 @@ def _checked(name: str, value, rule):
     return value
 
 
+def _known_fields(what: str, spec: dict, allowed) -> None:
+    """ConfigError for a key of ``spec`` outside ``allowed``."""
+    extra = set(spec) - set(allowed)
+    if extra:
+        raise ConfigError(f"{what}: unknown fields {sorted(extra)}; allowed: {sorted(allowed)}")
+
+
 def _real(v, low: float = -math.inf, inf: bool = False) -> bool:
     """A number (not a bool) >= low, finite unless ``inf``, which admits "inf"."""
     return (inf and v == "inf") or (isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -417,10 +424,7 @@ class ExperimentConfig:
             raise ConfigError("field 'seed': a seed is mandatory for reproducibility")
         _checked("seed", seed, (lambda v: _ints([v], 0), "an integer >= 0"))
         fields = list(inspect.signature(TASKS[task]).parameters.values())[1:]  # after seed
-        extra = set(data) - {f.name for f in fields}
-        if extra:
-            raise ConfigError(f"task {task!r}: unknown fields {sorted(extra)}; "
-                              f"allowed: {sorted(f.name for f in fields)}")
+        _known_fields(f"task {task!r}", data, [f.name for f in fields])
         missing = {f.name for f in fields if f.default is f.empty} - set(data)
         if missing:
             raise ConfigError(f"task {task!r}: missing fields {sorted(missing)}")
@@ -445,6 +449,7 @@ def _build_system(spec) -> systems.OrthonormalSystem:
         raise ConfigError(f"field 'system': expected {{kind: trig|trig_prefix|sphere, ...}}, "
                           f"got {spec!r}")
     build, key, default, low, high = _SYSTEMS[kind]
+    _known_fields(f"system kind {kind!r}", spec, ("kind", key))
     return build(_checked(f"system.{key}", spec.get(key, default),
                           (lambda v: _ints([v], low, high), f"an integer in {low}..{high}")))
 
@@ -457,21 +462,23 @@ def _build_body(spec) -> bodies.Body:
     missing = [key for key in _BODY_FIELDS[kind] if key not in spec]
     if missing:
         raise ConfigError(f"body kind {kind!r}: missing fields {missing}")
+    lp_exponent = ("p",) if kind == "lp" else ()  # the one optional field, default 2
+    _known_fields(f"body kind {kind!r}", spec, ("kind", *_BODY_FIELDS[kind], *lp_exponent))
     if kind != "linear_image":
         p = float(_checked("body.p", spec.get("p", 2), _EXPONENT))
         if kind == "induced":
             return induced_ball(_build_system(spec["system"]), p)
         return LpBall(_checked("body.dim", spec["dim"], _COUNT), p)
     base, mat = _build_body(spec["base"]), spec["matrix"]
-    diag, dense = (mat.get("diagonal"), mat.get("dense")) if isinstance(mat, dict) else (None,) * 2
-    if _reals(diag):
-        a = np.diag(diag)
-    elif isinstance(dense, list) and dense and all(
-            _reals(row) and len(row) == len(dense) for row in dense):
-        a = np.array(dense, dtype=float)
+    (key, value), = mat.items() if isinstance(mat, dict) and len(mat) == 1 else [(None, None)]
+    if key == "diagonal" and _reals(value):
+        a = np.diag(value)
+    elif key == "dense" and isinstance(value, list) and value and all(
+            _reals(row) and len(row) == len(value) for row in value):
+        a = np.array(value, dtype=float)
     else:
-        raise ConfigError(f"field 'body.matrix': expected {{diagonal: [...]}} or a square "
-                          f"{{dense: [[...], ...]}} of finite numbers, got {mat!r}")
+        raise ConfigError(f"field 'body.matrix': expected exactly one of {{diagonal: [...]}} "
+                          f"and a square {{dense: [[...], ...]}} of finite numbers, got {mat!r}")
     try:
         return linear_image(base, a)
     except (DimensionMismatch, SingularMatrix) as exc:

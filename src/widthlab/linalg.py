@@ -142,8 +142,18 @@ class Subspace:
         return Subspace(vt[s:])
 
 
+def _orthonormal(mats: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt frames of the rows of each matrix of a stack (row i pairs
+    positively with row i): a Householder QR of each transpose, every column
+    of Q multiplied by the sign, never 0, of R's matching diagonal entry."""
+    q, r = np.linalg.qr(np.swapaxes(mats, -1, -2))
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    return np.swapaxes(q, -1, -2) * sign[..., None]
+
+
 def orthonormalize(vectors) -> Subspace:
-    """Orthonormal frame spanning the given vectors (Gram-Schmidt, two passes).
+    """Orthonormal frame spanning the given vectors, Gram-Schmidt's: row i
+    has a positive inner product with vector i (:func:`_orthonormal`).
 
     Raises :class:`RankDeficient` when the numerical rank, measured against
     the largest singular value at :data:`RANK_TOL`, is below the count.
@@ -159,16 +169,7 @@ def orthonormalize(vectors) -> Subspace:
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient("vectors are numerically linearly dependent")
-    frame = v.copy()
-    for i in range(s):
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for j in range(i):
-                frame[i] -= (frame[i] @ frame[j]) * frame[j]
-        norm = np.linalg.norm(frame[i])
-        if norm <= RANK_TOL * sv[0]:
-            raise RankDeficient("vectors are numerically linearly dependent")
-        frame[i] /= norm
-    return Subspace(frame)
+    return Subspace(_orthonormal(v))
 
 
 def random_subspace(n: int, s: int, seed=0) -> Subspace:

@@ -144,8 +144,8 @@ class OrthonormalSystem:
 
     def lp_norm_many(self, coeffs: np.ndarray, p: float) -> np.ndarray:
         """Quadrature L_p norms of the functions with coefficient rows ``coeffs``;
-        a row whose |f|^p leaves the float range is computed again, scaled by
-        its largest |f|, and every other row keeps its unscaled bits."""
+        a row whose |f|^p leaves the normal float range is computed again,
+        scaled by its largest |f|, and every other row keeps its unscaled bits."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[-1] != self.n:
             raise DimensionMismatch(
@@ -156,7 +156,8 @@ class OrthonormalSystem:
         rows, w = coeffs.reshape(-1, self.n), self.weights
         with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf * 0 at a zero weight
             norms = _in_row_blocks(lambda b: _lp_norms(b @ self.values, w, p), rows, len(w))
-            redo = np.flatnonzero(~((norms > 0) & (norms < np.inf)))  # 0, inf or NaN
+            low = 0.0 if np.isinf(p) else np.finfo(float).tiny ** (1.0 / p)  # norm^p subnormal
+            redo = np.flatnonzero(~((norms > low) & (norms < np.inf)))  # also 0, inf or NaN
             if redo.size:
                 f = rows[redo] @ self.values
                 top = np.max(np.abs(f), axis=1)

@@ -31,7 +31,8 @@ import numpy as np
 from . import _optim
 from .bodies import Body, _conjugate, _polar, induced_ball
 from .errors import BadDimensions, BadOrder
-from .linalg import Subspace, as_generator, full_space, min_singular_value, random_subspace
+from .linalg import (Subspace, _orthonormal, as_generator, full_space, min_singular_value,
+                     random_subspace)
 from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
 from .stochastic import _section_radii, expectation_norm, section_radius
 from .systems import trig_prefix_system
@@ -73,12 +74,6 @@ def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
     if m == len(a):
         return 0.0
     return float(a[m])
-
-
-def _orthonormal(mats: np.ndarray) -> np.ndarray:
-    """Orthonormal frames spanning the rows of each matrix of a stack."""
-    q, _ = np.linalg.qr(np.swapaxes(mats, -1, -2))
-    return np.swapaxes(q, -1, -2)
 
 
 def _search_frames(body: Body, target: Body, rows: int, restarts: int,

@@ -539,10 +539,16 @@ class TestCli:
         ("expect", 5),
         ("expect", "abc"),
         ("verify", {"task": "verify", "seed": 1, "checks": []}),
+        ("expect", {"seed": 1, "system": {"kind": "trig", "n": 9}, "samples": 1000}),
+        ("volume", {"seed": 1, "body": {"kind": "lp", "dim": 2, "wobble": 1}}),
+        ("volume", {"seed": 1, "body": {"kind": "linear_image", "base": {"kind": "lp", "dim": 2},
+                                        "matrix": {"diagonal": [1, 2],
+                                                   "dense": [[1, 0], [0, 1]]}}}),
     ], ids=["widths-without-semiaxes", "scaling-one-level", "scaling-level-above-64",
             "bool-seed",
             "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces",
-            "list-config", "number-config", "string-config", "empty-checks"])
+            "list-config", "number-config", "string-config", "empty-checks",
+            "unknown-system-field", "unknown-body-field", "diagonal-and-dense-matrix"])
     def test_invalid_config_is_config_error(self, tmp_path, task, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))

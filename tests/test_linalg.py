@@ -3,8 +3,8 @@ import pytest
 
 from widthlab.errors import (BadDimensions, DimensionMismatch, RankDeficient,
                              SingularMatrix)
-from widthlab.linalg import (Subspace, full_space, min_singular_value, orthonormalize,
-                             random_subspace)
+from widthlab.linalg import (Subspace, _orthonormal, full_space, min_singular_value,
+                             orthonormalize, random_subspace)
 from widthlab.systems import trig_prefix_system
 from widthlab.widths import l1_section_radius_bound
 
@@ -37,6 +37,20 @@ class TestOrthonormalize:
             s = rng.integers(1, n + 1)
             sub = orthonormalize(rng.standard_normal((s, n)))
             assert np.max(np.abs(sub.frame @ sub.frame.T - np.eye(s))) < 1e-10
+
+    def test_gram_schmidt_convention_one_at_a_time_or_stacked(self):
+        # v @ frame.T is lower triangular with a positive diagonal: row i of
+        # the frame is Gram-Schmidt's, whatever the signs of the inputs
+        rng = np.random.default_rng(5)
+        for n, s in ((2, 2), (3, 2), (5, 3), (6, 6), (8, 5)):
+            stack = rng.standard_normal((6, s, n))
+            stack[::2, :, 0] = -np.abs(stack[::2, :, 0])  # negative leading entries
+            frames = [orthonormalize(v).frame for v in stack]
+            for v, frame in zip(stack, frames):
+                t = v @ frame.T
+                assert np.max(np.abs(np.triu(t, 1))) < 1e-12
+                assert np.all(np.diag(t) > 0)
+            assert np.array_equal(_orthonormal(stack), frames)
 
 
 class TestProject:

@@ -74,6 +74,12 @@ class TestTrigSystem:
             a = rng.standard_normal(s.n)
             assert s.lp_norm_many(a, 2.0) == pytest.approx(np.linalg.norm(a), abs=1e-8)
 
+    @pytest.mark.parametrize("scale, p", [(1e-160, 2.0), (1e-80, 4.0)])
+    def test_subnormal_power_sum_rescued(self, trig3, scale, p):
+        # the unscaled sum of |f|^p is subnormal and keeps only a few bits
+        got = trig3.lp_norm_many([scale, 0.0, 0.0], p)
+        assert abs(got / scale - 1.0) < 1e-15
+
     def test_dimension_mismatch(self, trig3):
         with pytest.raises(DimensionMismatch):
             trig3.lp_norm_many([1.0, 0.0], 2.0)
