@@ -20,8 +20,9 @@ certified lower bounds on the true maxima.
 
 Rows are a few entries long, so the row norms and the tangent projection
 reduce by column in NumPy's order (``linalg._by_column``), each problem
-keeps one running best through ``where=`` masks, and each step reuses its
-gradient buffer; the bits are those of the plain row-wise expressions.
+keeps one running maximum (``np.fmax``, which a NaN ratio never replaces),
+and each step reuses its gradient buffer; the bits are those of the plain
+row-wise expressions.
 """
 
 from __future__ import annotations
@@ -48,35 +49,27 @@ def ratio_ascent(numerator, denominator, starts, num_maps, den_maps):
 
     ``starts`` holds the initial directions (any nonzero length), shape
     (problems, restarts, d); ``num_maps``/``den_maps`` are (problems, d, m)
-    stacks.  Returns ``(values, points)``: the best achieved ratio of
-    each problem and a point where it is achieved, scaled to denominator
-    gauge 1.  The value is the best iterate; no local search follows.
+    stacks.  Returns the best ratio each problem's iterates achieve; no
+    local search follows.
     """
     y = _unit_rows(np.asarray(starts, dtype=float))
     n_prob, n_rows, dim = y.shape
     iters = 1 if dim == 1 else MAX_ITERS  # iterates +-1: one scoring pass is all
-    values, points = np.empty(n_prob), np.empty((n_prob, dim))
+    values = np.empty(n_prob)
 
     live = np.arange(n_prob)
     nmaps, dmaps = num_maps, den_maps
     step = np.full((n_prob, n_rows), 0.3)
     prev = np.full((n_prob, n_rows), -np.inf)
     best = np.full(n_prob, -np.inf)
-    best_row = np.zeros(n_prob, dtype=int)
-    best_y = y[:, 0].copy()
     stall = np.zeros(n_prob, dtype=int)
     for _ in range(iters):
         gn, grad_n = _gauge_grad(numerator, nmaps, y)
         gd, grad_d = _gauge_grad(denominator, dmaps, y)
         ratio = gn / np.maximum(gd, _EPS)
-        rows, pick = np.arange(live.size), np.argmax(ratio, axis=1)
-        val = ratio[rows, pick]
-        # ties go to the lowest row, and within a row to the earliest pass
-        improved = (val > best) | ((val == best) & (pick < best_row))
+        val = ratio.max(axis=1)
         rose = val - best > STALL_RTOL * np.abs(val)
-        np.copyto(best, val, where=improved)
-        np.copyto(best_row, pick, where=improved)
-        np.copyto(best_y, y[rows, pick], where=improved[:, None])
+        np.fmax(best, val, out=best)  # a NaN never replaces the best
         np.multiply(step, 0.5, out=step, where=ratio < prev)
         prev = ratio
         grad = grad_n / np.maximum(gn, _EPS)[..., None]
@@ -90,15 +83,10 @@ def ratio_ascent(numerator, denominator, starts, num_maps, den_maps):
         done = stall >= PATIENCE
         if done.any():
             values[live[done]] = best[done]
-            points[live[done]] = best_y[done]
             keep = ~done
-            live, y, step, prev, best, best_row, best_y, stall, nmaps, dmaps = (a[keep] for a in (
-                live, y, step, prev, best, best_row, best_y, stall, nmaps, dmaps))
+            live, y, step, prev, best, stall, nmaps, dmaps = (a[keep] for a in (
+                live, y, step, prev, best, stall, nmaps, dmaps))
             if not live.size:
                 break
     values[live] = best
-    points[live] = best_y
-
-    gd, _ = _gauge_grad(denominator, den_maps, points[:, None, :])
-    return values, points / np.maximum(gd, _EPS)
-
+    return values

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
-from .systems import OrthonormalSystem, _in_row_blocks, _lp_norms, _power_in_place
+from .systems import OrthonormalSystem, _in_row_blocks, _lp_norms, _out_of_range, _power_in_place
 
 IRLS_PASSES = 100  # cap on the reweighted least-squares passes of a row
 BRACKET_RTOL = 1e-6  # a row stops once its bracket is this narrow, relative
@@ -111,8 +111,16 @@ class InducedBall(Body):
         return self.system.lp_norm_many(np.atleast_2d(np.asarray(points, dtype=float)), self.p)
 
     def gauge_grad_many(self, points):
+        # a row out of range (systems._out_of_range) is computed again over its
+        # largest |f|: the gauge scales back, the 0-homogeneous gradient stays
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _in_row_blocks(self._gauge_grad_block, pts, len(self.system.weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, grad = _in_row_blocks(self._gauge_grad_block, pts, len(self.system.weights))
+            redo, _, top = _out_of_range(g, self.p, pts, self.system.values)
+            if redo.size:
+                g[redo], grad[redo] = self._gauge_grad_block(pts[redo] / top)
+                g[redo] *= top[:, 0]
+        return g, grad
 
     def _gauge_grad_block(self, pts):
         vals = self.system.values

@@ -226,10 +226,9 @@ def _section_radii(body: Body, target: Body, frames: np.ndarray,
         half, other = (frames @ (m * np.sqrt(w)) for m, w, _ in forms)
         low = np.linalg.cholesky(half @ half.transpose(0, 2, 1))
         return np.linalg.svd(np.linalg.solve(low, other), compute_uv=False)[:, 0]
-    values, _ = _optim.ratio_ascent(target, body,
-                                    np.broadcast_to(starts, (len(frames),) + starts.shape),
-                                    num_maps=frames, den_maps=frames)
-    return values
+    return _optim.ratio_ascent(target, body,
+                               np.broadcast_to(starts, (len(frames),) + starts.shape),
+                               num_maps=frames, den_maps=frames)
 
 
 def section_radius(body: Body, target: Body, subspace: Subspace,

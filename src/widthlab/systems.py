@@ -39,16 +39,16 @@ np.empty(1 << 19)
 _BLOCK_VALUES = 2**15
 
 
-def _in_row_blocks(kernel, rows: np.ndarray, n_nodes: int, *args):
-    """``kernel(block, *args)`` over row blocks of the 2-D ``rows``, outputs (or
+def _in_row_blocks(kernel, rows: np.ndarray, n_nodes: int):
+    """``kernel(block)`` over row blocks of the 2-D ``rows``, outputs (or
     each member of tuple outputs) concatenated.  BLAS picks kernels by size and
     takes rows in groups of 4 or 8, so blocks are multiples of 8 rows and the
     last takes the tail: each row then rounds as in one call over all rows."""
     step = max(8, _BLOCK_VALUES // n_nodes // 8 * 8)
     if len(rows) <= step:
-        return kernel(rows, *args)
+        return kernel(rows)
     cuts = range(step, len(rows) - step + 1, step)
-    parts = [kernel(block, *args) for block in np.split(rows, cuts)]
+    parts = [kernel(block) for block in np.split(rows, cuts)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(member) for member in zip(*parts))
     return np.concatenate(parts)
@@ -86,6 +86,19 @@ def _lp_norms(f: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     if np.isinf(p):
         return np.max(np.abs(f), axis=1)
     return (_power_in_place(np.abs(f), p) @ w) ** (1.0 / p)
+
+
+def _out_of_range(norms: np.ndarray, p: float, rows: np.ndarray, values: np.ndarray):
+    """(indices, f = rows @ values, largest |f| as a column) of the rows whose L_p norm
+    is 0, inf or NaN, or has a subnormal p-th power, and whose largest |f| is finite and > 0."""
+    low = 0.0 if np.isinf(p) else np.finfo(float).tiny ** (1.0 / p)
+    redo = np.flatnonzero(~((norms > low) & (norms < np.inf)))
+    if not redo.size:
+        return redo, None, None
+    f = rows[redo] @ values
+    top = np.max(np.abs(f), axis=1)
+    fix = (top > 0) & (top < np.inf)
+    return redo[fix], f[fix], top[fix, None]
 
 
 def _next_prime(m: int) -> int:
@@ -156,13 +169,9 @@ class OrthonormalSystem:
         rows, w = coeffs.reshape(-1, self.n), self.weights
         with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf * 0 at a zero weight
             norms = _in_row_blocks(lambda b: _lp_norms(b @ self.values, w, p), rows, len(w))
-            low = 0.0 if np.isinf(p) else np.finfo(float).tiny ** (1.0 / p)  # norm^p subnormal
-            redo = np.flatnonzero(~((norms > low) & (norms < np.inf)))  # also 0, inf or NaN
+            redo, f, top = _out_of_range(norms, p, rows, self.values)
             if redo.size:
-                f = rows[redo] @ self.values
-                top = np.max(np.abs(f), axis=1)
-                fix = np.isfinite(top) & (top > 0)  # zero rows and inf or NaN values keep theirs
-                norms[redo[fix]] = top[fix] * _lp_norms(f[fix] / top[fix, None], w, p)
+                norms[redo] = top[:, 0] * _lp_norms(f / top, w, p)
         return norms.reshape(coeffs.shape[:-1])[()]
 
     def prefix(self, n: int) -> "OrthonormalSystem":

@@ -139,6 +139,8 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
     n = body.dim
     if n > 5:
         raise BadDimensions("brute-force widths are limited to n <= 5")
+    if restarts < 1:
+        raise BadDimensions("need at least 1 restart")
     if not 0 <= m <= n:
         raise BadOrder(f"order must be in 0..{n}")
     if m == n:
@@ -244,9 +246,8 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
                 den_maps.append(frame @ inv_t)
                 starts.append(as_generator(rng.integers(2**31)).standard_normal((restarts, r)))
         gauge = induced_ball(system, 1.0 if q is None else q)
-        radii, _ = _optim.ratio_ascent(gauge, induced_ball(system, p), np.array(starts),
-                                       num_maps=np.array(num_maps),
-                                       den_maps=np.array(den_maps))
+        radii = _optim.ratio_ascent(gauge, induced_ball(system, p), np.array(starts),
+                                    num_maps=np.array(num_maps), den_maps=np.array(den_maps))
         ratios[:, c, :] = radii.reshape(len(seeds), subspaces) / np.array(factors)[:, None]
     return ratios.ravel().tolist()
 

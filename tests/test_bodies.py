@@ -122,6 +122,21 @@ class TestInducedBall:
                 fd = (body.gauge_many(yp) - g) / eps
                 assert np.allclose(fd, grad[:, i], atol=1e-5)
 
+    @pytest.mark.parametrize("p", [60.0, 1293.0])
+    def test_out_of_range_gradients_are_rescued(self, trig3, p):
+        # |f|^p overflows or underflows on these scales; the rescued rows
+        # scale like the gauge, keep the 0-homogeneous gradient and satisfy
+        # Euler's identity <grad g(x), x> = g(x)
+        body = induced_ball(trig3, p)
+        y = np.random.default_rng(10).standard_normal((12, 3))
+        y /= np.max(np.abs(y @ trig3.values), axis=1)[:, None]  # largest |f| is 1: in range
+        g0, grad0 = body.gauge_grad_many(y)
+        for scale in (1e-200, 1e-5, 10.0, 1e200):
+            g, grad = body.gauge_grad_many(scale * y)
+            np.testing.assert_allclose(g, scale * g0, rtol=1e-12)
+            np.testing.assert_allclose(grad, grad0, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(np.sum(grad * scale * y, axis=1), g, rtol=1e-12)
+
 
 class TestLinearImage:
     def test_identity_preserves_gauge(self, trig3):

@@ -613,16 +613,19 @@ class TestCli:
         assert _main(tmp_path, {"task": task, "seed": 0, **raw}) == 1
         assert capsys.readouterr().err.startswith(f"error: task {task!r}: ")
 
-    @pytest.mark.parametrize("task, raw", [
-        ("expect", {"p": 1293.0, "samples": 1000}),
+    @pytest.mark.parametrize("task, raw, field", [
+        ("expect", {"p": 1293.0, "samples": 1000}, "value"),
         ("volume", {"samples": 1000, "body": {
-            "kind": "induced", "system": {"kind": "trig", "max_degree": 1}, "p": 1293.0}}),
-    ], ids=["expect-1293", "volume-1293"])
-    def test_high_exponent_norms_in_range(self, tmp_path, capsys, task, raw):
-        # |f|^1293 leaves the float range: such rows are computed again scaled
+            "kind": "induced", "system": {"kind": "trig", "max_degree": 1}, "p": 1293.0}},
+         "value"),
+        ("radius", {"p": 1293.0}, "radius"),
+    ], ids=["expect-1293", "volume-1293", "radius-1293"])
+    def test_high_exponent_norms_in_range(self, tmp_path, capsys, task, raw, field):
+        # |f|^1293 leaves the float range: such rows, of the norms and of the
+        # ascent's gradients, are computed again scaled
         assert _main(tmp_path, {"task": task, "seed": 1, **raw}) == 0
-        value = json.loads(capsys.readouterr().out)["rows"][0]["value"]
-        assert 0 < value < np.inf
+        for row in json.loads(capsys.readouterr().out)["rows"]:
+            assert 0 < row[field] < np.inf
 
     @pytest.mark.parametrize("config, out_taken, prefix", [
         (None, False, "configuration error: "),

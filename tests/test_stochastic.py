@@ -293,7 +293,7 @@ class TestSectionRadius:
         # a long ascent: the default stall stop leaves up to about 1e-6 on the table
         monkeypatch.setattr(stochastic._optim, "MAX_ITERS", 3000)
         monkeypatch.setattr(stochastic._optim, "PATIENCE", 400)
-        ascent, _ = stochastic._optim.ratio_ascent(
+        ascent = stochastic._optim.ratio_ascent(
             target, body, np.broadcast_to(starts, (4, 16, 3)), num_maps=frames, den_maps=frames)
         monkeypatch.setattr(stochastic._optim, "ratio_ascent", None)  # no ascent call
         closed = stochastic._section_radii(body, target, frames, starts)

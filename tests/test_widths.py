@@ -132,6 +132,12 @@ class TestBruteForce:
         for value in (by_list, by_gen):
             assert low <= value <= high
 
+    @pytest.mark.parametrize("search", [brute_force_gelfand, brute_force_kolmogorov])
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_is_bad_dimensions(self, search, restarts):
+        with pytest.raises(BadDimensions, match="restart"):
+            search(LpBall(3, 2.0), LpBall(3, 1.0), 1, restarts=restarts)
+
     def test_width_sequences_nonincreasing(self):
         rng = np.random.default_rng(4)
         axes = np.sort(np.exp(rng.uniform(-1, 1, 4)))[::-1]
