@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimensions, DimensionMismatch, SingularMatrix
+from .errors import BadDimensions, DimensionMismatch, RankDeficient, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
 from .systems import OrthonormalSystem, _in_row_blocks, _lp_norms, _out_of_range, _power_in_place
 
@@ -73,7 +73,7 @@ class LpBall(Body):
         if np.isinf(self.p):
             return _by_column(np.maximum, np.abs(pts))
         if self.p == 2.0:
-            return np.sqrt(_by_column(np.add, pts * pts))
+            return _two_norms(pts)
         return _by_column(np.add, np.abs(pts) ** self.p) ** (1.0 / self.p)
 
     def gauge_grad_many(self, points):
@@ -92,12 +92,23 @@ class LpBall(Body):
         return g, grad
 
 
+def _two_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``y``."""
+    return np.sqrt(_by_column(np.add, y * y))
+
+
 def euclidean_ball(dim: int) -> LpBall:
     return LpBall(dim, 2.0)
 
 
 class InducedBall(Body):
-    """Unit ball of the L_p norm pulled back through an orthonormal system."""
+    """Unit ball of the L_p norm pulled back through an orthonormal system.
+
+    At p = 2 the norm is |x L|, L the Cholesky factor of the system's Gram
+    matrix G = V diag(w) V^T, since ||x V||_{2,w}^2 = x G x^T: n columns
+    where the node kernel takes one per node, and exact for any system whose
+    functions are independent; dependent ones raise RankDeficient.
+    """
 
     def __init__(self, system: OrthonormalSystem, p: float):
         if not p >= 1:
@@ -106,23 +117,46 @@ class InducedBall(Body):
         self.p = float(p)
         self.dim = system.n
         self.label = f"B({system.name},p={p})"
+        self._factor = None
+        if self.p == 2.0:
+            gram = system.gram()
+            sv = np.linalg.svd(gram, compute_uv=False)
+            if not sv[-1] > RANK_TOL * sv[0]:
+                raise RankDeficient(f"{system.name} has numerically dependent functions")
+            self._factor = np.linalg.cholesky(gram)
 
     def gauge_many(self, points):
-        return self.system.lp_norm_many(np.atleast_2d(np.asarray(points, dtype=float)), self.p)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._factor is None:
+            return self.system.lp_norm_many(pts, self.p)
+        return self._rescued(lambda b: (_two_norms(b @ self._factor),), pts)[0]
 
     def gauge_grad_many(self, points):
-        # a row out of range (systems._out_of_range) is computed again over its
-        # largest |f|: the gauge scales back, the 0-homogeneous gradient stays
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return self._rescued(self._gauge_grad_block, np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def _rescued(self, kernel, pts):
+        """``kernel`` (gauges first) over row blocks of ``pts``; a row out of
+        range (systems._out_of_range) is computed again over the largest
+        |entry| of its x V, or x L at p = 2: the gauge scales back, the
+        0-homogeneous gradient stays."""
+        if pts.shape[-1] != self.dim:
+            raise DimensionMismatch(f"coefficient length {pts.shape[-1]} != system size {self.dim}")
+        basis = self.system.values if self._factor is None else self._factor
         with np.errstate(over="ignore", invalid="ignore"):
-            g, grad = _in_row_blocks(self._gauge_grad_block, pts, len(self.system.weights))
-            redo, _, top = _out_of_range(g, self.p, pts, self.system.values)
+            out = _in_row_blocks(kernel, pts, basis.shape[1])
+            redo, _, top = _out_of_range(out[0], self.p, pts, basis)
             if redo.size:
-                g[redo], grad[redo] = self._gauge_grad_block(pts[redo] / top)
-                g[redo] *= top[:, 0]
-        return g, grad
+                for a, fixed in zip(out, kernel(pts[redo] / top)):
+                    a[redo] = fixed
+                out[0][redo] *= top[:, 0]
+        return out
 
     def _gauge_grad_block(self, pts):
+        if self._factor is not None:  # p = 2: g = |x L|, gradient (x L / g) L^T
+            y = pts @ self._factor
+            g = _two_norms(y)
+            y /= np.maximum(g, 1e-300)[:, None]
+            return g, y @ self._factor.T
         vals = self.system.values
         w = self.system.weights
         f = pts @ vals

@@ -6,7 +6,7 @@ seed and yields one ``(key, margins, detail)`` per case; ``_gather`` joins
 the margins in order and keys the details for the report.  That seed is
 drawn from the run seed by hashing the check name, so checks are
 independent and the whole suite is reproducible byte for byte.  The 15
-checks took 1.9-2.0 s in one process at seed 7 on a 2-core VM; the acceptance
+checks took 1.3-1.5 s in one process at seed 7 on a 2-core VM; the acceptance
 tests rerun the heavy protocols at full scale.  Each task is one runner
 ``TASKS[name](seed, **fields)``, whose signature is the task's config schema.
 """

@@ -331,7 +331,8 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
                            samples: int, rng) -> EstimateWithCI:
     """Volume of the slice of the body by the plane offset + subspace,
     relative to the unit ball of the subspace dimension; radial bisection
-    per direction."""
+    per direction.  A 1-D slice is exact: the mean of its two radial lengths
+    over S^0 = {+1, -1}, with half width 0 and nothing drawn."""
     s = subspace.dim
     frame = subspace.frame
     z = np.asarray(offset, dtype=float)
@@ -355,6 +356,9 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
             hi[~inside] = mid[~inside]
         return lo ** float(s)
 
+    if s == 1:
+        ends = radial_power(np.array([[1.0], [-1.0]]))
+        return EstimateWithCI(float(0.5 * (ends[0] + ends[1])), 0.0, 2)
     return _mean(radial_power(u) for u in _sphere_chunks(rng, s, samples, 8192))
 
 

@@ -12,9 +12,9 @@ on the true sup; node counts are chosen dense enough (and, on the sphere, the
 poles are appended with weight zero) to keep the gap small for the shipped
 systems.
 
-The node-space oracles (``lp_norm_many`` here, ``InducedBall.gauge_grad_many``)
-run over row blocks of about 2^15 node values: cache-sized temporaries, and
-memory bounded by the output whatever the number of rows.  One weighted L_p
+The node-space oracles (``lp_norm_many`` here, ``InducedBall.gauge_grad_many``
+at p other than 2) run over row blocks of about 2^15 node values: cache-sized
+temporaries, and memory bounded by the output whatever the number of rows.  One weighted L_p
 norm of node values, ``_lp_norms``, serves ``lp_norm_many`` and the brackets
 of ``bodies``.
 """

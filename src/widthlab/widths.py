@@ -31,8 +31,7 @@ import numpy as np
 from . import _optim
 from .bodies import Body, _conjugate, _polar, induced_ball
 from .errors import BadDimensions, BadOrder
-from .linalg import (Subspace, _orthonormal, as_generator, full_space, min_singular_value,
-                     random_subspace)
+from .linalg import Subspace, _orthonormal, as_generator, full_space, min_singular_value
 from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
 from .stochastic import _section_radii, expectation_norm, section_radius
 from .systems import trig_prefix_system
@@ -218,7 +217,8 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
     The minimum of these ratios over a training seed set is the calibrated
     constant.  All (seed, subspace) problems of one cell go to one ascent
     call: the section of A*B_p by span(F) has q-norm radius
-    max g_q(y F) / g_p(y F A^{-T}).  Ratios come seed-major, as drawn.
+    max g_q(y F) / g_p(y F A^{-T}), the frames F of one cell from one
+    batched QR.  Ratios come seed-major, as drawn.
     """
     if kind not in ("l1", "lq"):
         raise BadDimensions("kind must be 'l1' or 'lq'")
@@ -231,7 +231,7 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
     for c, (n, p, q) in enumerate(cells):
         system = trig_prefix_system(n)
         r = math.ceil(2 * n / 3) if kind == "l1" else math.ceil(n / 2)
-        factors, num_maps, den_maps, starts = [], [], [], []
+        factors, inv_ts, draws, starts = [], [], [], []
         for seed in seeds:
             rng = as_generator([seed, n, int(p * 4), 0 if q is None else int(q * 4)])
             a = _trial_matrix(rng, n)
@@ -239,15 +239,15 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
                 factors.append(l1_section_radius_bound(a, system, p))
             else:
                 factors.append(lq_section_radius_bound(a, system, p, q, r))
-            inv_t = np.linalg.inv(a).T
-            for _ in range(subspaces):
-                frame = random_subspace(n, r, rng).frame
-                num_maps.append(frame)
-                den_maps.append(frame @ inv_t)
+            inv_ts.append(np.linalg.inv(a).T)
+            for _ in range(subspaces):  # random_subspace's draw, then the starts' seed
+                draws.append(rng.standard_normal((r, n)))
                 starts.append(as_generator(rng.integers(2**31)).standard_normal((restarts, r)))
+        frames = _orthonormal(np.array(draws))
+        den_maps = frames.reshape(len(seeds), subspaces, r, n) @ np.array(inv_ts)[:, None]
         gauge = induced_ball(system, 1.0 if q is None else q)
         radii = _optim.ratio_ascent(gauge, induced_ball(system, p), np.array(starts),
-                                    num_maps=np.array(num_maps), den_maps=np.array(den_maps))
+                                    num_maps=frames, den_maps=den_maps.reshape(frames.shape))
         ratios[:, c, :] = radii.reshape(len(seeds), subspaces) / np.array(factors)[:, None]
     return ratios.ravel().tolist()
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from widthlab import _optim, stochastic
+from widthlab import _optim, stochastic, widths
 from widthlab.bodies import InducedBall, LpBall, euclidean_ball
 from widthlab.linalg import _by_column, _unit_rows, as_generator, orthonormalize, random_subspace
 from widthlab.stochastic import (_CHUNK, _NET_CERTIFICATE_SAMPLES, _Z95, EstimateWithCI,
@@ -268,6 +268,34 @@ def _same_grads(got, ref, zero) -> bool:
             and bool(np.all(got[1][zero] == 0)))
 
 
+def _radius_ratio_samples_old(kind, seeds, dims, ps, qs, subspaces, restarts):
+    """``widths.radius_ratio_samples`` with one ``random_subspace`` per problem."""
+    cells = [(n, p, q) for n in dims for p in ps for q in (qs if kind == "lq" else (None,))]
+    ratios = np.empty((len(seeds), len(cells), subspaces))
+    for c, (n, p, q) in enumerate(cells):
+        system = trig_prefix_system(n)
+        r = math.ceil(2 * n / 3) if kind == "l1" else math.ceil(n / 2)
+        factors, num_maps, den_maps, starts = [], [], [], []
+        for seed in seeds:
+            rng = as_generator([seed, n, int(p * 4), 0 if q is None else int(q * 4)])
+            a = widths._trial_matrix(rng, n)
+            if kind == "l1":
+                factors.append(widths.l1_section_radius_bound(a, system, p))
+            else:
+                factors.append(widths.lq_section_radius_bound(a, system, p, q, r))
+            inv_t = np.linalg.inv(a).T
+            for _ in range(subspaces):
+                frame = random_subspace(n, r, rng).frame
+                num_maps.append(frame)
+                den_maps.append(frame @ inv_t)
+                starts.append(as_generator(rng.integers(2**31)).standard_normal((restarts, r)))
+        gauge = InducedBall(system, 1.0 if q is None else q)
+        radii = _optim.ratio_ascent(gauge, InducedBall(system, p), np.array(starts),
+                                    num_maps=np.array(num_maps), den_maps=np.array(den_maps))
+        ratios[:, c, :] = radii.reshape(len(seeds), subspaces) / np.array(factors)[:, None]
+    return ratios.ravel().tolist()
+
+
 # --- the tests ---------------------------------------------------------------
 
 SHAPES = [(), (50,), (4, 9)]
@@ -311,6 +339,13 @@ def test_lp_ball_gauges_unchanged(p, n):
         assert _same_grads(got, ref, (got[0] == 0) & (p not in (1.0, 2.0, np.inf)))
 
 
+#: the induced 2-ball runs through its Gram factor, not the node kernel: its
+#: gauges match the replaced code to 4 eps relative and its gradients, whose
+#: entries are at most about 1, to 8 eps (measured at most 2.1 and 4.5 eps)
+TWO_BALL_RTOL = 4 * np.finfo(float).eps
+TWO_BALL_ATOL = 8 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("system", [trig_system(1), trig_system(4)], ids=lambda s: s.name)
 @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
 def test_induced_gauge_grad_unchanged(system, p):
@@ -322,7 +357,13 @@ def test_induced_gauge_grad_unchanged(system, p):
     with np.errstate(invalid="ignore"):
         got = InducedBall(system, p).gauge_grad_many(pts)
         ref = _in_row_blocks(lambda b: _induced_block_old(system, p, b), pts, nodes)
-    assert got[0][0] == 0.0 and _same_grads(got, ref, got[0] == 0)
+    assert got[0][0] == 0.0
+    if p == 2.0:
+        assert np.all(got[1][0] == 0.0)
+        np.testing.assert_allclose(got[0], ref[0], rtol=TWO_BALL_RTOL)
+        np.testing.assert_allclose(got[1], ref[1], rtol=0, atol=TWO_BALL_ATOL)
+    else:
+        assert _same_grads(got, ref, got[0] == 0)
 
 
 NORM_SYSTEMS = [trig_system(4), sphere_harmonics_system(3)]
@@ -521,3 +562,11 @@ def test_shared_net_traversal_unchanged(body, ref, scales, seed):
         points, certified, coverage = _greedy_net_old(body, ref, delta, seed)
         assert _same_bits(net.net_points, points)
         assert (net.certified, net.coverage) == (certified, coverage)
+
+
+@pytest.mark.parametrize("kind, qs", [("l1", ()), ("lq", (1.5,))])
+def test_radius_ratio_samples_stacked_frames_unchanged(kind, qs):
+    """The frames of a cell from one batched QR, the radius grid's streams as drawn."""
+    grid = dict(seeds=range(3), dims=(3, 5), ps=(4.0,), qs=qs, subspaces=2, restarts=8)
+    got = widths.radius_ratio_samples(kind, **grid)
+    assert _same_bits(got, _radius_ratio_samples_old(kind, **grid))

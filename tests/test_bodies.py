@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from widthlab.bodies import (InducedBall, LinearImageBody, LpBall, PolarBody, ProjectionBody,
                              _polar, euclidean_ball, induced_ball,
                              linear_image)
-from widthlab.errors import BadDimensions, DimensionMismatch, SingularMatrix
+from widthlab.errors import BadDimensions, DimensionMismatch, RankDeficient, SingularMatrix
 from widthlab.harness import _build_body
 from widthlab.linalg import random_subspace
 from widthlab.manifolds import multiplier_diagonal, sphere
-from widthlab.systems import (_BLOCK_VALUES, _power_in_place, sphere_harmonics_system,
-                              trig_system)
+from widthlab.systems import (_BLOCK_VALUES, OrthonormalSystem, _lp_norms, _power_in_place,
+                              sphere_harmonics_system, trig_system)
 
 COS_L1 = 2.0 * math.sqrt(2.0) / math.pi
+#: an induced 2-ball is |x L|, L the Cholesky factor of the Gram matrix: its
+#: gauges match the node kernel to 4 eps relative and its gradients, whose
+#: entries are at most about 1, to 8 eps (measured at most 2.1 and 4.5 eps)
+TWO_BALL_RTOL = 4 * np.finfo(float).eps
+TWO_BALL_ATOL = 8 * np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +127,47 @@ class TestInducedBall:
                 fd = (body.gauge_many(yp) - g) / eps
                 assert np.allclose(fd, grad[:, i], atol=1e-5)
 
-    @pytest.mark.parametrize("p", [60.0, 1293.0])
+    @pytest.mark.parametrize("system", [trig_system(1), trig_system(2), trig_system(4),
+                                        sphere_harmonics_system(2), sphere_harmonics_system(3)],
+                             ids=lambda s: s.name)
+    def test_p2_gram_factor_matches_node_kernel(self, system):
+        rows = 3 * (_BLOCK_VALUES // system.n // 8 * 8) + 7  # three blocks of n columns and a tail
+        x = np.random.default_rng(11).standard_normal((rows, system.n))
+        x[[0, rows - 1]] = 0.0
+        f = x @ system.values
+        ref = _lp_norms(f, system.weights, 2.0)
+        ref_grad = ((f * system.weights) @ system.values.T) / np.maximum(ref, 1e-300)[:, None]
+        body = induced_ball(system, 2.0)
+        g, grad = body.gauge_grad_many(x)
+        assert np.array_equal(body.gauge_many(x), g)
+        assert g[0] == g[-1] == 0.0 and not grad[[0, -1]].any()
+        np.testing.assert_allclose(g, ref, rtol=TWO_BALL_RTOL)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=TWO_BALL_ATOL)
+
+    def test_p2_non_orthonormal_system(self):
+        # random weights and values: G is far from the identity, so a factor
+        # L = I would miss the node kernel by far more than the bounds (the
+        # measured deviations are 2 eps on gauges and 75 eps on gradients)
+        rng = np.random.default_rng(12)
+        w = rng.random(15)
+        system = OrthonormalSystem("skew", w / w.sum(), rng.standard_normal((4, 15)))
+        assert np.max(np.abs(system.gram() - np.eye(4))) > 0.1
+        x = rng.standard_normal((200, 4))
+        f = x @ system.values
+        ref = _lp_norms(f, system.weights, 2.0)
+        g, grad = induced_ball(system, 2.0).gauge_grad_many(x)
+        np.testing.assert_allclose(g, ref, rtol=1e-13)
+        np.testing.assert_allclose(grad, ((f * system.weights) @ system.values.T) / ref[:, None],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_p2_dependent_functions_raise(self, trig3, factor):
+        values = np.vstack([trig3.values, factor * trig3.values[1]])
+        system = OrthonormalSystem("dependent", trig3.weights, values)
+        with pytest.raises(RankDeficient):
+            induced_ball(system, 2.0)
+
+    @pytest.mark.parametrize("p", [2.0, 60.0, 1293.0])
     def test_out_of_range_gradients_are_rescued(self, trig3, p):
         # |f|^p overflows or underflows on these scales; the rescued rows
         # scale like the gauge, keep the 0-homogeneous gradient and satisfy
@@ -343,5 +388,8 @@ def test_induced_gauge_grad_blocks_match_one_shot(system, p):
         g, grad = body.gauge_grad_many(x)
         ref_g, ref_grad = _gauge_grad_reference(system, p, x)
         assert g.shape == (rows,) and grad.shape == (rows, system.n)
-        np.testing.assert_array_max_ulp(g, ref_g, maxulp=2)
+        if p == 2.0:  # the Gram factor's path against the node kernel's
+            np.testing.assert_allclose(g, ref_g, rtol=TWO_BALL_RTOL)
+        else:
+            np.testing.assert_array_max_ulp(g, ref_g, maxulp=2)
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=grad_tol)

@@ -411,8 +411,19 @@ class TestBrunnSections:
                                          np.zeros(2), 500, rng)
         offset = _offset_section_volume(euclidean_ball(2), sub,
                                         np.array([0.0, 0.5]), 500, rng)
-        assert central.value == pytest.approx(1.0, abs=1e-9)
-        assert offset.value == pytest.approx(math.sqrt(0.75), abs=1e-9)
+        assert central.value == pytest.approx(1.0, abs=1e-15)
+        assert offset.value == pytest.approx(math.sqrt(0.75), abs=1e-15)
+
+    def test_one_dim_slice_is_the_two_point_mean(self):
+        # the sheared square's chord at height 0.5 runs from -0.75 to 1.25:
+        # r+ = 1.25 and r- = 0.75 differ, and the exact slice is their mean
+        body = linear_image(LpBall(2, np.inf), [[1.0, 0.5], [0.0, 1.0]])
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        est = _offset_section_volume(body, orthonormalize([[1.0, 0.0]]), np.array([0.0, 0.5]),
+                                     500, rng)
+        assert est.value == pytest.approx((1.25 + 0.75) / 2, abs=1e-15)
+        assert est.half_width == 0.0 and rng.bit_generator.state == state  # nothing drawn
 
     def test_disk_offsets(self):
         sub = orthonormalize([[1.0, 0.0]])
