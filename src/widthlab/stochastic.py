@@ -3,7 +3,8 @@
 All volume computations are ratios against a reference body through the
 sphere-integral identity Vol(V)/Vol(B_2^n) = E[gauge_V^{-n}] over the unit
 sphere; absolute volumes in high dimension underflow and no inequality in
-this package needs them.
+this package needs them.  One accumulator, ``_moments``, takes every sphere
+mean and volume ratio: half widths from centred sums, 0 when constant.
 
 Sampling is chunked from one stream spawned from the seed (a Generator
 seed first draws an integer seed from itself), so estimates are
@@ -111,24 +112,33 @@ def _seeded_chunks(seed, n: int, total: int):
     return (_held[1],)
 
 
+def _moments(chunks):
+    """Count, means, covariance and power-of-two shifts of the rows of the fresh
+    (k, rows) arrays ``chunks``, which it overwrites: rows scaled by 2^shift,
+    fixed by the first chunk, keep their bits and square in range; centred on
+    their first scaled values, constant rows have covariance exactly 0."""
+    total = sums = dsum = dd = 0
+    for x in chunks:  # drawn outside the error state, which the caller's gauges must not share
+        if not total:
+            shift = -np.frexp(x.max(axis=1))[1][:, None]
+            centre = np.ldexp(x[:, :1], shift)
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range shows in the means
+            np.ldexp(x, shift, out=x)
+            sums = sums + x.sum(axis=1)
+            x -= centre
+            dsum, dd = dsum + x.sum(axis=1), dd + np.einsum("ir,jr->ij", x, x)
+            total += x.shape[1]
+            cov = (dd - np.outer(dsum, dsum) / total) / total
+    return total, sums / total, cov, shift[:, 0].tolist()
+
+
 def _mean(chunks) -> EstimateWithCI:
-    """Mean of the values in ``chunks`` (an iterable of fresh arrays, scaled in
-    place), with its 95% half width; raises :class:`FloatRange` when the mean
-    is not finite."""
-    total = s1 = s2 = 0.0
-    shift = None
-    for values in chunks:
-        if shift is None:  # a power of two keeps the squares in range and the bits as they were
-            shift = -int(np.frexp(values.max())[1])
-        np.ldexp(values, shift, out=values)
-        s1 += float(values.sum()); s2 += float((values * values).sum())
-        total += len(values)
-    mean = s1 / total
+    """Mean of the fresh arrays ``chunks`` with its 95% half width; FloatRange if not finite."""
+    total, (mean,), ((var,),), (shift,) = _moments(v[None] for v in chunks)
     if not math.isfinite(mean):
-        raise FloatRange(f"a sample mean leaves the float range: {mean!r}")
-    var = max(s2 / total - mean * mean, 0.0)
+        raise FloatRange(f"a sample mean leaves the float range: {float(mean)!r}")
     return EstimateWithCI(math.ldexp(mean, -shift),
-                          math.ldexp(_Z95 * math.sqrt(var / total), -shift), int(total))
+                          math.ldexp(_Z95 * math.sqrt(max(var, 0.0) / total), -shift), total)
 
 
 def expectation_norm(body: Body, samples: int = 200_000, seed=0) -> EstimateWithCI:
@@ -156,11 +166,11 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
                     seed=0, check_blowup: bool = True) -> EstimateWithCI:
     """Vol(body)/Vol(reference) by the sphere-integral identity.
 
-    Both integrands gauge^{-n} share the same sample stream, so the ratio of
-    means benefits from common random numbers; the half width comes from the
-    delta method.  Raises :class:`VarianceBlowup` when the half width
-    exceeds 25% of the value, and :class:`FloatRange` when a mean of
-    gauge^{-n}, or their ratio, is 0 or not finite.
+    Both integrands gauge^{-n} share one sample stream (common random
+    numbers); the half width is the delta method's g S g^T, g = (1/m_x,
+    -1/m_y), S their centred covariance.  Raises :class:`VarianceBlowup`
+    when the half width exceeds 25% of the value, and :class:`FloatRange`
+    when a mean of gauge^{-n}, or their ratio, is 0 or not finite.
     """
     n = body.dim
     if reference.dim != n:
@@ -168,33 +178,24 @@ def mc_volume_ratio(body: Body, reference: Body, samples: int = 500_000,
     if n > 10:
         raise BadDimensions("volume ratios are limited to n <= 10")
     samples = _sample_count(samples, 1)
-    total = sx = sy = sxx = syy = sxy = 0.0
-    shift = None
-    for chunk in _seeded_chunks(seed, n, samples):
-        gx, gy = body.gauge_many(chunk), reference.gauge_many(chunk)
-        with np.errstate(over="ignore", divide="ignore"):  # out of range shows in the means
-            x, y = gx ** float(-n), gy ** float(-n)
-            if shift is None:  # powers of two keep the squares in range and the bits as they were
-                shift = -np.frexp([x.max(), y.max()])[1]
-            np.ldexp(x, shift[0], out=x); np.ldexp(y, shift[1], out=y)
-            sx += float(x.sum()); sy += float(y.sum())
-            sxx += float((x * x).sum()); syy += float((y * y).sum())
-            sxy += float((x * y).sum())
-        total += len(chunk)
-    mx, my = sx / total, sy / total
-    with np.errstate(all="ignore"):
-        ratio = float(np.ldexp(np.float64(mx) / my, int(shift[1] - shift[0])))
+
+    def integrands():  # gauge^{-n} of both bodies, one (2, rows) array per chunk
+        for u in _seeded_chunks(seed, n, samples):
+            g = np.stack((body.gauge_many(u), reference.gauge_many(u)))
+            with np.errstate(over="ignore", divide="ignore"):  # out of range shows in the means
+                g **= float(-n)
+            yield g
+
+    total, (mx, my), cov, (sx, sy) = _moments(integrands())
+    with np.errstate(all="ignore"):  # out of range shows in the check below
+        grad = np.array([1.0 / mx, -1.0 / my])  # of log(mx / my)
+        ratio, rel_var = float(np.ldexp(mx / my, sy - sx)), float(grad @ cov @ grad)
     if not (0.0 < mx < math.inf and 0.0 < my < math.inf and 0.0 < ratio < math.inf):
         raise FloatRange(f"a mean of gauge^(-{n}) or the ratio {ratio!r} leaves the float range")
-    vx = max(sxx / total - mx * mx, 0.0)
-    vy = max(syy / total - my * my, 0.0)
-    cxy = sxy / total - mx * my
-    rel_var = max(vx / mx**2 + vy / my**2 - 2.0 * cxy / (mx * my), 0.0)
-    half = _Z95 * abs(ratio) * math.sqrt(rel_var / total)
-    est = EstimateWithCI(ratio, half, int(total))
-    if check_blowup and half > 0.25 * abs(ratio):
+    half = _Z95 * ratio * math.sqrt(max(rel_var, 0.0) / total)
+    if check_blowup and half > 0.25 * ratio:
         raise VarianceBlowup(f"half width {half:.3g} exceeds 25% of {ratio:.3g}")
-    return est
+    return EstimateWithCI(ratio, half, total)
 
 
 def projection_volume_ratio(body: Body, subspace: Subspace,
@@ -334,14 +335,13 @@ def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
     per direction.  A 1-D slice is exact: the mean of its two radial lengths
     over S^0 = {+1, -1}, with half width 0 and nothing drawn."""
     s = subspace.dim
-    frame = subspace.frame
     z = np.asarray(offset, dtype=float)
     z = z - subspace.project(z)  # only the perpendicular component moves the slice
     if body.gauge(z) >= 1.0:
         return EstimateWithCI(0.0, 0.0, samples)
 
     def radial_power(u):  # |boundary point|^s along each direction, by bisection
-        u = u @ frame
+        u = u @ subspace.frame
         hi = np.ones(len(u))
         for _ in range(60):
             inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
@@ -370,6 +370,5 @@ def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):
     worst = math.inf
     for z in offsets:
         off = _offset_section_volume(body, subspace, z, samples, rng)
-        slack = 2.0 * (central.half_width + off.half_width)
-        worst = min(worst, central.value - off.value + slack)
+        worst = min(worst, central.value - off.value + 2.0 * (central.half_width + off.half_width))
     return central.value, worst

@@ -439,6 +439,17 @@ class TestVerify:
         assert report.passed
         assert report.details["exact-2d"] == pytest.approx(np.pi**2 - 8.0)
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_santalo_p2_slack_is_the_tolerance(self, tmp_path, seed):
+        # at p = 2 both volumes are exact up to roundoff, so their half widths
+        # vanish and the written slack is the 1e-6 tolerance (raw sums of
+        # squares made it 1.0010664e-6 at seed 7)
+        cfg = ExperimentConfig.from_dict({"task": "verify", "seed": seed, "checks": ["santalo"]})
+        assert run(cfg, out_dir=tmp_path)[0] == 0
+        (report,) = json.loads((tmp_path / "verify_summary.json").read_text())["reports"]
+        slacks = [d["slack"] for key, d in report["details"].items() if key.startswith("p=2.0,")]
+        assert len(slacks) == 3 and all(abs(s - 1e-6) <= 1e-12 for s in slacks), slacks
+
     @pytest.mark.parametrize("margins", [[float("nan"), 1.0], [1.0, float("nan")]])
     def test_nan_margin_fails_in_any_order(self, margins):
         report = _report("x", "statement", margins)

@@ -8,7 +8,8 @@ from widthlab import stochastic
 from widthlab.bodies import Body, LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
-from widthlab.stochastic import (EstimateWithCI, _brunn_margin, _offset_section_volume,
+from widthlab.stochastic import (_CHUNK, _Z95, EstimateWithCI, _brunn_margin, _mean, _moments,
+                                 _offset_section_volume, _sphere_chunks, _stream,
                                  expectation_norm, expected_norm_bound, greedy_net, greedy_nets,
                                  haar_sphere_sample, mc_volume_ratio,
                                  projection_volume_ratio, section_radius)
@@ -166,6 +167,77 @@ class TestVolumeRatio:
     def test_nan_half_width_rejected(self):
         with pytest.raises(BadDimensions, match="must be >= 0"):
             EstimateWithCI(1.0, math.nan, 5)
+
+
+class _Constant(Body):
+    """A test body whose gauge is ``level`` at every point."""
+
+    label = "constant"
+
+    def __init__(self, dim, level):
+        self.dim, self.level = dim, level
+
+    def gauge_many(self, points):
+        return np.full(len(points), self.level)
+
+
+class TestMoments:
+    """The one accumulator under every sphere mean and volume ratio, against
+    two-pass references; raw sums of squares gave a constant integrand a
+    half width of 4.7e-11 (3,000 copies of 0.1)."""
+
+    @pytest.mark.parametrize("sizes", [[3000], [1000, 1500, 500]], ids=["one", "three"])
+    def test_constant_mean_has_zero_half_width(self, sizes):
+        est = _mean(np.full(k, 0.1) for k in sizes)
+        assert est.value == pytest.approx(0.1, rel=1e-15)
+        assert (est.half_width, est.samples) == (0.0, 3000)
+
+    def test_constant_gauges_across_a_chunk_have_zero_half_width(self):
+        mean = expectation_norm(_Constant(3, 0.1), samples=70_000, seed=1)
+        ratio = mc_volume_ratio(_Constant(3, 0.1), _Constant(3, 0.5), samples=70_000, seed=1)
+        assert mean.samples == ratio.samples == 70_000 > _CHUNK
+        assert (mean.value, mean.half_width) == (pytest.approx(0.1, rel=1e-15), 0.0)
+        assert (ratio.value, ratio.half_width) == (pytest.approx(125.0, rel=1e-14), 0.0)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_induced_two_ball_ratio_half_width(self, seed):
+        # the per-sample ratios spread by about 3e-16; raw sums reported
+        # 5.3e-10 at seeds 8, 9 and 10
+        est = mc_volume_ratio(induced_ball(trig_system(1), 2.0), euclidean_ball(3),
+                              samples=3000, seed=seed)
+        assert est.value == pytest.approx(1.0, abs=1e-14)
+        assert est.half_width <= 1e-14
+
+    def test_mean_over_three_chunks_matches_two_pass(self):
+        data = np.random.default_rng(0).lognormal(size=5000)
+        est = _mean(part.copy() for part in np.split(data, [1200, 3100]))
+        assert est.value == pytest.approx(np.mean(data), rel=1e-12)
+        assert est.half_width == pytest.approx(_Z95 * math.sqrt(np.var(data) / len(data)),
+                                               rel=1e-12)
+
+    def test_moments_over_three_chunks_match_two_pass(self):
+        rng = np.random.default_rng(1)
+        x = rng.lognormal(size=5000)
+        data = np.stack([x, 1e30 * (x + rng.standard_normal(5000))])
+        total, means, cov, shift = _moments(part.copy()
+                                            for part in np.split(data, [1200, 3100], axis=1))
+        unscale = np.ldexp(1.0, -np.array(shift))
+        assert total == 5000
+        assert np.allclose(means * unscale, data.mean(axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(cov * np.outer(unscale, unscale), np.cov(data, bias=True),
+                           rtol=1e-12, atol=0)
+
+    def test_ratio_over_three_chunks_matches_two_pass(self):
+        body, reference, samples = LpBall(2, np.inf), LpBall(2, 1.0), 2 * _CHUNK + 1000
+        est = mc_volume_ratio(body, reference, samples=samples, seed=5)
+        u = np.concatenate(list(_sphere_chunks(_stream(5), 2, samples)))
+        xy = np.stack([body.gauge_many(u), reference.gauge_many(u)]) ** -2.0
+        mx, my = xy.mean(axis=1)
+        grad = np.array([1.0 / mx, -1.0 / my])  # delta method for log(mx / my)
+        half = _Z95 * mx / my * math.sqrt(grad @ np.cov(xy, bias=True) @ grad / samples)
+        assert est.samples == samples
+        assert est.value == pytest.approx(mx / my, rel=1e-12)
+        assert est.half_width == pytest.approx(half, rel=1e-12)
 
 
 class TestHeldStream:
