@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, RankDeficient, SingularMatrix
 from .linalg import RANK_TOL, Subspace, _by_column
-from .systems import OrthonormalSystem, _in_row_blocks, _lp_norms, _out_of_range, _power_in_place
+from .systems import OrthonormalSystem, _lp_norms, _power_in_place, _rescued
 
 IRLS_PASSES = 100  # cap on the reweighted least-squares passes of a row
 BRACKET_RTOL = 1e-6  # a row stops once its bracket is this narrow, relative
@@ -135,21 +135,11 @@ class InducedBall(Body):
         return self._rescued(self._gauge_grad_block, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def _rescued(self, kernel, pts):
-        """``kernel`` (gauges first) over row blocks of ``pts``; a row out of
-        range (systems._out_of_range) is computed again over the largest
-        |entry| of its x V, or x L at p = 2: the gauge scales back, the
-        0-homogeneous gradient stays."""
+        """systems._rescued of ``kernel`` over the rows of ``pts``: over x V, or x L at p = 2."""
         if pts.shape[-1] != self.dim:
             raise DimensionMismatch(f"coefficient length {pts.shape[-1]} != system size {self.dim}")
-        basis = self.system.values if self._factor is None else self._factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _in_row_blocks(kernel, pts, basis.shape[1])
-            redo, _, top = _out_of_range(out[0], self.p, pts, basis)
-            if redo.size:
-                for a, fixed in zip(out, kernel(pts[redo] / top)):
-                    a[redo] = fixed
-                out[0][redo] *= top[:, 0]
-        return out
+        return _rescued(kernel, pts, self.system.values if self._factor is None else self._factor,
+                        self.p)
 
     def _gauge_grad_block(self, pts):
         if self._factor is not None:  # p = 2: g = |x L|, gradient (x L / g) L^T

@@ -188,8 +188,7 @@ def check_brunn_sections(s):
          [np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.0, 0.4])]),
     ]
     for tag, body, frame_rows, offsets in cases:
-        central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets,
-                                                  12_000, s)
+        central, worst = stochastic._brunn_margin(body, orthonormalize(frame_rows), offsets)
         yield tag, [worst], {"central": central, "worst_margin": worst}
 
 

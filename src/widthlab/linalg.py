@@ -101,7 +101,10 @@ class Subspace:
     frame: np.ndarray
 
     def __post_init__(self):
-        frame = np.array(self.frame, dtype=float)
+        try:
+            frame = np.array(self.frame, dtype=float)
+        except ValueError:  # ragged rows: fail the 2-D test below
+            frame = np.empty(0)
         if frame.ndim != 2:
             raise DimensionMismatch("frame must be a 2-D array of row vectors")
         s, n = frame.shape
@@ -158,9 +161,10 @@ def orthonormalize(vectors) -> Subspace:
     Raises :class:`RankDeficient` when the numerical rank, measured against
     the largest singular value at :data:`RANK_TOL`, is below the count.
     """
-    v = np.array([np.asarray(row, dtype=float) for row in vectors])
-    if v.ndim != 2 or v.shape[0] == 0:
+    rows = [np.asarray(row, dtype=float) for row in vectors]
+    if len({row.shape for row in rows}) != 1 or rows[0].ndim != 1:  # none, ragged or not vectors
         raise DimensionMismatch("need a nonempty list of equal-length vectors")
+    v = np.array(rows)
     s, n = v.shape
     if s > n:
         raise RankDeficient(f"{s} vectors cannot be independent in dimension {n}")

@@ -2,9 +2,9 @@
 
 All volume computations are ratios against a reference body through the
 sphere-integral identity Vol(V)/Vol(B_2^n) = E[gauge_V^{-n}] over the unit
-sphere; absolute volumes in high dimension underflow and no inequality in
-this package needs them.  One accumulator, ``_moments``, takes every sphere
-mean and volume ratio: half widths from centred sums, 0 when constant.
+sphere (absolute volumes underflow in high dimension).  One accumulator,
+``_moments``, takes every sphere mean and volume ratio: half widths from
+centred sums, 0 when constant.  Slices are exact 1-D chords, never sampled.
 
 Sampling is chunked from one stream spawned from the seed (a Generator
 seed first draws an integer seed from itself), so estimates are
@@ -86,10 +86,10 @@ def _stream(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
-def _sphere_chunks(rng, n: int, total: int, chunk: int = _CHUNK):
-    """``total`` Haar points of the unit sphere in R^n, in chunks of ``chunk`` rows."""
-    for done in range(0, total, chunk):
-        yield haar_sphere_sample(n, min(chunk, total - done), rng)
+def _sphere_chunks(rng, n: int, total: int):
+    """``total`` Haar points of the unit sphere in R^n, in chunks of ``_CHUNK`` rows."""
+    for done in range(0, total, _CHUNK):
+        yield haar_sphere_sample(n, min(_CHUNK, total - done), rng)
 
 
 _held = None  # (key, points) of the last seeded stream of at most _CHUNK rows
@@ -328,47 +328,29 @@ def greedy_net(body: Body, reference_gauge: Body, delta: float, seed=0) -> NetRe
     return greedy_nets(body, reference_gauge, (delta,), seed)[0]
 
 
-def _offset_section_volume(body: Body, subspace: Subspace, offset: np.ndarray,
-                           samples: int, rng) -> EstimateWithCI:
-    """Volume of the slice of the body by the plane offset + subspace,
-    relative to the unit ball of the subspace dimension; radial bisection
-    per direction.  A 1-D slice is exact: the mean of its two radial lengths
-    over S^0 = {+1, -1}, with half width 0 and nothing drawn."""
-    s = subspace.dim
-    z = np.asarray(offset, dtype=float)
-    z = z - subspace.project(z)  # only the perpendicular component moves the slice
+def _slice_length(body: Body, line: Subspace, offset) -> float:
+    """Exact 1-D volume of the slice of the body by offset + ``line``, relative
+    to [-1, 1]: the mean of its two radial lengths along +-frame, each by
+    bisection; 0 when the offset's component across the line is outside."""
+    z = offset - line.project(offset)  # only the perpendicular component moves the slice
     if body.gauge(z) >= 1.0:
-        return EstimateWithCI(0.0, 0.0, samples)
-
-    def radial_power(u):  # |boundary point|^s along each direction, by bisection
-        u = u @ subspace.frame
-        hi = np.ones(len(u))
-        for _ in range(60):
-            inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
-            if not np.any(inside):
-                break
-            hi[inside] *= 2.0
-        lo = np.zeros(len(u))
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = body.gauge_many(z + mid[:, None] * u) <= 1.0
-            lo[inside] = mid[inside]
-            hi[~inside] = mid[~inside]
-        return lo ** float(s)
-
-    if s == 1:
-        ends = radial_power(np.array([[1.0], [-1.0]]))
-        return EstimateWithCI(float(0.5 * (ends[0] + ends[1])), 0.0, 2)
-    return _mean(radial_power(u) for u in _sphere_chunks(rng, s, samples, 8192))
+        return 0.0
+    u = np.array([[1.0], [-1.0]]) @ line.frame
+    hi = np.ones(2)
+    for _ in range(60):
+        inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
+        if not np.any(inside):
+            break
+        hi[inside] *= 2.0
+    lo = np.zeros(2)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        inside = body.gauge_many(z + mid[:, None] * u) <= 1.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return float(0.5 * (lo[0] + lo[1]))
 
 
-def _brunn_margin(body: Body, subspace: Subspace, offsets, samples: int, seed):
-    """Central slice volume, and the smallest central - offset volume plus
-    twice the combined half widths over the offsets."""
-    rng = as_generator(seed)
-    central = _offset_section_volume(body, subspace, np.zeros(body.dim), samples, rng)
-    worst = math.inf
-    for z in offsets:
-        off = _offset_section_volume(body, subspace, z, samples, rng)
-        worst = min(worst, central.value - off.value + 2.0 * (central.half_width + off.half_width))
-    return central.value, worst
+def _brunn_margin(body: Body, line: Subspace, offsets):
+    """Central chord length, and the smallest central - offset length over the offsets."""
+    central = _slice_length(body, line, np.zeros(body.dim))
+    return central, min(central - _slice_length(body, line, z) for z in offsets)

@@ -13,10 +13,10 @@ poles are appended with weight zero) to keep the gap small for the shipped
 systems.
 
 The node-space oracles (``lp_norm_many`` here, ``InducedBall.gauge_grad_many``
-at p other than 2) run over row blocks of about 2^15 node values: cache-sized
-temporaries, and memory bounded by the output whatever the number of rows.  One weighted L_p
-norm of node values, ``_lp_norms``, serves ``lp_norm_many`` and the brackets
-of ``bodies``.
+at p other than 2) run over cache-sized row blocks of about 2^15 node values.
+``_lp_norms`` is the one weighted L_p norm of node values (and of the brackets
+of ``bodies``); ``_rescued`` is the one range rescue of every induced oracle:
+a row whose |f|^p leaves the float range is computed again over its top |f|.
 """
 
 from __future__ import annotations
@@ -88,17 +88,23 @@ def _lp_norms(f: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return (_power_in_place(np.abs(f), p) @ w) ** (1.0 / p)
 
 
-def _out_of_range(norms: np.ndarray, p: float, rows: np.ndarray, values: np.ndarray):
-    """(indices, f = rows @ values, largest |f| as a column) of the rows whose L_p norm
-    is 0, inf or NaN, or has a subnormal p-th power, and whose largest |f| is finite and > 0."""
-    low = 0.0 if np.isinf(p) else np.finfo(float).tiny ** (1.0 / p)
-    redo = np.flatnonzero(~((norms > low) & (norms < np.inf)))
-    if not redo.size:
-        return redo, None, None
-    f = rows[redo] @ values
-    top = np.max(np.abs(f), axis=1)
-    fix = (top > 0) & (top < np.inf)
-    return redo[fix], f[fix], top[fix, None]
+def _rescued(kernel, rows: np.ndarray, basis: np.ndarray, p: float) -> tuple:
+    """``kernel`` (a tuple, norms first) over row blocks of the 2-D ``rows``.  A row
+    whose L_p norm is 0, inf or NaN, or has a subnormal p-th power, and whose
+    largest |entry| of rows @ ``basis`` is finite and > 0, is computed again over
+    that entry: its norm scales back, the other (0-homogeneous) members stay."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf * 0 at a zero weight
+        out = _in_row_blocks(kernel, rows, basis.shape[1])
+        low = 0.0 if np.isinf(p) else np.finfo(float).tiny ** (1.0 / p)
+        redo = np.flatnonzero(~((out[0] > low) & (out[0] < np.inf)))
+        if redo.size:
+            top = np.max(np.abs(rows[redo] @ basis), axis=1, keepdims=True)
+            fix = ((top > 0) & (top < np.inf))[:, 0]
+            redo, top = redo[fix], top[fix]
+            for a, fixed in zip(out, kernel(rows[redo] / top)):
+                a[redo] = fixed
+            out[0][redo] *= top[:, 0]
+    return out
 
 
 def _next_prime(m: int) -> int:
@@ -167,11 +173,7 @@ class OrthonormalSystem:
         if not p >= 1:
             raise BadDimensions(f"p must be >= 1, got {p}")
         rows, w = coeffs.reshape(-1, self.n), self.weights
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow, and inf * 0 at a zero weight
-            norms = _in_row_blocks(lambda b: _lp_norms(b @ self.values, w, p), rows, len(w))
-            redo, f, top = _out_of_range(norms, p, rows, self.values)
-            if redo.size:
-                norms[redo] = top[:, 0] * _lp_norms(f / top, w, p)
+        norms, = _rescued(lambda b: (_lp_norms(b @ self.values, w, p),), rows, self.values, p)
         return norms.reshape(coeffs.shape[:-1])[()]
 
     def prefix(self, n: int) -> "OrthonormalSystem":

@@ -64,7 +64,7 @@ def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
     multiplier this is also the worst L_2 error of keeping m coefficients.
     """
     a = np.asarray(semiaxes, dtype=float)
-    if a.ndim != 1 or len(a) == 0 or np.any(a <= 0):
+    if a.ndim != 1 or len(a) == 0 or not np.all(a > 0):  # NaN too
         raise BadOrder("semiaxes must be a nonempty positive vector")
     if np.any(np.diff(a) > 1e-12):
         raise BadOrder("semiaxes must be sorted descending")

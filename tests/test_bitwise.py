@@ -10,11 +10,11 @@ import pytest
 
 from widthlab import _optim, stochastic, widths
 from widthlab.bodies import InducedBall, LpBall, euclidean_ball
-from widthlab.linalg import _by_column, _unit_rows, as_generator, orthonormalize, random_subspace
+from widthlab.linalg import _by_column, _unit_rows, as_generator, random_subspace
 from widthlab.stochastic import (_CHUNK, _NET_CERTIFICATE_SAMPLES, _Z95, EstimateWithCI,
-                                 _body_cloud, _offset_section_volume, _sphere_chunks,
+                                 _body_cloud, _sphere_chunks,
                                  _stream, expectation_norm, greedy_nets,
-                                 haar_sphere_sample, mc_volume_ratio)
+                                 mc_volume_ratio)
 from widthlab.systems import (_in_row_blocks, _lp_norms, _power_in_place,
                               sphere_harmonics_system, trig_prefix_system, trig_system)
 
@@ -203,37 +203,6 @@ def _expectation_norm_old(body, samples, seed):
         g = body.gauge_many(chunk)
         s1 += float(g.sum())
         values.append(g)
-    return _centred_estimate(s1, values)
-
-
-def _offset_section_volume_old(body, subspace, offset, samples, rng):
-    s = subspace.dim
-    frame = subspace.frame
-    z = np.asarray(offset, dtype=float)
-    z = z - subspace.project(z)
-    if body.gauge(z) >= 1.0:
-        return EstimateWithCI(0.0, 0.0, samples)
-    s1, values = 0.0, []
-    done = 0
-    while done < samples:
-        take = min(8192, samples - done)
-        u = haar_sphere_sample(s, take, rng) @ frame
-        hi = np.ones(take)
-        for _ in range(60):
-            inside = body.gauge_many(z + hi[:, None] * u) <= 1.0
-            if not np.any(inside):
-                break
-            hi[inside] *= 2.0
-        lo = np.zeros(take)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = body.gauge_many(z + mid[:, None] * u) <= 1.0
-            lo[inside] = mid[inside]
-            hi[~inside] = mid[~inside]
-        vals = lo ** float(s)
-        s1 += float(vals.sum())
-        values.append(vals)
-        done += take
     return _centred_estimate(s1, values)
 
 
@@ -486,8 +455,7 @@ def test_one_dimensional_support_problem_unchanged():
     assert np.array_equal(values, np.abs(x[:, 0]))
 
 
-# one and several chunks of 8,192 (slices) and 65,536 (sphere means) rows,
-# with and without a short last chunk
+# within one chunk of 65,536 rows, and one row past it
 SAMPLE_COUNTS = [1000, 8192, 8193, 12_000, 65_537]
 
 
@@ -503,17 +471,6 @@ def test_expectation_norm_unchanged(samples):
     body = InducedBall(trig_system(1), 1.5)
     got = expectation_norm(body, samples, seed=6)
     assert _same_value(got, _expectation_norm_old(body, samples, 6))
-
-
-@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
-def test_offset_section_volume_unchanged(samples):
-    """A plane slice of the induced 4-ball off its center, as in brunn-sections."""
-    body = InducedBall(trig_system(1), 4.0)
-    sub = orthonormalize(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    offset = np.array([0.0, 0.0, 0.4])
-    got = _offset_section_volume(body, sub, offset, samples, as_generator(7))
-    ref = _offset_section_volume_old(body, sub, offset, samples, as_generator(7))
-    assert _same_value(got, ref) and got.value > 0
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)

@@ -183,6 +183,23 @@ class TestInducedBall:
             np.testing.assert_allclose(np.sum(grad * scale * y, axis=1), g, rtol=1e-12)
 
 
+@pytest.mark.parametrize("system", [trig_system(1), sphere_harmonics_system(2)],
+                         ids=["trig-3", "sphere-9"])
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_one_rescue_rule(system, scale):
+    """Every row's |f|^3 overflows or underflows, so every row is rescued, and
+    both oracles follow the one rule bit for bit: norm = top * kernel(x / top)
+    over the row's largest |f|, the 0-homogeneous gradient kernel(x / top)."""
+    x = scale * np.random.default_rng(13).standard_normal((200, system.n))
+    top = np.max(np.abs(x @ system.values), axis=1, keepdims=True)
+    ref = top[:, 0] * _lp_norms((x / top) @ system.values, system.weights, 3.0)
+    assert np.array_equal(system.lp_norm_many(x, 3.0), ref)
+    body = induced_ball(system, 3.0)
+    g_ref, grad_ref = body._gauge_grad_block(x / top)
+    g, grad = body.gauge_grad_many(x)
+    assert np.array_equal(g, top[:, 0] * g_ref) and np.array_equal(grad, grad_ref)
+
+
 class TestLinearImage:
     def test_identity_preserves_gauge(self, trig3):
         rng = np.random.default_rng(2)

@@ -126,10 +126,10 @@ def _scaled_value(fn, factor):
 
 
 def _low_central_slice(fn):
-    """``_offset_section_volume`` with the central slice 10% low."""
-    def low(body, subspace, offset, samples, rng):
-        est = fn(body, subspace, offset, samples, rng)
-        return est if np.any(offset) else dataclasses.replace(est, value=0.9 * est.value)
+    """``_slice_length`` with the central slice 10% low."""
+    def low(body, line, offset):
+        length = fn(body, line, offset)
+        return length if np.any(offset) else 0.9 * length
     return low
 
 
@@ -167,8 +167,7 @@ CONTROLS = {
         harness, "mc_volume_ratio", _scaled_value(harness.mc_volume_ratio, 0.9)),
     "net-chain": lambda mp: mp.setattr(harness, "greedy_nets", _uncertified_nets),
     "brunn-sections": lambda mp: mp.setattr(
-        stochastic, "_offset_section_volume",
-        _low_central_slice(stochastic._offset_section_volume)),
+        stochastic, "_slice_length", _low_central_slice(stochastic._slice_length)),
     "projection-ellipsoid": lambda mp: mp.setattr(
         harness, "min_singular_value", _affine(harness.min_singular_value, scale=100.0)),
     "projection-l1-ball": lambda mp: mp.setattr(

@@ -30,6 +30,10 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficient):
             orthonormalize([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
+    def test_ragged_vectors_rejected(self):
+        with pytest.raises(DimensionMismatch, match="equal-length vectors"):
+            orthonormalize([[1.0, 0.0], [1.0]])
+
     def test_random_spans_are_orthonormal(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -172,6 +176,10 @@ class TestSubspaceGeometry:
     def test_frame_validation(self):
         with pytest.raises(RankDeficient):
             Subspace(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_ragged_frame_rejected(self):
+        with pytest.raises(DimensionMismatch, match="row vectors"):
+            Subspace([[1.0, 0.0], [0.0]])
 
     def test_full_space_roundtrip(self):
         sub = full_space(4)

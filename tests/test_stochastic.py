@@ -9,7 +9,7 @@ from widthlab.bodies import Body, LpBall, euclidean_ball, induced_ball, linear_i
 from widthlab.errors import BadDimensions, FloatRange, VarianceBlowup
 from widthlab.linalg import orthonormalize, random_subspace
 from widthlab.stochastic import (_CHUNK, _Z95, EstimateWithCI, _brunn_margin, _mean, _moments,
-                                 _offset_section_volume, _sphere_chunks, _stream,
+                                 _slice_length, _sphere_chunks, _stream,
                                  expectation_norm, expected_norm_bound, greedy_net, greedy_nets,
                                  haar_sphere_sample, mc_volume_ratio,
                                  projection_volume_ratio, section_radius)
@@ -305,23 +305,6 @@ class TestHeldStream:
 
 
 class TestSectionVolumes:
-    def test_ball_section_is_unit_disk(self):
-        sub = random_subspace(3, 2, seed=4)
-        est = _offset_section_volume(euclidean_ball(3), sub, np.zeros(3), 2000,
-                                     np.random.default_rng(0))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_axis_sections_of_ellipsoid(self):
-        body = linear_image(euclidean_ball(3), np.diag([2.0, 1.0, 1.0]))
-        flat = orthonormalize([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        est = _offset_section_volume(body, flat, np.zeros(3), 100_000,
-                                     np.random.default_rng(1))
-        assert est.value == pytest.approx(1.0, rel=0.03)
-        tall = orthonormalize([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        est = _offset_section_volume(body, tall, np.zeros(3), 100_000,
-                                     np.random.default_rng(2))
-        assert est.value == pytest.approx(2.0, rel=0.03)
-
     def test_projection_of_ellipsoid(self):
         from widthlab.bodies import ProjectionBody
 
@@ -478,43 +461,34 @@ class TestBrunnSections:
     def test_disk_chord_lengths(self):
         # slice of the unit disk at height z has half-length sqrt(1 - z^2)
         sub = orthonormalize([[1.0, 0.0]])
-        rng = np.random.default_rng(0)
-        central = _offset_section_volume(euclidean_ball(2), sub,
-                                         np.zeros(2), 500, rng)
-        offset = _offset_section_volume(euclidean_ball(2), sub,
-                                        np.array([0.0, 0.5]), 500, rng)
-        assert central.value == pytest.approx(1.0, abs=1e-15)
-        assert offset.value == pytest.approx(math.sqrt(0.75), abs=1e-15)
+        assert _slice_length(euclidean_ball(2), sub, np.zeros(2)) == pytest.approx(1.0, abs=1e-15)
+        assert _slice_length(euclidean_ball(2), sub, np.array([0.0, 0.5])) == pytest.approx(
+            math.sqrt(0.75), abs=1e-15)
 
     def test_one_dim_slice_is_the_two_point_mean(self):
         # the sheared square's chord at height 0.5 runs from -0.75 to 1.25:
         # r+ = 1.25 and r- = 0.75 differ, and the exact slice is their mean
         body = linear_image(LpBall(2, np.inf), [[1.0, 0.5], [0.0, 1.0]])
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        est = _offset_section_volume(body, orthonormalize([[1.0, 0.0]]), np.array([0.0, 0.5]),
-                                     500, rng)
-        assert est.value == pytest.approx((1.25 + 0.75) / 2, abs=1e-15)
-        assert est.half_width == 0.0 and rng.bit_generator.state == state  # nothing drawn
+        length = _slice_length(body, orthonormalize([[1.0, 0.0]]), np.array([0.0, 0.5]))
+        assert length == pytest.approx((1.25 + 0.75) / 2, abs=1e-15)
 
     def test_disk_offsets(self):
         sub = orthonormalize([[1.0, 0.0]])
-        assert _brunn_margin(euclidean_ball(2), sub,
-                             [np.array([0.0, 0.5]), np.array([0.0, 0.9])], 2000, 1)[1] >= 0
+        central, worst = _brunn_margin(euclidean_ball(2), sub,
+                                       [np.array([0.0, 0.5]), np.array([0.0, 0.9])])
+        assert central == pytest.approx(1.0, abs=1e-15)
+        assert worst == pytest.approx(1.0 - math.sqrt(0.75), abs=1e-15)  # the nearer offset
 
     def test_cube_slices_constant(self):
         sub = orthonormalize([[1.0, 0.0]])
         assert _brunn_margin(LpBall(2, np.inf), sub,
-                             [np.array([0.0, 0.3]), np.array([0.0, 0.8])], 2000, 2)[1] >= 0
+                             [np.array([0.0, 0.3]), np.array([0.0, 0.8])]) == (1.0, 0.0)
 
     def test_zero_offset_equality(self):
         sub = orthonormalize([[1.0, 0.0, 0.0]])
         body = induced_ball(trig_system(1), 4.0)
-        assert _brunn_margin(body, sub, [np.zeros(3)], 2000, 3)[1] >= 0
+        assert _brunn_margin(body, sub, [np.zeros(3)])[1] == 0.0
 
     def test_empty_offset_section(self):
         sub = orthonormalize([[1.0, 0.0]])
-        rng = np.random.default_rng(4)
-        est = _offset_section_volume(euclidean_ball(2), sub,
-                                     np.array([0.0, 1.5]), 200, rng)
-        assert est.value == 0.0
+        assert _slice_length(euclidean_ball(2), sub, np.array([0.0, 1.5])) == 0.0

@@ -54,6 +54,11 @@ class TestExactOracle:
         with pytest.raises(BadOrder):
             ellipsoid_kolmogorov_exact([2.0, 1.0], 3)
 
+    def test_nan_semiaxis_rejected(self):
+        # NaN passes both a <= 0 and the sort test; only a > 0 catches it
+        with pytest.raises(BadOrder, match="positive"):
+            ellipsoid_kolmogorov_exact([2.0, np.nan], 1)
+
 
 class TestBruteForce:
     def test_kolmogorov_matches_oracle(self):
