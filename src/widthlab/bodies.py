@@ -22,6 +22,9 @@ BRACKET_RTOL = 1e-6  # a row stops once its bracket is this narrow, relative
 _IRLS_FLOOR = 1e-6  # |entry| floor of the weights, relative to the row's largest
 _END_EXPONENT = 64.0  # the exponent an infinite one iterates at
 _CHECK_EVERY = 5  # passes per bracket evaluation, from the first
+_PIVOTS = 64  # cap on the pivots of one vertex descent
+_DUAL_TOL = 1e-13  # a basic dual within 1 + this is feasible
+_CERT_FLOOR = 1e-3  # a certificate's projection below this share of its norm is roundoff
 
 
 def _grad_scale(g: np.ndarray, p: float) -> np.ndarray:
@@ -52,6 +55,13 @@ class Body:
         """Gauge values and (sub)gradients per row; needed by optimizers."""
         raise NotImplementedError(f"{self.label} has no gradient oracle")
 
+    def _rows(self, points) -> np.ndarray:
+        """``points`` as float rows, which must have length ``dim``."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.dim:
+            raise DimensionMismatch(f"points of length {pts.shape[-1]} != dimension {self.dim}")
+        return pts
+
     def __repr__(self):
         return f"<Body {self.label} dim={self.dim}>"
 
@@ -69,7 +79,7 @@ class LpBall(Body):
         self.label = f"B_{'inf' if np.isinf(p) else p}^{dim}"
 
     def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._rows(points)
         if np.isinf(self.p):
             return _by_column(np.maximum, np.abs(pts))
         if self.p == 2.0:
@@ -77,7 +87,7 @@ class LpBall(Body):
         return _by_column(np.add, np.abs(pts) ** self.p) ** (1.0 / self.p)
 
     def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._rows(points)
         g = self.gauge_many(pts)
         if np.isinf(self.p):
             idx = np.argmax(np.abs(pts), axis=1)
@@ -126,18 +136,16 @@ class InducedBall(Body):
             self._factor = np.linalg.cholesky(gram)
 
     def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = self._rows(points)
         if self._factor is None:
             return self.system.lp_norm_many(pts, self.p)
         return self._rescued(lambda b: (_two_norms(b @ self._factor),), pts)[0]
 
     def gauge_grad_many(self, points):
-        return self._rescued(self._gauge_grad_block, np.atleast_2d(np.asarray(points, dtype=float)))
+        return self._rescued(self._gauge_grad_block, self._rows(points))
 
     def _rescued(self, kernel, pts):
         """systems._rescued of ``kernel`` over the rows of ``pts``: over x V, or x L at p = 2."""
-        if pts.shape[-1] != self.dim:
-            raise DimensionMismatch(f"coefficient length {pts.shape[-1]} != system size {self.dim}")
         return _rescued(kernel, pts, self.system.values if self._factor is None else self._factor,
                         self.p)
 
@@ -198,12 +206,10 @@ class LinearImageBody(Body):
         self.label = f"A*{base.label}"
 
     def gauge_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.base.gauge_many(pts @ self.inverse.T)
+        return self.base.gauge_many(self._rows(points) @ self.inverse.T)
 
     def gauge_grad_many(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g, grad = self.base.gauge_grad_many(pts @ self.inverse.T)
+        g, grad = self.base.gauge_grad_many(self._rows(points) @ self.inverse.T)
         return g, grad @ self.inverse
 
 
@@ -213,8 +219,11 @@ class ProjectionBody(Body):
     The gauge at u is min over z of base.gauge(u F + z C), F and C the frames
     of the subspace and its complement: with the base's ``_lp_form``
     (M, w, p), a weighted L_p regression of a = u F M on the rows of B = C M.
-    The gauge is its bracket's lower end, a certified Hoelder dual bound.  A
-    base with no form or with p = inf raises BadDimensions.
+    The gauge is its bracket's lower end, a certified Hoelder dual bound.  At
+    p = 1 the regression is a linear program and ``_irls`` takes the
+    ``_vertex`` step, whose optimal vertex closes the bracket exactly under
+    the same bound; other exponents bracket to ``BRACKET_RTOL``.  A base
+    with no form or with p = inf raises BadDimensions.
     """
 
     def __init__(self, base: Body, subspace: Subspace):
@@ -235,8 +244,9 @@ class ProjectionBody(Body):
         return self._bracket(points)[1]
 
     def _bracket(self, points):
-        """The ends of each row's bracket: IRLS minima and certified dual bounds."""
-        a = np.atleast_2d(np.asarray(points, dtype=float)) @ self._anchor
+        """The ends of each row's bracket: IRLS (at p = 1 vertex) minima and
+        certified dual bounds."""
+        a = self._rows(points) @ self._anchor
         b, w = self._offsets, self._w
         outer = b[:, None] * b  # row k's B diag(c_k) B^T is c_k contracted with outer
         fit = np.linalg.solve((b * w) @ b.T, b)  # u - (u w B^T) fit: onto B (w u) = 0
@@ -250,7 +260,8 @@ class ProjectionBody(Body):
             u = u - ((u * w) @ b.T) @ fit
             return u, (u * a[rows]) @ w
 
-        return _irls(a, self._p, w, solve, dual)[:2]
+        vertex = (lambda r: _vertex(r, b, w)) if self._p == 1.0 else None
+        return _irls(a, self._p, w, solve, dual, vertex)[:2]
 
 
 class PolarBody(Body):
@@ -284,7 +295,7 @@ class PolarBody(Body):
 
     def _bracket(self, points):
         """The ends of each row's bracket and the signed maximizer of the lower one."""
-        x = np.atleast_2d(np.asarray(points, dtype=float))
+        x = self._rows(points)
         m, w, p = self._m, self._w, self._p
         pinv = np.linalg.solve((m * w) @ m.T, m)  # x pinv: the least 2-norm feasible lambda
         outer, fit = m[:, None] * m, (pinv * w).T  # u fit: the y of the best fit y M to u
@@ -305,7 +316,7 @@ class PolarBody(Body):
         return upper, lower, side[:, None] * y
 
 
-def _irls(v, e, w, solve, dual):
+def _irls(v, e, w, solve, dual, vertex=None):
     """Bracket min ||v_k + z||_{e,w} over z in S, for every row k of ``v``
     (a point of each row's affine set, scaled here to largest |entry| 1).
 
@@ -315,7 +326,12 @@ def _irls(v, e, w, solve, dual):
     Every ``_CHECK_EVERY``-th pass brackets the rows: the upper end is the
     minimizer's norm, and a certificate u (s v, or s times the minimizer) gives
     the lower end |pairing| / ||u'||_{e',w} (Hoelder), ``dual(u, rows)``
-    being u' projected w-orthogonally off S and its pairing with the data.
+    being u' projected w-orthogonally off S and its pairing with the data;
+    ||u'|| is taken at least ``_CERT_FLOOR`` ||u||, since a u' of roundoff
+    size (u nearly within S) pairs as noise and would "certify" anything.
+    ``vertex(minimizers)``, if given (e = 1), adds one point of each affine
+    set, whose norm is one more upper end, and one more certificate u: at an
+    optimal vertex the two ends meet, so such a row closes at that check.
     A row stops once its best ends are ``BRACKET_RTOL`` close, or at the
     cap.  An infinite e iterates at ``_END_EXPONENT``; the ends take the
     true e.  Returns the upper and lower ends and each lower end's u.
@@ -332,9 +348,15 @@ def _irls(v, e, w, solve, dual):
         full, last = solve(s, v), it == IRLS_PASSES - 1
         if it % _CHECK_EVERY == 0 or last:
             np.fmin(up, _lp_norms(full, w, e), out=up)
-            for u in (s * v, s * full):
+            certs = [s * v, s * full]
+            if vertex is not None:
+                corner, u = vertex(full)
+                np.fmin(up, _lp_norms(corner, w, e), out=up)
+                certs.append(u)
+            for u in certs:
                 node, pair = dual(u, live)
-                ends = np.abs(pair) / scale[live] / np.maximum(_lp_norms(node, w, q), 1e-300)
+                size = np.maximum(_lp_norms(node, w, q), _CERT_FLOOR * _lp_norms(u, w, q))
+                ends = np.abs(pair) / scale[live] / np.maximum(size, 1e-300)
                 best = np.where((ends > low)[:, None], u, best)
                 np.fmax(low, ends, out=low)
             done = (up - low <= BRACKET_RTOL * up) | last
@@ -346,6 +368,68 @@ def _irls(v, e, w, solve, dual):
                     break
         v = full if damping == 1.0 else v + (full - v) / damping
     return upper * scale, lower * scale, cert
+
+
+def _vertex(r, b, w):
+    """Vertex descent on min ||r + z B||_{1,w} from each row's residuals ``r``
+    (Barrodale and Roberts, *SIAM J. Numer. Anal.* 10, 1973), batched over rows.
+
+    The basis J is the k = len(B) smallest |r_i| over the nodes that may
+    enter one: a zero weight never does, nor an offset column within
+    ``RANK_TOL`` of 0 relative to ||B||_2.  The k x k solve zeroes r_J, and
+    the basic duals lambda make u = (sign r off J, lambda on J) w-orthogonal
+    to B.  A row whose lambda leaves [-1, 1] pivots its largest |lambda_j|
+    out along the improving edge to the weighted-median breakpoint, whose
+    node enters J.  Every basis is regular, |det B_J| > RANK_TOL ||B||_2^k,
+    which bounds z and so the roundoff of the vertex.  Returns each row's
+    last vertex and its u; ||u||_inf <= 1 certifies the vertex optimal.  A
+    row at ``_PIVOTS``, or with no regular basis or entering node, keeps what
+    it had reached (r and u = 0 before its first vertex).
+    """
+    k, corner, cert, every = len(b), r.copy(), np.zeros_like(r), np.arange(len(r))
+    scale = np.linalg.norm(b, 2)
+    floor = RANK_TOL * scale ** k
+    barred = ~(w > 0) | (np.linalg.norm(b, axis=0) <= RANK_TOL * scale)  # |det| <= floor with it
+    basis = np.argpartition(np.where(barred, np.inf, np.abs(r)), k - 1, axis=1)[:, :k]
+    det = np.abs(np.linalg.det(b.T[basis]))
+    live = np.flatnonzero(det > floor)
+    basis, det = basis[live], det[live]
+    for it in range(_PIVOTS + 1):
+        if not live.size:
+            break
+        ix, inv, res = every[:len(live)], np.linalg.inv(b.T[basis]), corner[live]
+        at = ix[:, None]
+        res -= (inv @ res[at, basis][..., None])[..., 0] @ b  # r_J is 0 to roundoff, kept
+        u = np.sign(res)
+        u[at, basis] = 0.0
+        lam = np.einsum("rl,rlm->rm", (u * w) @ b.T, inv) / -w[basis]
+        u[at, basis] = lam
+        corner[live], cert[live] = res, u
+        out = np.argmax(np.abs(lam), axis=1)
+        lam = lam[ix, out]
+        pivot = np.abs(lam) > 1.0 + _DUAL_TOL
+        if it == _PIVOTS or not pivot.any():
+            break
+        live, basis, det, inv, res, out, lam = (
+            a[pivot] for a in (live, basis, det, inv, res, out, lam))
+        ix, at = ix[:len(live)], at[:len(live)]
+        edge = np.sign(lam)[:, None] * inv[ix, :, out] @ b  # on J, 0 but at out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -res / edge
+        t[~(t >= 0)] = np.inf  # behind
+        t[det[:, None] * np.abs(edge) <= floor] = np.inf  # entering, node i scales |det| by |edge_i|
+        t[:, barred] = t[at, basis] = np.inf
+        order = np.argsort(t, axis=1)
+        # the slope, w_out (1 - |lambda|) at 0, rises past each breakpoint: stop where it is >= 0
+        rise = np.cumsum((w * np.abs(edge) * np.where(res == 0, 1.0, 2.0))[at, order], axis=1)
+        drop = w[basis[ix, out]] * (np.abs(lam) - 1.0)
+        first = np.argmax(rise >= drop[:, None], axis=1)
+        enter = order[ix, first]
+        basis[ix, out] = enter
+        det *= np.abs(edge[ix, enter])
+        found = (rise[ix, first] >= drop) & (t[ix, enter] < np.inf)
+        live, basis, det = live[found], basis[found], det[found]
+    return corner, cert
 
 
 def _conjugate(p: float) -> float:

@@ -206,7 +206,9 @@ def projection_volume_ratio(body: Body, subspace: Subspace,
     The gauge of the projection is the infimum of the base gauge over the
     orthogonal complement; every sample chunk is one batched reweighted
     least-squares solve (``ProjectionBody``), whose certified dual bounds
-    bound the gauge from below, so the estimate errs high.
+    bound the gauge from below, so the estimate errs high.  At p = 1 the
+    solve ends at an optimal vertex and those bounds are the exact gauges
+    (to roundoff); other exponents stop within ``bodies.BRACKET_RTOL``.
     """
     proj = ProjectionBody(body, subspace)
     return mc_volume_ratio(proj, LpBall(subspace.dim, 2.0), samples=samples,

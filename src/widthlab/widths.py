@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _optim
 from .bodies import Body, _conjugate, _polar, induced_ball
-from .errors import BadDimensions, BadOrder
+from .errors import BadDimensions, BadOrder, DimensionMismatch
 from .linalg import Subspace, _orthonormal, as_generator, full_space, min_singular_value
 from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
 from .stochastic import _section_radii, expectation_norm, section_radius
@@ -68,8 +68,8 @@ def ellipsoid_kolmogorov_exact(semiaxes, m: int) -> float:
         raise BadOrder("semiaxes must be a nonempty positive vector")
     if np.any(np.diff(a) > 1e-12):
         raise BadOrder("semiaxes must be sorted descending")
-    if not 0 <= m <= len(a):
-        raise BadOrder(f"order must be in 0..{len(a)}")
+    if not isinstance(m, (int, np.integer)) or not 0 <= m <= len(a):
+        raise BadOrder(f"order must be an integer in 0..{len(a)}")
     if m == len(a):
         return 0.0
     return float(a[m])
@@ -136,12 +136,14 @@ def brute_force_gelfand(body: Body, target: Body, m: int, restarts: int = 256,
     best section subspace.
     """
     n = body.dim
+    if target.dim != n:
+        raise DimensionMismatch(f"bodies of dimensions {n} and {target.dim}")
     if n > 5:
         raise BadDimensions("brute-force widths are limited to n <= 5")
     if restarts < 1:
         raise BadDimensions("need at least 1 restart")
-    if not 0 <= m <= n:
-        raise BadOrder(f"order must be in 0..{n}")
+    if not isinstance(m, (int, np.integer)) or not 0 <= m <= n:
+        raise BadOrder(f"order must be an integer in 0..{n}")
     if m == n:
         return WidthResult(0.0, None)
     if m == 0:
@@ -180,7 +182,7 @@ def l1_section_radius_bound(matrix, system, p: float) -> float:
     """
     if not p >= 2:
         raise BadDimensions("the bound needs p >= 2")
-    rho = min_singular_value(matrix)
+    rho = min_singular_value(_system_matrix(matrix, system))
     return float(rho * _cached_expectation(system, p) ** (-1.5))
 
 
@@ -195,10 +197,18 @@ def lq_section_radius_bound(matrix, system, p: float, q: float, s: int) -> float
     n = system.n
     if not 1 <= s <= n:
         raise BadDimensions("section dimension out of range")
-    rho = min_singular_value(matrix)
+    rho = min_singular_value(_system_matrix(matrix, system))
     e_p = _cached_expectation(system, p)
     e_qd = _cached_expectation(system, _conjugate(q))
     return float(rho * (e_qd * e_p) ** (-float(n) / float(s)))
+
+
+def _system_matrix(matrix, system) -> np.ndarray:
+    """``matrix`` as an n x n float array, n the system size, else DimensionMismatch."""
+    a = np.asarray(matrix, dtype=float)
+    if a.shape != (system.n, system.n):
+        raise DimensionMismatch(f"matrix shape {a.shape} != ({system.n}, {system.n})")
+    return a
 
 
 def _trial_matrix(rng, n: int) -> np.ndarray:
@@ -225,6 +235,8 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
     if restarts < 8:
         raise BadDimensions("need at least 8 restarts")
     seeds = [int(seed) for seed in seeds]
+    if not seeds or subspaces < 1:
+        raise BadDimensions("need at least one seed and one subspace")
     cells = [(n, p, q) for n in dims for p in ps
              for q in (qs if kind == "lq" else (None,))]
     ratios = np.empty((len(seeds), len(cells), subspaces))
@@ -273,8 +285,8 @@ def sobolev_width_order(space: TwoPointSpace, gamma: float,
     """
     rate = sobolev_multiplier(gamma)
     levels = sorted(int(N) for N in n_levels)
-    if len(levels) < 2 or levels[0] < 1:
-        raise BadDimensions("need at least two levels >= 1")
+    if len(set(levels)) < 2 or levels[0] < 1:
+        raise BadDimensions("need at least two distinct levels >= 1")
     taus = [space.tau(N) for N in levels]
     xs = np.array(taus, dtype=float)
     vals = np.array([rate(v) for v in xs ** (2.0 / space.d)])

@@ -353,6 +353,22 @@ class TestMultiplier:
         assert len(multiplier_diagonal(lambda t: 1.0, space, 2**23)) == 2**23
 
 
+def test_points_of_the_wrong_length_rejected(trig3):
+    # every body checks the row length of its own batch oracles (a projection
+    # has no gradient oracle)
+    for body in (LpBall(3, 2.0), InducedBall(trig3, 1.5),
+                 LinearImageBody(LpBall(3, 1.0), np.diag([1.0, 2.0, 3.0])),
+                 ProjectionBody(InducedBall(trig_system(2), 1.0), random_subspace(5, 3, seed=0)),
+                 PolarBody(InducedBall(trig3, 4.0))):
+        oracles = [body.gauge_many]
+        if not isinstance(body, ProjectionBody):
+            oracles.append(body.gauge_grad_many)
+        for oracle in oracles:
+            for length in (body.dim - 1, body.dim + 1):
+                with pytest.raises(DimensionMismatch):
+                    oracle(np.ones((4, length)))
+
+
 def test_descriptors_roundtrip(trig3):
     # every kind of configuration descriptor builds the body built directly
     dense = [[2.0, 1.0], [0.0, 1.0]]

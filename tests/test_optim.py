@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
-from widthlab import _optim, bodies
+from widthlab import _optim, bodies, harness
 from widthlab.bodies import (Body, InducedBall, LinearImageBody, LpBall, PolarBody,
                              ProjectionBody)
 from widthlab.errors import BadDimensions
-from widthlab.linalg import as_generator, random_subspace
+from widthlab.linalg import Subspace, as_generator, random_subspace
 from widthlab.stochastic import _section_radii, haar_sphere_sample
 from widthlab.systems import sphere_harmonics_system, trig_prefix_system, trig_system
 
@@ -198,12 +198,12 @@ class TestPolarBrackets:
                 PolarBody(base)
 
 
-def _lp_offset_minimum(system, anchor, directions):
-    """Exact min over z of the induced 1-norm of anchor + z D, as a linear program:
-    minimize w.s subject to -s <= b + A z <= s."""
-    w = system.weights
-    b = anchor @ system.values
-    a = (directions @ system.values).T
+def _lp_offset_minimum(body, anchor, directions):
+    """Exact min over z of the gauge of anchor + z D, for a base whose form is
+    (M, w, 1), as a linear program: minimize w.s subject to -s <= b + A z <= s."""
+    m, w, _ = bodies._lp_form(body)
+    b = anchor @ m
+    a = (directions @ m).T
     eye = np.eye(len(w))
     m = a.shape[1]
     res = linprog(np.concatenate([np.zeros(m), w]),
@@ -213,27 +213,119 @@ def _lp_offset_minimum(system, anchor, directions):
     return res.fun
 
 
+def _assert_exact_ends(body, sub, points):
+    """Both bracket ends of the p = 1 projection gauge at ``points`` sit at the
+    linear program's optimum, to 1e-12: the vertex's value (the achieved
+    minimum) and its dual bound (the certified gauge)."""
+    proj = ProjectionBody(body, sub)
+    minima, bounds = proj._bracket(points)
+    comp = sub.complement().frame
+    exact = np.array([_lp_offset_minimum(body, x, comp) for x in points @ sub.frame])
+    np.testing.assert_allclose(minima, exact, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(bounds, exact, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(proj.gauge_many(points), bounds)
+
+
 class TestOffsetMinima:
     """Projection gauges: min over offsets z in the complement of g(x + z C),
-    solved by ``ProjectionBody``'s reweighted least squares."""
+    solved by ``ProjectionBody``'s reweighted least squares (at p = 1 with
+    its vertex step)."""
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_projection_gauges_against_linear_program(self, n):
-        system = trig_system((n - 1) // 2)
         sub = random_subspace(n, math.ceil(n / 2), seed=n)
-        proj = ProjectionBody(InducedBall(system, 1.0), sub)
-        points = haar_sphere_sample(sub.dim, 200, seed=n)
-        minima, bounds = proj._bracket(points)
+        _assert_exact_ends(InducedBall(trig_system((n - 1) // 2), 1.0), sub,
+                           haar_sphere_sample(sub.dim, 200, seed=n))
+
+    @pytest.mark.parametrize("case", ["sphere-9", "l1-5"])
+    def test_vertex_ends_against_linear_program(self, case):
+        # the sphere's two zero-weight poles never enter a basis; B_1^5 has
+        # tied residuals, and on its coordinate plane degenerate vertices and
+        # zero offset columns (the plane's nodes), which never enter a basis
+        if case == "sphere-9":
+            cases = [(InducedBall(sphere_harmonics_system(2), 1.0), random_subspace(9, 5, seed=9))]
+        else:
+            cases = [(LpBall(5, 1.0), random_subspace(5, 2, seed=5)),
+                     (LpBall(5, 1.0), Subspace(np.eye(5)[:2]))]
+        for body, sub in cases:
+            points = np.vstack([haar_sphere_sample(sub.dim, 200, seed=3), np.eye(sub.dim)])
+            _assert_exact_ends(body, sub, points)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_l1_projection_rows_close_at_the_first_check(self, seed, monkeypatch):
+        # the projection-l1-ball constructions (n = 3, 5, 7, 9): every row
+        # closes to 1e-12 at the first bracket check, after one solve per call
+        calls, irls = [], bodies._irls
+
+        def counted(v, e, w, solve, dual, vertex=None):
+            solves = []
+
+            def tally(s, r):
+                solves.append(len(r))
+                return solve(s, r)
+            ends = irls(v, e, w, tally, dual, vertex)
+            calls.append((len(solves), ends[0], ends[1]))
+            return ends
+        monkeypatch.setattr(bodies, "_irls", counted)
+        assert harness.CHECKS["projection-l1-ball"](seed).passed
+        assert len(calls) == 4
+        for solves, upper, lower in calls:
+            assert solves == 1
+            assert np.all(upper - lower <= 1e-12 * upper)
+
+    @pytest.mark.parametrize("case", ["image-4", "l1-7"])
+    def test_roundoff_never_breaks_a_bracket(self, case):
+        # image-4: the offsets are exact multiples of a sign vector, whose
+        # projection off them is roundoff and once "certified" a bound 70%
+        # above the optimum; l1-7: a QR frame leaves node 3 an offset column
+        # of 8e-18, and a basis through it once gave a "vertex" 67% below it.
+        # Such bases are singular, so some rows only close to BRACKET_RTOL
+        if case == "image-4":
+            a = np.array([[1, -2, 2, -1], [-1, 1, 0, -2], [1, 2, -1, 0], [1, -1, 2, 0]], float)
+            body, sub = LinearImageBody(LpBall(4, 1.0), a), Subspace(np.eye(4)[2:])
+        else:
+            x = np.zeros((5, 7))
+            x[[0, 0, 1, 1, 2, 3, 3, 4, 4], [0, 1, 0, 2, 3, 4, 5, 4, 6]] = 1.0
+            body, sub = LpBall(7, 1.0), Subspace(np.linalg.qr(x.T)[0].T)
+        points = np.vstack([haar_sphere_sample(sub.dim, 200, seed=3), np.eye(sub.dim)])
+        minima, bounds = ProjectionBody(body, sub)._bracket(points)
         comp = sub.complement().frame
-        exact = np.array([_lp_offset_minimum(system, x, comp) for x in points @ sub.frame])
-        # achieved values: never below the optimum, and close to it
-        assert np.all(minima >= exact * (1 - 1e-9))
-        excess = minima / exact - 1.0
-        assert excess.mean() <= 2e-4
-        assert excess.max() <= 1e-2
-        # the gauge is the dual bound: never above the optimum
-        assert np.all(bounds <= exact * (1 + 1e-9))
-        np.testing.assert_array_equal(proj.gauge_many(points), bounds)
+        exact = np.array([_lp_offset_minimum(body, x, comp) for x in points @ sub.frame])
+        assert np.all(minima >= exact * (1 - 1e-12)) and np.all(bounds <= exact * (1 + 1e-12))
+        assert np.all(minima - bounds <= bodies.BRACKET_RTOL * minima)
+
+    def test_rows_the_descent_cannot_close_keep_a_bracket(self, monkeypatch):
+        # with no pivots the first basis is the vertex, which leaves most
+        # sphere-9 rows open: they keep their IRLS bracket, get a fresh basis
+        # at each check and still hold the optimum (a RuntimeWarning fails the run)
+        monkeypatch.setattr(bodies, "_PIVOTS", 0)
+        body, sub = InducedBall(sphere_harmonics_system(2), 1.0), random_subspace(9, 3, seed=5)
+        points = haar_sphere_sample(3, 40, seed=1)
+        minima, bounds = ProjectionBody(body, sub)._bracket(points)
+        comp = sub.complement().frame
+        exact = np.array([_lp_offset_minimum(body, x, comp) for x in points @ sub.frame])
+        assert np.any(minima - bounds > 1e-9 * minima)
+        assert np.all(bounds <= exact * (1 + 1e-12)) and np.all(minima >= exact * (1 - 1e-12))
+
+    def test_singular_basis_leaves_the_row(self):
+        # nodes 0 and 1 share one offset column: row 0's three smallest |r_i|
+        # take both, a singular basis, so it gets no vertex (u = 0 certifies
+        # nothing); row 1's basis {2, 3, 4} is regular and its vertex optimal
+        # (value 5 = <u, r>, with B u = 0)
+        b = np.array([[1.0, 1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]])
+        r = np.array([[0.0, 0.0, 0.5, -0.25, 1.0], [3.0, -2.0, 0.5, 0.25, -1.0]])
+        corner, cert = bodies._vertex(r, b, np.ones(5))
+        np.testing.assert_array_equal(corner, [r[0], [4.75, -0.25, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(cert, [np.zeros(5), [1.0, -1.0, 0.0, 0.0, 0.0]])
+
+    def test_negligible_offset_columns_never_enter_a_basis(self):
+        # the offsets vanish on nodes 0 and 1 (as on a coordinate frame), so
+        # no regular basis holds them: row 0, whose smallest |r_i| sit there,
+        # starts from {2, 3, 4} instead and reaches its optimal vertex
+        r = np.array([[0.0, 0.0, 0.5, -0.25, 1.0]])
+        corner, cert = bodies._vertex(r, np.eye(5)[2:], np.ones(5))
+        np.testing.assert_array_equal(corner, np.zeros((1, 5)))
+        np.testing.assert_array_equal(cert[:, :2], np.zeros((1, 2)))
 
     @pytest.mark.parametrize("p", [4.0, 8.0])
     def test_high_p_converges(self, p, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from widthlab import harness, widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
-from widthlab.errors import BadDimensions, BadOrder
+from widthlab.errors import BadDimensions, BadOrder, DimensionMismatch
 from widthlab.harness import _gather, _radius_check, _report
 from widthlab.manifolds import quaternionic_projective, sphere
 from widthlab.systems import trig_prefix_system, trig_system
@@ -58,6 +58,10 @@ class TestExactOracle:
         # NaN passes both a <= 0 and the sort test; only a > 0 catches it
         with pytest.raises(BadOrder, match="positive"):
             ellipsoid_kolmogorov_exact([2.0, np.nan], 1)
+
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(BadOrder, match="integer"):
+            ellipsoid_kolmogorov_exact([3.0, 2.0, 1.0], 1.5)
 
 
 class TestBruteForce:
@@ -136,6 +140,17 @@ class TestBruteForce:
         by_gen = fn(*args, restarts=1, seed=np.random.default_rng(0)).value
         for value in (by_list, by_gen):
             assert low <= value <= high
+
+    @pytest.mark.parametrize("search", [brute_force_gelfand, brute_force_kolmogorov])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bodies_of_other_dimensions_rejected(self, search, m):
+        with pytest.raises(DimensionMismatch):
+            search(LpBall(3, 2.0), LpBall(2, 1.0), m, restarts=4)
+
+    @pytest.mark.parametrize("search", [brute_force_gelfand, brute_force_kolmogorov])
+    def test_non_integer_order_rejected(self, search):
+        with pytest.raises(BadOrder, match="integer"):
+            search(LpBall(3, 2.0), LpBall(3, 1.0), 1.5, restarts=4)
 
     @pytest.mark.parametrize("search", [brute_force_gelfand, brute_force_kolmogorov])
     @pytest.mark.parametrize("restarts", [0, -1])
@@ -300,6 +315,18 @@ class TestRadiusBounds:
         with pytest.raises(BadDimensions):
             lq_section_radius_bound(np.eye(3), system, 2.0, 1.0, 2)
 
+    def test_matrix_must_match_the_system(self):
+        # trig-3 has 3 functions: a 5 x 5 or 4 x 4 matrix is not its image map
+        with pytest.raises(DimensionMismatch):
+            l1_section_radius_bound(np.eye(5), trig_system(1), 2.0)
+        with pytest.raises(DimensionMismatch):
+            lq_section_radius_bound(np.eye(4), trig_system(1), 2.0, 1.5, 2)
+
+    @pytest.mark.parametrize("seeds, subspaces", [([1], 0), ([], 1)], ids=["no-subspace", "no-seed"])
+    def test_empty_ratio_grid_rejected(self, seeds, subspaces):
+        with pytest.raises(BadDimensions):
+            radius_ratio_samples("l1", seeds, [3], [2.0], [], subspaces, 8)
+
     def test_calibrate_then_validate_small_grid(self, monkeypatch):
         monkeypatch.setattr(harness, "RADIUS_GRID", dict(dims=(3, 4), ps=(2.0,), qs=(),
                                                          subspaces=2, restarts=16))
@@ -380,3 +407,8 @@ class TestSobolevOrder:
             sobolev_width_order(sphere(2), -1.0, range(4, 13))
         with pytest.raises(BadDimensions):
             sobolev_width_order(sphere(2), 1.0, [4])
+
+    def test_repeated_level_rejected(self):
+        # one level twice is one point: no slope to fit
+        with pytest.raises(BadDimensions, match="distinct"):
+            sobolev_width_order(sphere(2), 1.0, [3, 3])
