@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadDimensions, DimensionMismatch, RankDeficient, SingularMatrix
-from .linalg import RANK_TOL, Subspace, _by_column
+from .linalg import RANK_TOL, Subspace, _by_column, _two_norms
 from .systems import OrthonormalSystem, _lp_norms, _power_in_place, _rescued
 
 IRLS_PASSES = 100  # cap on the reweighted least-squares passes of a row
@@ -100,11 +100,6 @@ class LpBall(Body):
         scale = _grad_scale(g, self.p)
         grad = np.abs(pts) ** (self.p - 1.0) * np.sign(pts) / scale[:, None]
         return g, grad
-
-
-def _two_norms(y: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``y``."""
-    return np.sqrt(_by_column(np.add, y * y))
 
 
 def euclidean_ball(dim: int) -> LpBall:

@@ -429,9 +429,10 @@ class ExperimentConfig:
             raise ConfigError(f"task {task!r}: missing fields {sorted(missing)}")
         for key in sorted(data):  # null is no field's value, nor a stand-in for its default
             _checked(key, data[key], _FIELD_RULES.get(key, (lambda v: v is not None, "a value")))
-        if task == "expect" and "samples" in data:
-            low = stochastic.EXPECT_MIN_SAMPLES
-            _checked("samples", data["samples"], (lambda v: v >= low, f"an integer >= {low}"))
+        key, low = {"expect": ("samples", stochastic.EXPECT_MIN_SAMPLES),  # the library's floors
+                    "radius": ("restarts", stochastic.RADIUS_MIN_RESTARTS)}.get(task, (None, 1))
+        if key in data:
+            _checked(key, data[key], (lambda v: v >= low, f"an integer >= {low}"))
         return ExperimentConfig(task=task, seed=seed, params=data)
 
 
@@ -520,7 +521,8 @@ def _task_radius(seed, system=_TRIG3, p=2.0, q=1.0, diagonal=None, subspace_dim=
     diag = [1.0] * n if diagonal is None else diagonal
     if len(diag) != n:
         raise ConfigError("field 'diagonal': length must match the system size")
-    sdim = math.ceil(2 * n / 3) if subspace_dim is None else subspace_dim
+    sdim = math.ceil(2 * n / 3) if subspace_dim is None else _checked(
+        "subspace_dim", subspace_dim, (lambda v: v <= n, f"an integer in 1..{n} (the system size)"))
     body = linear_image(induced_ball(system, float(p)), np.diag(diag))
     gauge = induced_ball(system, float(q))
     rows = []

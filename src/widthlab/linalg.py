@@ -4,7 +4,7 @@ Orthonormal frames, orthogonal projection, the smallest singular value of
 an invertible matrix, and Haar-distributed random subspaces.  Everything
 here is written for dimensions up to :data:`MAX_DIM`; nothing is sparse.
 
-Short row reductions (``_by_column``, and ``_unit_rows`` on top of it) run
+Short row reductions (``_by_column``, and the row norms on top of it) run
 by column in NumPy's own order: NumPy reduces a row of fewer than 8 entries
 as ((a0 + a1) + a2) + ..., but starts its inner loop once per row, which
 costs more than the arithmetic on the 2- to 7-column batches of the gauge
@@ -55,10 +55,15 @@ def _by_column(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _two_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``y``."""
+    return np.sqrt(_by_column(np.add, y * y))
+
+
 def _unit_rows(y: np.ndarray, out=None) -> np.ndarray:
     """Rows of ``y`` divided by their Euclidean norms (``np.linalg.norm``'s
     bits), zero rows left as they are; ``out`` may be ``y`` itself."""
-    norms = np.sqrt(_by_column(np.add, y * y))[..., None]
+    norms = _two_norms(y)[..., None]
     np.copyto(norms, 1.0, where=norms == 0)
     return np.divide(y, norms, out=out)
 

@@ -28,6 +28,7 @@ from .linalg import Subspace, _unit_rows, as_generator
 
 _CHUNK = 65536
 EXPECT_MIN_SAMPLES = 1000  # the fewest samples expectation_norm takes
+RADIUS_MIN_RESTARTS = 8  # the fewest ascent starts of a section radius
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _NET_CERTIFICATE_SAMPLES = 10_000  # fresh body points checking a net's coverage
 
@@ -215,39 +216,39 @@ def projection_volume_ratio(body: Body, subspace: Subspace,
                            seed=seed, check_blowup=False)
 
 
-def _section_radii(body: Body, target: Body, frames: np.ndarray,
+def _section_radii(body: Body, target: Body, num_maps: np.ndarray, den_maps: np.ndarray,
                    starts: np.ndarray) -> np.ndarray:
-    """Section radius of ``body`` in the ``target`` gauge for every frame of a
-    (k, s, n) stack, by a stacked closed form when both are ellipsoids, else
-    by one ascent call from the shared (restarts, s) ``starts``.
-
-    An ``_lp_form`` (M, w, 2) is the gauge |x E|, E = M sqrt(w); for body E
-    and target E' the radius is the largest |y F E'| / |y F E|: with
-    F E (F E)^T = L L^T, the largest singular value of L^{-1} F E'."""
-    forms = _lp_form(body), _lp_form(target)
-    if all(f is not None and f[2] == 2.0 for f in forms):
-        half, other = (frames @ (m * np.sqrt(w)) for m, w, _ in forms)
+    """max target(y N_k) / body(y D_k) for each problem k of the (k, s, n) map
+    stacks, which for N_k = D_k = F is the radius of the section of ``body``
+    by span(F).  Both gauges Euclidean: a stacked closed form (an ``_lp_form``
+    (M, w, 2) is |x E|, E = M sqrt(w); for body E and target E' the top
+    singular value of L^{-1} N_k E', D_k E (D_k E)^T = L L^T); else one ascent
+    from ``starts``, shared (restarts, s) or per problem (k, restarts, s)."""
+    forms = (den_maps, _lp_form(body)), (num_maps, _lp_form(target))
+    if all(f is not None and f[2] == 2.0 for _, f in forms):
+        half, other = (maps @ (m * np.sqrt(w)) for maps, (m, w, _) in forms)
         low = np.linalg.cholesky(half @ half.transpose(0, 2, 1))
         return np.linalg.svd(np.linalg.solve(low, other), compute_uv=False)[:, 0]
     return _optim.ratio_ascent(target, body,
-                               np.broadcast_to(starts, (len(frames),) + starts.shape),
-                               num_maps=frames, den_maps=frames)
+                               np.broadcast_to(starts, (len(num_maps),) + starts.shape[-2:]),
+                               num_maps=num_maps, den_maps=den_maps)
 
 
 def section_radius(body: Body, target: Body, subspace: Subspace,
                    restarts: int = 64, seed=0) -> float:
     """sup{ gauge_target(x) : x in body, x in subspace }.
 
-    Exact for an ellipsoid in an ellipsoidal norm (a stacked closed form);
-    otherwise the best value of one ``_optim.ratio_ascent`` call over
-    ``restarts`` random starts, a certified lower bound of the true radius.
+    Exact for an ellipsoid in an ellipsoidal norm (``_section_radii``'s closed
+    form); otherwise the best value of one ascent over ``restarts`` random
+    starts, a certified lower bound of the true radius.
     """
     if not body.dim == target.dim == subspace.ambient_dim:
         raise BadDimensions("bodies and subspace must share a dimension")
-    if restarts < 8:
-        raise BadDimensions("need at least 8 restarts")
+    if restarts < RADIUS_MIN_RESTARTS:
+        raise BadDimensions(f"need at least {RADIUS_MIN_RESTARTS} restarts")
     starts = as_generator(seed).standard_normal((restarts, subspace.dim))
-    return float(_section_radii(body, target, subspace.frame[None], starts)[0])
+    frames = subspace.frame[None]
+    return float(_section_radii(body, target, frames, frames, starts)[0])
 
 
 def _body_cloud(body: Body, count: int, rng) -> np.ndarray:

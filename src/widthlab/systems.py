@@ -40,18 +40,16 @@ _BLOCK_VALUES = 2**15
 
 
 def _in_row_blocks(kernel, rows: np.ndarray, n_nodes: int):
-    """``kernel(block)`` over row blocks of the 2-D ``rows``, outputs (or
-    each member of tuple outputs) concatenated.  BLAS picks kernels by size and
-    takes rows in groups of 4 or 8, so blocks are multiples of 8 rows and the
-    last takes the tail: each row then rounds as in one call over all rows."""
+    """``kernel(block)`` over row blocks of the 2-D ``rows``, each member of
+    its tuple output concatenated.  BLAS picks kernels by size and takes
+    rows in groups of 4 or 8, so blocks are multiples of 8 rows and the last
+    takes the tail: each row then rounds as in one call over all rows."""
     step = max(8, _BLOCK_VALUES // n_nodes // 8 * 8)
     if len(rows) <= step:
         return kernel(rows)
     cuts = range(step, len(rows) - step + 1, step)
     parts = [kernel(block) for block in np.split(rows, cuts)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(member) for member in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(member) for member in zip(*parts))
 
 
 def _power_in_place(a: np.ndarray, p: float) -> np.ndarray:

@@ -7,13 +7,13 @@ observed ratios for section radii of coefficient bodies; and the
 smoothness-scaling fit, whose one call gives both the lower-bound and the
 exact-width slope.
 
-The brute-force searches (best subspace found by a batched compass search
-over frames, each objective scoring a stack of frames) are upper bounds
-where each frame's inner supremum is exact, for ellipsoid pairs and 1-D
-sections, and not where it is an ascent's lower bound; the radius
-evaluators are lower bounds with an empirically calibrated constant, which
-the harness fits on training seeds and validates on fresh ones.  Tests
-therefore compare the two against exact oracles only where those exist,
+Every section radius comes from ``stochastic._section_radii``: exact for
+ellipsoid pairs (a closed form; the radius checks' cells p = q = 2 too) and
+1-D sections, and an ascent's lower bound otherwise.  The brute-force
+searches (a batched compass search over frames) are upper bounds where that
+inner supremum is exact; the radius lower bounds are bound factors times a
+constant the harness fits on training seeds and validates on fresh ones.
+Tests therefore compare both against exact oracles only where those exist,
 and otherwise check one-sided validity.  One frame search serves both
 widths: by polar duality d_m(K, Z) = d^m(Z^o, K^o) for symmetric convex
 bodies in finite dimensions (Ioffe and Tikhomirov 1968; Pinkus, n-Widths in
@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _optim
 from .bodies import Body, _conjugate, _polar, induced_ball
 from .errors import BadDimensions, BadOrder, DimensionMismatch
 from .linalg import Subspace, _orthonormal, as_generator, full_space, min_singular_value
 from .manifolds import TwoPointSpace, multiplier_diagonal, sobolev_multiplier
-from .stochastic import _section_radii, expectation_norm, section_radius
+from .stochastic import RADIUS_MIN_RESTARTS, _section_radii, expectation_norm, section_radius
 from .systems import trig_prefix_system
 
 #: random starts of each inner supremum in the brute-force frame searches,
@@ -86,7 +85,7 @@ def _search_frames(body: Body, target: Body, rows: int, restarts: int,
     rng = as_generator(seed)
     starts = rng.standard_normal((_INNER_RESTARTS, rows))
     frames = _orthonormal(rng.standard_normal((restarts, rows, n)))
-    values = _section_radii(body, target, frames, starts)
+    values = _section_radii(body, target, frames, frames, starts)
     keep = np.argsort(values, kind="stable")[:_REFINE_TOP]
     frames, values = frames[keep], values[keep]
     step = np.full(len(frames), _STEP_START)
@@ -97,8 +96,8 @@ def _search_frames(body: Body, target: Body, rows: int, restarts: int,
         if not live.size:
             break
         cands = _orthonormal(frames[live, None] + step[live, None, None, None] * moves)
-        cand_vals = _section_radii(body, target, cands.reshape(-1, rows, n),
-                                   starts).reshape(len(live), -1)
+        flat = cands.reshape(-1, rows, n)
+        cand_vals = _section_radii(body, target, flat, flat, starts).reshape(len(live), -1)
         pick = np.argmin(cand_vals, axis=1)
         best = cand_vals[np.arange(len(live)), pick]
         took = best < values[live] - _DECREASE_RTOL * np.abs(values[live])
@@ -225,15 +224,15 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
     q-norm), over the cells (n, p, q) of ``dims`` x ``ps`` x ``qs`` (no q for
     "l1"), ``subspaces`` sections per seed and cell, ``restarts`` starts each.
     The minimum of these ratios over a training seed set is the calibrated
-    constant.  All (seed, subspace) problems of one cell go to one ascent
-    call: the section of A*B_p by span(F) has q-norm radius
-    max g_q(y F) / g_p(y F A^{-T}), the frames F of one cell from one
-    batched QR.  Ratios come seed-major, as drawn.
+    constant.  The section of A*B_p by span(F) has q-norm radius
+    max g_q(y F) / g_p(y F A^{-T}); one ``_section_radii`` call takes every
+    (seed, subspace) problem of a cell, frames F from one batched QR: exact
+    at p = q = 2, an ascent's lower bound otherwise.  Ratios come seed-major.
     """
     if kind not in ("l1", "lq"):
         raise BadDimensions("kind must be 'l1' or 'lq'")
-    if restarts < 8:
-        raise BadDimensions("need at least 8 restarts")
+    if restarts < RADIUS_MIN_RESTARTS:
+        raise BadDimensions(f"need at least {RADIUS_MIN_RESTARTS} restarts")
     seeds = [int(seed) for seed in seeds]
     if not seeds or subspaces < 1:
         raise BadDimensions("need at least one seed and one subspace")
@@ -258,8 +257,8 @@ def radius_ratio_samples(kind: str, seeds, dims, ps, qs, subspaces: int,
         frames = _orthonormal(np.array(draws))
         den_maps = frames.reshape(len(seeds), subspaces, r, n) @ np.array(inv_ts)[:, None]
         gauge = induced_ball(system, 1.0 if q is None else q)
-        radii = _optim.ratio_ascent(gauge, induced_ball(system, p), np.array(starts),
-                                    num_maps=frames, den_maps=den_maps.reshape(frames.shape))
+        radii = _section_radii(induced_ball(system, p), gauge, frames,
+                               den_maps.reshape(frames.shape), np.array(starts))
         ratios[:, c, :] = radii.reshape(len(seeds), subspaces) / np.array(factors)[:, None]
     return ratios.ravel().tolist()
 

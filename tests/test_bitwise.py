@@ -374,8 +374,8 @@ def test_lp_norm_many_unchanged(system, p):
     x = np.random.default_rng(6).standard_normal((rows, system.n))
     x[1] = 0.0
     x[2, 1:] = 0.0
-    ref = _in_row_blocks(lambda b: _lp_norm_block_old(b @ system.values, system.weights, p),
-                         x, nodes)
+    ref, = _in_row_blocks(lambda b: (_lp_norm_block_old(b @ system.values, system.weights, p),),
+                          x, nodes)
     assert _same_bits(system.lp_norm_many(x, p), ref)
 
 

@@ -545,6 +545,8 @@ class TestCli:
         ("expect", {"task": "expect", "seed": 1, "p": "abc"}),
         ("volume", {"task": "volume", "seed": 1, "body": {"kind": "lp"}}),
         ("radius", {"task": "radius", "seed": 1, "subspaces": "x"}),
+        ("radius", {"task": "radius", "seed": 1, "restarts": 3}),
+        ("radius", {"task": "radius", "seed": 1, "subspace_dim": 7}),
         ("expect", [1, 2]),
         ("expect", 5),
         ("expect", "abc"),
@@ -557,6 +559,7 @@ class TestCli:
     ], ids=["widths-without-semiaxes", "scaling-one-level", "scaling-level-above-64",
             "bool-seed",
             "non-numeric-p", "lp-body-without-dim", "non-numeric-subspaces",
+            "radius-restarts-below-8", "radius-subspace-above-system-size",
             "list-config", "number-config", "string-config", "empty-checks",
             "unknown-system-field", "unknown-body-field", "diagonal-and-dense-matrix"])
     def test_invalid_config_is_config_error(self, tmp_path, task, raw):
@@ -583,6 +586,13 @@ class TestCli:
         # 10 passes the general count rule; the expectation needs 1,000
         assert _main(tmp_path, {"task": "expect", "seed": 0, "samples": 10}) == 1
         assert capsys.readouterr().err.startswith("configuration error: field 'samples'")
+
+    @pytest.mark.parametrize("field, value", [("restarts", 3), ("subspace_dim", 7)])
+    def test_radius_limits_are_config_errors(self, tmp_path, capsys, field, value):
+        # both pass the general count rule; the section radius needs 8 starts,
+        # and trig-3 has no 7-dimensional subspace
+        assert _main(tmp_path, {"task": "radius", "seed": 1, field: value}) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: field '{field}'")
 
     def test_unfinishable_scaling_fails_fast(self, tmp_path):
         # levels 4..12 on the Cayley plane need a 374,332,453-entry multiplier

@@ -56,17 +56,26 @@ class TestRatioAscent:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_values_never_exceed_the_closed_form(self, n):
         # ellipsoid sections in an ellipsoidal norm, where _section_radii's
-        # closed form is exact: an achieved value is a lower bound
+        # closed form is exact: an achieved value is a lower bound.  The
+        # section of A*B_2 by span(F) is posed twice: the image body on the
+        # maps F, and, as the radius checks pose it, the induced 2-ball of an
+        # orthonormal system on the denominator maps F A^{-T}
         rng = as_generator(n)
-        body = LinearImageBody(LpBall(n, 2.0), np.diag(np.exp(rng.uniform(-1.0, 1.0, n))))
+        a = np.diag(np.exp(rng.uniform(-1.0, 1.0, n)))
         target = LinearImageBody(LpBall(n, 2.0), rng.standard_normal((n, n)) + 3 * np.eye(n))
         s = n // 2 + 1
         frames = np.array([random_subspace(n, s, rng).frame for _ in range(15)])
         starts = rng.standard_normal((15, 16, s))
-        exact = _section_radii(body, target, frames, starts[0])
-        values = _optim.ratio_ascent(target, body, starts, num_maps=frames, den_maps=frames)
-        assert np.all(values <= exact * (1 + 1e-12))  # measured: at most 8.9e-16 above
-        assert np.all(values >= exact * (1 - STOP_LOSS))  # measured: 2.9e-6 below
+        exacts = []
+        for body, den_maps in ((LinearImageBody(LpBall(n, 2.0), a), frames),
+                               (InducedBall(trig_prefix_system(n), 2.0),
+                                frames @ np.linalg.inv(a).T)):
+            exact = _section_radii(body, target, frames, den_maps, starts[0])
+            values = _optim.ratio_ascent(target, body, starts, num_maps=frames, den_maps=den_maps)
+            assert np.all(values <= exact * (1 + 1e-12))  # measured: at most 1.1e-15 above
+            assert np.all(values >= exact * (1 - STOP_LOSS))  # measured: 2.9e-6 below
+            exacts.append(exact)
+        np.testing.assert_allclose(exacts[1], exacts[0], rtol=1e-12)  # measured: 2.3e-15
 
     def test_constant_ratio_stops_early(self):
         body = _CountingBall(3)

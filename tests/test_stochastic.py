@@ -351,7 +351,7 @@ class TestSectionRadius:
         ascent = stochastic._optim.ratio_ascent(
             target, body, np.broadcast_to(starts, (4, 16, 3)), num_maps=frames, den_maps=frames)
         monkeypatch.setattr(stochastic._optim, "ratio_ascent", None)  # no ascent call
-        closed = stochastic._section_radii(body, target, frames, starts)
+        closed = stochastic._section_radii(body, target, frames, frames, starts)
         np.testing.assert_allclose(closed, ascent, rtol=1e-9)
 
     def test_same_body_gives_one(self):

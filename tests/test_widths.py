@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from widthlab import harness, widths
+from widthlab import _optim, harness, widths
 from widthlab.bodies import LpBall, euclidean_ball, induced_ball, linear_image
 from widthlab.errors import BadDimensions, BadOrder, DimensionMismatch
 from widthlab.harness import _gather, _radius_check, _report
+from widthlab.linalg import as_generator, random_subspace
 from widthlab.manifolds import quaternionic_projective, sphere
 from widthlab.systems import trig_prefix_system, trig_system
 from widthlab.widths import (brute_force_gelfand, brute_force_kolmogorov,
@@ -338,9 +339,29 @@ class TestRadiusBounds:
 
     def test_batched_ratios_match_pinned_values(self, monkeypatch):
         # the pins' regime: every problem runs all MAX_ITERS passes
-        monkeypatch.setattr(widths._optim, "PATIENCE", widths._optim.MAX_ITERS)
+        monkeypatch.setattr(_optim, "PATIENCE", _optim.MAX_ITERS)
         ratios = radius_ratio_samples("lq", range(0, 2), **SMALL_LQ_GRID)
         assert ratios == pytest.approx(PINNED_LQ_RATIOS, rel=1e-6)
+
+    def test_euclidean_cells_take_the_closed_form(self, monkeypatch):
+        # every cell has (p, q) = (2, 2): the section of A*B_2 by span(F) in
+        # the induced 2-norm, Euclidean on trig-prefix coefficients, has radius
+        # 1 / sigma_min(F A^{-T}), and no ascent runs
+        monkeypatch.setattr(_optim, "ratio_ascent", None)
+        dims, seeds, subspaces = (3, 4, 5), range(3), 2
+        ratios = radius_ratio_samples("lq", seeds, dims, (2.0,), (2.0,), subspaces, restarts=8)
+        expected = []
+        for seed in seeds:
+            for n in dims:  # radius_ratio_samples' draws, problem by problem
+                rng = as_generator([seed, n, 8, 8])
+                a, r = widths._trial_matrix(rng, n), math.ceil(n / 2)
+                factor = lq_section_radius_bound(a, trig_prefix_system(n), 2.0, 2.0, r)
+                for _ in range(subspaces):
+                    frame = random_subspace(n, r, rng).frame
+                    rng.integers(2**31)  # the seed of the ascent starts
+                    sv = np.linalg.svd(frame @ np.linalg.inv(a).T, compute_uv=False)
+                    expected.append(1.0 / sv[-1] / factor)
+        np.testing.assert_allclose(ratios, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("ratios", [[1.0, float("nan")], [float("nan"), 1.0],
                                         [0.0, 1.0], [-float("inf"), 1.0]])
